@@ -1,40 +1,32 @@
-// Unified generate→filter→verify join harness (DESIGN.md §14).
+// Generate→filter→verify join bench (DESIGN.md §14).
 //
-// One bench, every candidate generator, identical match sets: the dense
-// tile scan (the paper's FPDL join), the pigeonhole block index, the
-// inverted signature probes, and the BK-tree / trie adapters all feed the
-// same filter→verify cascade over the same paired lists.  Expected
-// shape: the scan's O(n^2) filter calls win at small n (index build and
-// probe constants dominate), every indexed generator crosses over as n
-// grows, and the block index's end-to-end gap widens roughly linearly in
-// n past the crossover.  The table prints total (build + join) times and
-// speedups vs the scan; --json emits the BENCH_index_join.json
-// perf-trajectory record with the crossover point and the block index's
-// generation selectivity (candidates_generated / pairs).
+// The two candidate-generation routes, identical match sets: the dense
+// tile scan (the paper's FPDL join) and the pigeonhole block index, both
+// through match_strings over the same paired lists.  Expected shape: the
+// scan's O(n^2) filter calls win at small n (index build and probe
+// constants dominate), the block index crosses over as n grows, and its
+// end-to-end gap widens roughly linearly in n past the crossover.  The
+// table prints total (build + join) times and the speedup vs the scan;
+// --json emits the BENCH_index_join.json perf-trajectory record with the
+// crossover point and the block index's generation selectivity
+// (candidates_generated / pairs).
 #include <cstdint>
+#include <cstdio>
 #include <iostream>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/block_index.hpp"
-#include "core/candidate_generator.hpp"
-#include "core/candidate_pipeline.hpp"
 #include "core/match_join.hpp"
-#include "core/signature_index.hpp"
-#include "search/generator_adapters.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
 namespace c = fbf::core;
 namespace dg = fbf::datagen;
 namespace ex = fbf::experiments;
-namespace fs = fbf::search;
 namespace u = fbf::util;
 
 /// One generator's end-to-end result at one n.
@@ -50,43 +42,12 @@ struct Outcome {
   }
 };
 
-/// Drives an explicit CandidateGenerator through the shared pipeline:
-/// generate ids, gather-filter them, verify survivors.  The same loop the
-/// consumers run, so adapter timings are honest end-to-end numbers.
-Outcome run_adapter(const char* name, const c::CandidateGenerator& gen,
-                    const c::CandidatePipeline& pipe,
-                    std::span<const std::string> left,
-                    std::span<const std::string> right, double build_ms) {
-  Outcome out;
-  out.name = name;
-  out.build_ms = build_ms;
-  const u::Stopwatch timer;
-  c::PipelineCounters pc;
-  std::vector<std::uint32_t> ids;
-  std::vector<std::uint32_t> survivors;
-  for (const std::string& query : left) {
-    ids.clear();
-    survivors.clear();
-    gen.generate(query, ids);
-    const auto q = pipe.make_query(query);
-    pipe.filter_ids(q, ids, survivors, pc);
-    for (const std::uint32_t j : survivors) {
-      if (pipe.verify(query, right[j], pc)) {
-        ++out.matches;
-      }
-    }
-  }
-  out.join_ms = timer.elapsed_ms();
-  out.candidates = pc.candidates_generated;
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto opts = fbf::bench::parse_options(argc, argv, /*default_n=*/0);
   fbf::bench::print_header(
-      "Generate-filter-verify join: all candidate generators (LN)", opts);
+      "Generate-filter-verify join: dense scan vs block index (LN)", opts);
 
   const int k = opts.config.k;
   const std::vector<std::size_t> ns =
@@ -94,13 +55,16 @@ int main(int argc, char** argv) {
           ? std::vector<std::size_t>{1000, 2000, 5000, 10000, 20000, 50000}
           : std::vector<std::size_t>{500, 1000, 2000, 4000};
 
-  u::Table table({"n", "scan ms", "block ms", "block spd", "sig-probe ms",
-                  "bk-tree ms", "trie ms", "block candidates", "matches eq"});
+  u::Table table({"n", "scan ms", "block ms", "block spd", "block candidates",
+                  "matches eq"});
   struct Row {
     std::size_t n = 0;
     std::uint64_t pairs = 0;
-    std::vector<Outcome> outcomes;
-    bool matches_equal = true;
+    Outcome scan;
+    Outcome block;
+    [[nodiscard]] bool matches_equal() const noexcept {
+      return scan.matches == block.matches;
+    }
   };
   std::vector<Row> rows;
 
@@ -112,10 +76,10 @@ int main(int argc, char** argv) {
     row.n = n;
     row.pairs = static_cast<std::uint64_t>(n) * n;
 
-    // Dense tile scan (the reference join) and the block-index join run
-    // through match_strings so the timings include everything the real
-    // consumers pay; both are repeated and trimmed like the paper's
-    // protocol.
+    // Both joins run through match_strings so the timings include
+    // everything the real consumers pay (the block's build_ms includes
+    // the index construction); both are repeated and trimmed like the
+    // paper's protocol.
     auto join = ex::make_join_config(dg::FieldKind::kLastName,
                                      c::Method::kFpdl, config);
     auto run_join = [&](const char* name, c::GeneratorKind generator) {
@@ -137,84 +101,19 @@ int main(int argc, char** argv) {
       out.join_ms = u::trimmed_mean_drop_minmax(join_times);
       out.candidates = last.candidates_generated;
       out.matches = last.matches;
-      join.generator = c::GeneratorKind::kDense;
       return out;
     };
-    // Dense tile scan (the reference join) and the block-index join; the
-    // block's build_ms includes the index construction.
-    row.outcomes.push_back(run_join("tile-scan", c::GeneratorKind::kDense));
-    row.outcomes.push_back(
-        run_join("block-index", c::GeneratorKind::kBlockIndex));
+    row.scan = run_join("tile-scan", c::GeneratorKind::kDense);
+    row.block = run_join("block-index", c::GeneratorKind::kBlockIndex);
 
-    // Adapter generators share one pipeline over the right list; each
-    // runs once (their ordering vs the scan is decided by orders of
-    // magnitude, not repeat noise).  They are capped at n <= 20000: the
-    // tree walks are minutes-slow past that and the cap is announced in
-    // the table (dashed cells), never silently.
-    constexpr std::size_t kAdapterCap = 20000;
-    if (n <= kAdapterCap) {
-      c::PipelineConfig pcfg;
-      pcfg.field_class = c::FieldClass::kAlpha;
-      pcfg.alpha_words = join.alpha_words;
-      pcfg.k = k;
-      const u::Stopwatch pipe_timer;
-      const c::CandidatePipeline pipe(pcfg, dataset.error);
-      const double pipe_ms = pipe_timer.elapsed_ms();
-
-      if (auto probe = c::SignatureProbeGenerator::create(
-              c::FieldClass::kAlpha, join.alpha_words, k)) {
-        const u::Stopwatch build_timer;
-        for (const std::string& s : dataset.error) {
-          probe->append(s);
-        }
-        row.outcomes.push_back(run_adapter(
-            "sig-probe", *probe, pipe, dataset.clean, dataset.error,
-            pipe_ms + build_timer.elapsed_ms()));
-      }
-      {
-        const u::Stopwatch build_timer;
-        const fs::BkTreeGenerator bk(k, dataset.error);
-        row.outcomes.push_back(
-            run_adapter("bk-tree", bk, pipe, dataset.clean, dataset.error,
-                        pipe_ms + build_timer.elapsed_ms()));
-      }
-      {
-        const u::Stopwatch build_timer;
-        const fs::TrieGenerator trie(k, dataset.error);
-        row.outcomes.push_back(
-            run_adapter("trie", trie, pipe, dataset.clean, dataset.error,
-                        pipe_ms + build_timer.elapsed_ms()));
-      }
-    }
-
-    for (const Outcome& o : row.outcomes) {
-      row.matches_equal &= o.matches == row.outcomes.front().matches;
-    }
-
-    auto find = [&row](const char* name) -> const Outcome* {
-      for (const Outcome& o : row.outcomes) {
-        if (o.name == name) {
-          return &o;
-        }
-      }
-      return nullptr;
-    };
-    auto total_or_dash = [&find](const char* name) -> std::string {
-      const Outcome* o = find(name);
-      return o != nullptr ? u::fixed(o->total_ms(), 1) : "-";
-    };
-    const Outcome& scan = *find("tile-scan");
-    const Outcome& block = *find("block-index");
     table.add_row(
         {u::with_commas(static_cast<std::int64_t>(n)),
-         u::fixed(scan.total_ms(), 1), u::fixed(block.total_ms(), 1),
-         u::speedup(block.total_ms() > 0
-                        ? scan.total_ms() / block.total_ms()
+         u::fixed(row.scan.total_ms(), 1), u::fixed(row.block.total_ms(), 1),
+         u::speedup(row.block.total_ms() > 0
+                        ? row.scan.total_ms() / row.block.total_ms()
                         : 0.0),
-         total_or_dash("sig-probe"), total_or_dash("bk-tree"),
-         total_or_dash("trie"),
-         u::with_commas(static_cast<std::int64_t>(block.candidates)),
-         row.matches_equal ? "yes" : "NO"});
+         u::with_commas(static_cast<std::int64_t>(row.block.candidates)),
+         row.matches_equal() ? "yes" : "NO"});
     rows.push_back(std::move(row));
   }
 
@@ -222,18 +121,9 @@ int main(int argc, char** argv) {
   // time beats the dense scan.
   std::optional<std::size_t> crossover;
   for (const Row& row : rows) {
-    const Outcome* scan = nullptr;
-    const Outcome* block = nullptr;
-    for (const Outcome& o : row.outcomes) {
-      if (o.name == "tile-scan") {
-        scan = &o;
-      } else if (o.name == "block-index") {
-        block = &o;
-      }
-    }
-    if (scan != nullptr && block != nullptr &&
-        block->total_ms() < scan->total_ms() && !crossover) {
+    if (row.block.total_ms() < row.scan.total_ms()) {
       crossover = row.n;
+      break;
     }
   }
 
@@ -250,29 +140,25 @@ int main(int argc, char** argv) {
       const Row& row = rows[r];
       os << "    {\"n\": " << row.n << ", \"pairs\": " << row.pairs
          << ", \"matches_equal\": "
-         << (row.matches_equal ? "true" : "false") << ", \"generators\": [";
-      double scan_total = 0.0;
-      for (const Outcome& o : row.outcomes) {
-        if (o.name == "tile-scan") {
-          scan_total = o.total_ms();
-        }
-      }
-      for (std::size_t g = 0; g < row.outcomes.size(); ++g) {
-        const Outcome& o = row.outcomes[g];
+         << (row.matches_equal() ? "true" : "false") << ", \"generators\": [";
+      const double scan_total = row.scan.total_ms();
+      bool first = true;
+      for (const Outcome* o : {&row.scan, &row.block}) {
         const double selectivity =
             row.pairs > 0
-                ? static_cast<double>(o.candidates) /
+                ? static_cast<double>(o->candidates) /
                       static_cast<double>(row.pairs)
                 : 0.0;
-        os << (g > 0 ? ", " : "") << "\n      {\"name\": \""
-           << fbf::bench::json_escape(o.name) << "\", \"build_ms\": "
-           << o.build_ms << ", \"join_ms\": " << o.join_ms
-           << ", \"total_ms\": " << o.total_ms()
+        os << (first ? "" : ", ") << "\n      {\"name\": \""
+           << fbf::bench::json_escape(o->name) << "\", \"build_ms\": "
+           << o->build_ms << ", \"join_ms\": " << o->join_ms
+           << ", \"total_ms\": " << o->total_ms()
            << ", \"speedup_vs_scan\": "
-           << (o.total_ms() > 0 ? scan_total / o.total_ms() : 0.0)
-           << ", \"candidates\": " << o.candidates
+           << (o->total_ms() > 0 ? scan_total / o->total_ms() : 0.0)
+           << ", \"candidates\": " << o->candidates
            << ", \"selectivity\": " << selectivity
-           << ", \"matches\": " << o.matches << "}";
+           << ", \"matches\": " << o->matches << "}";
+        first = false;
       }
       os << "\n    ]}" << (r + 1 < rows.size() ? "," : "") << "\n";
     }
@@ -285,8 +171,8 @@ int main(int argc, char** argv) {
   } else {
     table.render(std::cout);
     if (crossover) {
-      std::printf("\n(block index beats the dense scan from n=%zu; every "
-                  "generator verifies to the identical match set)\n",
+      std::printf("\n(block index beats the dense scan from n=%zu; both "
+                  "routes verify to the identical match set)\n",
                   *crossover);
     } else {
       std::printf("\n(no crossover in the benched range — increase n with "

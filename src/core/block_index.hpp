@@ -38,6 +38,17 @@
 // Incremental appends land in a small overflow tier (hash map) probed
 // alongside the frozen CSR base and folded in when it grows past a
 // fraction of the base, so ingest never rebuilds per record.
+//
+// Soundness contract: generate(q) is a superset of { j : OSA(q, t_j) <= k }
+// — the verifier then makes the final decision, so the indexed route
+// produces exactly the dense tile sweep's match set.  The only other
+// candidate-generation route is that dense sweep (GeneratorKind::kDense),
+// which consumers run directly over contiguous tiles.
+//
+// Thread contract (mirrors std::vector): concurrent generate() calls are
+// safe; append() must not race generate().  Consumers build or append
+// single-threaded (or through the builder's own fan-out) and then query
+// from the worker pool.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +57,6 @@
 #include <string_view>
 #include <unordered_map>
 #include <vector>
-
-#include "core/candidate_generator.hpp"
 
 namespace fbf::core {
 
@@ -115,7 +124,7 @@ struct BlockIndexStats {
   std::size_t compactions = 0;    ///< overflow folds into the base
 };
 
-class BlockIndexGenerator final : public CandidateGenerator {
+class BlockIndexGenerator {
  public:
   explicit BlockIndexGenerator(int k);
   /// Bulk build: key generation fans across `threads`; the CSR pack is
@@ -130,20 +139,22 @@ class BlockIndexGenerator final : public CandidateGenerator {
     return k >= 0 && k <= 2;
   }
 
-  [[nodiscard]] const char* name() const noexcept override {
-    return "block-index";
-  }
-  [[nodiscard]] bool indexed() const noexcept override { return true; }
-  [[nodiscard]] std::size_t size() const noexcept override { return size_; }
+  /// Stable display name (generator_name(GeneratorKind::kBlockIndex)).
+  [[nodiscard]] const char* name() const noexcept { return "block-index"; }
+  /// Number of stored candidates.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] int k() const noexcept { return k_; }
 
-  void append(std::string_view value) override;
+  /// Appends one candidate string; ids are assigned in append order.
+  void append(std::string_view value);
   /// Bulk append with parallel key generation; folds the overflow tier
   /// into the CSR base afterwards.
   void append(std::span<const std::string> values, std::size_t threads = 1);
 
+  /// Appends to `out` the ids of stored candidates that may be within
+  /// OSA distance k of `query`, sorted ascending without duplicates.
   void generate(std::string_view query,
-                std::vector<std::uint32_t>& out) const override;
+                std::vector<std::uint32_t>& out) const;
 
   /// Folds the overflow tier into the CSR base (also runs automatically
   /// when the overflow outgrows a fraction of the base).

@@ -188,9 +188,10 @@ class CandidatePipeline {
                            std::uint64_t* bitmaps, std::size_t bitmap_stride,
                            std::span<PipelineCounters> counters) const;
 
-  /// Filters an explicit candidate id list — the output of an indexed
-  /// CandidateGenerator — against `q`, appending surviving ids to
-  /// `survivors` in ascending order and returning how many were appended.
+  /// Filters an explicit candidate id list — the output of
+  /// BlockIndexGenerator::generate — against `q`, appending surviving ids
+  /// to `survivors` in ascending order and returning how many were
+  /// appended.
   /// In batched mode the candidates' packed plane words are gathered into
   /// aligned scratch and pushed through the same filter_block kernel as
   /// the tile sweep; fallback mode runs the per-pair predicate.  Ladder

@@ -1,18 +1,17 @@
 // Execution policy: the knobs that decide *how* a linkage-layer operation
 // runs, not *what* it computes.
 //
-// Before this struct existed the same two knobs lived as loose fields on
-// every config that ran a scoring loop (LinkConfig::use_pipeline/threads,
-// EntityStoreOptions::use_pipeline/threads), so call sites copied them
-// field by field and new execution options meant touching every struct.
-// ExecPolicy is now embedded in both and `config.exec.<knob>` is the only
-// spelling — the one-release deprecated reference aliases are gone (see
-// TUTORIAL §11).  Results are policy-independent by contract: any (use_pipeline,
-// threads) combination produces identical decisions and counters — the
-// equivalence property tests pin that.
+// ExecPolicy is embedded in every config that runs a scoring loop
+// (LinkConfig, EntityStoreOptions, QueryOptions), so `config.exec.<knob>`
+// is the only spelling.  Results are policy-independent by contract: any
+// (threads, generator) combination produces identical decisions — the
+// equivalence property tests pin that against the per-pair score_pair
+// reference.
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <string_view>
 
 namespace fbf::core {
 
@@ -30,15 +29,27 @@ enum class GeneratorKind {
 };
 
 struct ExecPolicy {
-  /// Route scoring through the batched filter pipeline (RecordFilterBank
-  /// / CandidatePipeline tile sweeps).  false = the per-pair scalar loop,
-  /// kept as the equivalence baseline.
-  bool use_pipeline = true;
   /// Worker threads for the parallel portions; 1 = sequential.
   std::size_t threads = 1;
   /// Candidate generation strategy (overridable via FBF_FORCE_GENERATOR;
-  /// see core/candidate_generator.hpp select_generator).
+  /// see select_generator below).
   GeneratorKind generator = GeneratorKind::kDense;
 };
+
+/// Stable name for a generator kind ("dense", "block-index").
+[[nodiscard]] const char* generator_name(GeneratorKind kind) noexcept;
+
+/// Parses a generator name ("dense" / "block" / "block-index").
+[[nodiscard]] std::optional<GeneratorKind> generator_from_name(
+    std::string_view name) noexcept;
+
+/// Resolves the generator a consumer should use: `requested` unless the
+/// FBF_FORCE_GENERATOR environment variable names a valid kind, which
+/// then wins (mirroring FBF_FORCE_KERNEL; unknown values warn once on
+/// stderr and fall back to `requested`).  Consumers still apply their own
+/// soundness gates after this — forcing "block" where block generation
+/// would change decisions (no verifier runs, unsupported k) degrades to
+/// dense, never to wrong answers.
+[[nodiscard]] GeneratorKind select_generator(GeneratorKind requested) noexcept;
 
 }  // namespace fbf::core

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "core/block_index.hpp"
-#include "core/candidate_generator.hpp"
 #include "core/candidate_pipeline.hpp"
 #include "metrics/damerau.hpp"
 #include "metrics/hamming.hpp"

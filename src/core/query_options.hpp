@@ -1,17 +1,13 @@
 // QueryOptions: the one request-level knob bundle (DESIGN.md §15).
 //
-// Before the serve layer existed, every entry point grew its own loose
-// parameter list — `match_strings_indexed(left, right, cls, k,
-// alpha_words, generator)`, `SignatureIndex::build(..., cls, alpha_words,
-// k, ...)`, per-call verifier choices — so adding one knob meant touching
-// every signature and call sites silently disagreed about defaults.
 // QueryOptions folds the per-call knobs (method, k, field layout,
 // popcount strategy) together with the execution policy
-// (`core::ExecPolicy`: pipeline routing, threads, generator) into one
-// value that the daemon's wire protocol, the in-process client and the
-// batch entry points all speak.  The method implies the cascade shape
-// (length filter / FBF / verifier) via the method.hpp helpers, so a
-// QueryOptions fully determines a PipelineConfig.
+// (`core::ExecPolicy`: threads, generator) into one value that the
+// daemon's wire protocol, the in-process client and the batch entry
+// points all speak, so a knob is added in one place and call sites cannot
+// disagree about defaults.  The method implies the cascade shape (length
+// filter / FBF / verifier) via the method.hpp helpers, so a QueryOptions
+// fully determines a PipelineConfig.
 #pragma once
 
 #include "core/candidate_pipeline.hpp"
@@ -32,7 +28,7 @@ struct QueryOptions {
   FieldClass field_class = FieldClass::kAlpha;
   int alpha_words = kDefaultAlphaWords;
   fbf::util::PopcountKind popcount = fbf::util::PopcountKind::kHardware;
-  /// How the operation runs (pipeline routing, threads, generator).
+  /// How the operation runs (threads, generator).
   ExecPolicy exec;
 };
 
@@ -49,7 +45,6 @@ struct QueryOptions {
   cfg.use_length = method_uses_length(options.method);
   cfg.verifier = method_verifier(options.method);
   cfg.popcount = options.popcount;
-  cfg.force_per_pair = !options.exec.use_pipeline;
   return cfg;
 }
 

@@ -155,36 +155,10 @@ LinkStats link_candidates(std::span<const PersonRecord> left,
 LinkStats link_exhaustive(std::span<const PersonRecord> left,
                           std::span<const PersonRecord> right,
                           const LinkConfig& config) {
-  if (config.exec.use_pipeline) {
-    const LinkageContext ctx(right, config.comparator, config.exec);
-    LinkStats stats = link_exhaustive(left, ctx, config);
-    stats.signature_gen_ms += ctx.gen_ms();
-    return stats;
-  }
-  // Per-pair baseline: the pre-pipeline nested score_pair loop.
-  const Precomputed pre =
-      precompute_signatures(left, right, config.comparator, config.exec.threads);
-  const fbf::util::Stopwatch timer;
-  const std::size_t n_chunks =
-      std::max<std::size_t>(1, std::min(config.exec.threads, left.size()));
-  std::vector<ChunkResult> chunks(n_chunks);
-  fbf::util::parallel_chunks(
-      left.size(), config.exec.threads,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        ChunkResult& out = chunks[chunk];
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t j = 0; j < right.size(); ++j) {
-            score_one(left[i], right[j],
-                      pre.built ? &pre.left[i] : nullptr,
-                      pre.built ? &pre.right[j] : nullptr,
-                      static_cast<std::uint32_t>(i),
-                      static_cast<std::uint32_t>(j), config, out);
-          }
-        }
-      });
-  return finish(chunks,
-                static_cast<std::uint64_t>(left.size()) * right.size(),
-                pre.gen_ms, timer);
+  const LinkageContext ctx(right, config.comparator, config.exec);
+  LinkStats stats = link_exhaustive(left, ctx, config);
+  stats.signature_gen_ms += ctx.gen_ms();
+  return stats;
 }
 
 LinkStats link_exhaustive(std::span<const PersonRecord> left,

@@ -21,9 +21,11 @@ namespace fbf::linkage {
 
 struct LinkConfig {
   ComparatorConfig comparator;
-  /// How the linkage executes (pipeline vs per-pair scalar loop, thread
-  /// count).  Candidate-pair-list linkage is always per-pair regardless
-  /// (there is no contiguous candidate range to sweep).
+  /// How the linkage executes (threads, candidate generator).  Exhaustive
+  /// linkage always scores through the per-rule filter bank;
+  /// candidate-pair-list linkage is per-pair score_pair (there is no
+  /// contiguous candidate range to sweep) and doubles as the reference
+  /// the equivalence tests compare the bank against.
   core::ExecPolicy exec;
   bool collect_matches = false;
 };

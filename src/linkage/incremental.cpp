@@ -1,6 +1,7 @@
 #include "linkage/incremental.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -11,21 +12,15 @@ EntityStore::EntityStore(ComparatorConfig comparator,
                          EntityStoreOptions options)
     : comparator_(std::move(comparator)),
       options_(options),
-      uses_fbf_(config_uses_fbf(comparator_)) {
-  if (options_.exec.use_pipeline) {
-    bank_.emplace(comparator_,
-                  RecordFilterOptions{.generator = options_.exec.generator});
-  }
-}
+      uses_fbf_(config_uses_fbf(comparator_)),
+      bank_(comparator_,
+            RecordFilterOptions{.generator = options_.exec.generator}) {}
 
 void EntityStore::rebuild_bank() {
-  if (!options_.exec.use_pipeline) {
-    return;
-  }
-  bank_.emplace(comparator_,
-                RecordFilterOptions{.generator = options_.exec.generator});
+  bank_ = RecordFilterBank(
+      comparator_, RecordFilterOptions{.generator = options_.exec.generator});
   for (std::size_t i = 0; i < records_.size(); ++i) {
-    bank_->append(records_[i], uses_fbf_ ? &signatures_[i] : nullptr);
+    bank_.append(records_[i], uses_fbf_ ? &signatures_[i] : nullptr);
   }
 }
 
@@ -47,68 +42,40 @@ IngestStats EntityStore::ingest(std::span<const PersonRecord> batch) {
   const std::size_t store_size_at_start = records_.size();
   std::vector<Decision> decisions(batch.size());
 
-  if (bank_.has_value()) {
-    // Pipeline path: each batch record scores against the pre-batch store
-    // through the per-rule filter bank.  Decisions are independent (batch
-    // records never compare against each other), so they fan across the
-    // pool; the sequential commit below assigns entity ids in batch
-    // order, making results byte-identical to the scalar path for any
-    // thread count.
-    const std::size_t n_chunks = std::max<std::size_t>(
-        1, std::min(options_.exec.threads, batch.size()));
-    std::vector<CompareCounters> chunk_counters(n_chunks);
-    fbf::util::parallel_chunks(
-        batch.size(), options_.exec.threads,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          RecordFilterBank::Scratch scratch;
-          CompareCounters& counters = chunk_counters[chunk];
-          for (std::size_t b = begin; b < end; ++b) {
-            bank_->score_all(batch[b], uses_fbf_ ? &batch_sigs[b] : nullptr,
-                             records_, store_size_at_start, scratch,
-                             counters);
-            Decision& d = decisions[b];
-            d.index = store_size_at_start;  // sentinel: none
-            for (std::size_t s = 0; s < store_size_at_start; ++s) {
-              const double score = scratch.scores[s];
-              if (score >= comparator_.match_threshold &&
-                  score > d.score) {
-                d.score = score;
-                d.index = s;
-              }
+  // Each batch record scores against the pre-batch store through the
+  // per-rule filter bank.  Decisions are independent (batch records never
+  // compare against each other), so they fan across the pool; the
+  // sequential commit below assigns entity ids in batch order, making
+  // results byte-identical to a record-at-a-time score_pair loop for any
+  // thread count.
+  const std::size_t n_chunks = std::max<std::size_t>(
+      1, std::min(options_.exec.threads, batch.size()));
+  std::vector<CompareCounters> chunk_counters(n_chunks);
+  fbf::util::parallel_chunks(
+      batch.size(), options_.exec.threads,
+      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        RecordFilterBank::Scratch scratch;
+        CompareCounters& counters = chunk_counters[chunk];
+        for (std::size_t b = begin; b < end; ++b) {
+          bank_.score_all(batch[b], uses_fbf_ ? &batch_sigs[b] : nullptr,
+                          records_, store_size_at_start, scratch, counters);
+          Decision& d = decisions[b];
+          d.index = store_size_at_start;  // sentinel: none
+          for (std::size_t s = 0; s < store_size_at_start; ++s) {
+            const double score = scratch.scores[s];
+            if (score >= comparator_.match_threshold && score > d.score) {
+              d.score = score;
+              d.index = s;
             }
           }
-        });
-    stats.comparisons += static_cast<std::uint64_t>(batch.size()) *
-                         store_size_at_start;
-    for (const CompareCounters& counters : chunk_counters) {
-      stats.candidates_generated += counters.candidates_generated;
-      stats.fbf_evaluations += counters.fbf_evaluations;
-      stats.verify_calls += counters.verify_calls;
-    }
-  } else {
-    // Scalar reference path: record-at-a-time score_pair loop.
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      const PersonRecord& incoming = batch[b];
-      const RecordSignatures* incoming_sigs =
-          uses_fbf_ ? &batch_sigs[b] : nullptr;
-      CompareCounters counters;
-      Decision& d = decisions[b];
-      d.index = store_size_at_start;  // sentinel: none
-      for (std::size_t s = 0; s < store_size_at_start; ++s) {
-        ++stats.comparisons;
-        const double score =
-            score_pair(incoming, records_[s], incoming_sigs,
-                       uses_fbf_ ? &signatures_[s] : nullptr, comparator_,
-                       counters);
-        if (score >= comparator_.match_threshold && score > d.score) {
-          d.score = score;
-          d.index = s;
         }
-      }
-      stats.candidates_generated += counters.candidates_generated;
-      stats.fbf_evaluations += counters.fbf_evaluations;
-      stats.verify_calls += counters.verify_calls;
-    }
+      });
+  stats.comparisons =
+      static_cast<std::uint64_t>(batch.size()) * store_size_at_start;
+  for (const CompareCounters& counters : chunk_counters) {
+    stats.candidates_generated += counters.candidates_generated;
+    stats.fbf_evaluations += counters.fbf_evaluations;
+    stats.verify_calls += counters.verify_calls;
   }
 
   // Commit in batch order (entity ids depend on earlier decisions).
@@ -126,9 +93,7 @@ IngestStats EntityStore::ingest(std::span<const PersonRecord> batch) {
     if (uses_fbf_) {
       signatures_.push_back(batch_sigs[b]);
     }
-    if (bank_.has_value()) {
-      bank_->append(records_.back(), uses_fbf_ ? &signatures_.back() : nullptr);
-    }
+    bank_.append(records_.back(), uses_fbf_ ? &signatures_.back() : nullptr);
   }
   stats.match_ms = match_timer.elapsed_ms();
   return stats;
@@ -147,26 +112,13 @@ EntityStore::ProbeResult EntityStore::probe(const PersonRecord& query,
     query_sigs = build_record_signatures(query, comparator_.alpha_words);
   }
   const RecordSignatures* sigs = query_sigs ? &*query_sigs : nullptr;
-  if (bank_.has_value()) {
-    RecordFilterBank::Scratch scratch;
-    bank_->score_all(query, sigs, records_, store_size, scratch,
-                     result.counters);
-    for (std::size_t s = 0; s < store_size; ++s) {
-      if (scratch.scores[s] >= comparator_.match_threshold) {
-        result.matches.push_back({static_cast<std::uint32_t>(s),
-                                  entity_ids_[s], scratch.scores[s]});
-      }
-    }
-  } else {
-    for (std::size_t s = 0; s < store_size; ++s) {
-      const double score =
-          score_pair(query, records_[s], sigs,
-                     uses_fbf_ ? &signatures_[s] : nullptr, comparator_,
-                     result.counters);
-      if (score >= comparator_.match_threshold) {
-        result.matches.push_back(
-            {static_cast<std::uint32_t>(s), entity_ids_[s], score});
-      }
+  RecordFilterBank::Scratch scratch;
+  bank_.score_all(query, sigs, records_, store_size, scratch,
+                  result.counters);
+  for (std::size_t s = 0; s < store_size; ++s) {
+    if (scratch.scores[s] >= comparator_.match_threshold) {
+      result.matches.push_back({static_cast<std::uint32_t>(s),
+                                entity_ids_[s], scratch.scores[s]});
     }
   }
   std::stable_sort(result.matches.begin(), result.matches.end(),

@@ -16,8 +16,6 @@
 #include <span>
 #include <vector>
 
-#include <optional>
-
 #include "core/exec_policy.hpp"
 #include "linkage/comparator.hpp"
 #include "linkage/record.hpp"
@@ -41,13 +39,11 @@ struct IngestStats {
   double match_ms = 0.0;
 };
 
-/// EntityStore tuning knobs.  Defaults give the fast path; the scalar
-/// path is the pre-pipeline reference implementation, kept for the
-/// equivalence property tests and the nightly bench's before/after
-/// comparison.  Batch records score independently against the pre-batch
-/// store, so ingest fans them across exec.threads pool workers; decisions
-/// and counters are byte-identical for any policy (entity ids are
-/// assigned sequentially afterwards).
+/// EntityStore tuning knobs.  Batch records score independently against
+/// the pre-batch store, so ingest fans them across exec.threads pool
+/// workers; decisions and counters are byte-identical for any policy
+/// (entity ids are assigned sequentially afterwards) and to a
+/// record-at-a-time score_pair loop (the equivalence property tests).
 struct EntityStoreOptions {
   core::ExecPolicy exec;
 
@@ -89,10 +85,10 @@ class EntityStore {
   };
 
   /// Read-only point lookup: scores `query` against every stored record
-  /// exactly as ingest() would (pipeline bank or scalar loop per the exec
-  /// policy) but commits nothing — the request path the online daemon and
-  /// the in-process client share.  `max_matches` truncates the reply
-  /// after sorting; 0 means unbounded.
+  /// exactly as ingest() would (through the filter bank) but commits
+  /// nothing — the request path the online daemon and the in-process
+  /// client share.  `max_matches` truncates the reply after sorting; 0
+  /// means unbounded.
   [[nodiscard]] ProbeResult probe(const PersonRecord& query,
                                   std::size_t max_matches = 8) const;
 
@@ -158,8 +154,8 @@ class EntityStore {
   std::vector<RecordSignatures> signatures_;
   std::vector<std::uint32_t> entity_ids_;
   std::uint32_t entity_total_ = 0;
-  /// Pipeline filter state over records_ (engaged iff use_pipeline).
-  std::optional<RecordFilterBank> bank_;
+  /// Per-rule filter state over records_.
+  RecordFilterBank bank_;
 };
 
 }  // namespace fbf::linkage

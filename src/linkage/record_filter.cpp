@@ -48,7 +48,6 @@ RecordFilterBank::RecordFilterBank(const ComparatorConfig& config,
       pcfg.use_length = false;  // score_pair has no length stage
       pcfg.verifier = rule_verifier(rule.strategy);
       pcfg.popcount = options.popcount;
-      pcfg.force_per_pair = options.force_per_pair;
       state.pipe.emplace(pcfg);
       // Soundness gate per rule: the block index covers { OSA <= k },
       // not the FBF pass-set, so kFbfOnly (survivors score directly)

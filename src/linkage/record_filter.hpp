@@ -14,7 +14,7 @@
 //     ablations) plus a stored-side non-empty bitmap — the comparator's
 //     "missing data awards no points" rule becomes the pipeline's
 //     eligibility mask, so skipped fields are charged to no counter,
-//     exactly like the scalar path.
+//     exactly like score_pair.
 //   * Non-FBF rules (exact / DL / PDL / Soundex) have no filter to batch
 //     and are evaluated per pair inside score_all.
 //
@@ -34,6 +34,7 @@
 
 #include "core/block_index.hpp"
 #include "core/candidate_pipeline.hpp"
+#include "core/exec_policy.hpp"
 #include "linkage/comparator.hpp"
 #include "linkage/record.hpp"
 
@@ -41,9 +42,6 @@ namespace fbf::linkage {
 
 struct RecordFilterOptions {
   fbf::util::PopcountKind popcount = fbf::util::PopcountKind::kHardware;
-  /// Pin every rule to the classic per-pair scan (scalar baseline for
-  /// equivalence tests and the popcount ablations).
-  bool force_per_pair = false;
   /// Candidate generation per FBF rule (DESIGN.md §14).  kBlockIndex
   /// gives each verifying FBF rule a pigeonhole block / deletion-
   /// neighborhood index over its stored field column, probed per incoming

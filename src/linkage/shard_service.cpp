@@ -128,14 +128,9 @@ Result<std::string> ShardLinkService::handle(const net::FrameContext& ctx,
   }
   LinkStats stats;
   if (req.value().broadcast_right) {
-    // Broadcast path: link against the service's right list.  The shared
-    // LinkageContext only serves the pipeline; the scalar reference path
-    // scores pairs directly.
-    if (config_.exec.use_pipeline) {
-      stats = link_exhaustive(req.value().left, broadcast_context(), config_);
-    } else {
-      stats = link_exhaustive(req.value().left, right_, config_);
-    }
+    // Broadcast path: link against the service's shared right-hand
+    // context (signatures + filter bank built once).
+    stats = link_exhaustive(req.value().left, broadcast_context(), config_);
   } else {
     stats = link_exhaustive(req.value().left, req.value().right, config_);
   }

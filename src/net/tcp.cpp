@@ -197,7 +197,17 @@ ShardServer::ShardServer(ShardHandler handler, ShardServerOptions options)
 ShardServer::~ShardServer() { stop(); }
 
 void ShardServer::stop() {
-  bool was_running = running_.exchange(false);
+  // running_ is part of the workers' wait predicate, so it changes under
+  // queue_mu_: a worker that has just seen running_ == true is then
+  // either blocked on queue_cv_ (and gets the notify below) or still
+  // holds the lock (and sees false).  Clearing it without the lock let
+  // the notify land between a worker's check and its wait, and join()
+  // below hung.
+  bool was_running = false;
+  {
+    const std::lock_guard<std::mutex> lock(queue_mu_);
+    was_running = running_.exchange(false);
+  }
   if (!was_running) {
     return;
   }

@@ -121,20 +121,6 @@ u::Result<telemetry::MetricsSnapshot> Client::metrics() {
   return std::move(decoded->metrics);
 }
 
-u::Result<serve::ServiceStats> Client::stats() {
-  u::Result<std::string> reply =
-      call(net::FrameType::kAdmin,
-           serve::encode_admin_request(serve::AdminCommand::kStats));
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  u::Result<serve::AdminReply> decoded = serve::decode_admin_reply(*reply);
-  if (!decoded.ok()) {
-    return decoded.status();
-  }
-  return decoded->stats;
-}
-
 u::Result<serve::DrainReply> Client::drain_quarantine() {
   u::Result<std::string> reply = call(
       net::FrameType::kAdmin,

@@ -73,12 +73,6 @@ class Client {
   /// names, plus the process-global registry of the serving process.
   [[nodiscard]] fbf::util::Result<telemetry::MetricsSnapshot> metrics();
 
-  /// Legacy fixed-field stats view — one-release adapter over the same
-  /// registry the kMetrics snapshot ships.
-  [[deprecated("read metrics() (AdminCommand::kMetrics) instead")]]
-  [[nodiscard]] fbf::util::Result<serve::ServiceStats>
-  stats();
-
   [[nodiscard]] fbf::util::Result<serve::DrainReply> drain_quarantine();
 
   /// Liveness round-trip (empty ping payload).

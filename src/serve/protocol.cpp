@@ -195,8 +195,6 @@ u::Result<AdminCommand> decode_admin_request(std::string_view payload) {
     return truncated("admin request");
   }
   switch (command) {
-    case static_cast<std::uint8_t>(AdminCommand::kStats):
-      return AdminCommand::kStats;
     case static_cast<std::uint8_t>(AdminCommand::kDrainQuarantine):
       return AdminCommand::kDrainQuarantine;
     case static_cast<std::uint8_t>(AdminCommand::kMetrics):
@@ -210,21 +208,6 @@ u::Result<AdminCommand> decode_admin_request(std::string_view payload) {
 std::string encode_admin_reply(const AdminReply& reply) {
   std::string out;
   w::put<std::uint8_t>(out, static_cast<std::uint8_t>(reply.command));
-  const ServiceStats& s = reply.stats;
-  w::put<std::uint64_t>(out, s.store_size);
-  w::put<std::uint64_t>(out, s.entity_count);
-  w::put<std::uint64_t>(out, s.corpus_size);
-  w::put_string(out, s.kernel);
-  w::put<std::uint64_t>(out, s.queries);
-  w::put<std::uint64_t>(out, s.ingests);
-  w::put<std::uint64_t>(out, s.overloaded);
-  w::put<std::uint64_t>(out, s.quarantined);
-  w::put<std::uint64_t>(out, s.coalesced_batches);
-  w::put<std::uint64_t>(out, s.coalesced_queries);
-  w::put<std::uint64_t>(out, s.max_batch);
-  w::put<double>(out, s.p50_ms);
-  w::put<double>(out, s.p99_ms);
-  w::put<double>(out, s.p999_ms);
   w::put<std::uint64_t>(out, reply.drain.repaired);
   w::put<std::uint64_t>(out, reply.drain.still_bad);
   w::put<std::uint64_t>(out, reply.drain.doubled_delimiter);
@@ -241,14 +224,7 @@ u::Result<AdminReply> decode_admin_reply(std::string_view payload) {
     return truncated("admin reply");
   }
   reply.command = static_cast<AdminCommand>(command);
-  ServiceStats& s = reply.stats;
-  if (!in.get(s.store_size) || !in.get(s.entity_count) ||
-      !in.get(s.corpus_size) || !in.get_string(s.kernel) ||
-      !in.get(s.queries) || !in.get(s.ingests) || !in.get(s.overloaded) ||
-      !in.get(s.quarantined) || !in.get(s.coalesced_batches) ||
-      !in.get(s.coalesced_queries) || !in.get(s.max_batch) ||
-      !in.get(s.p50_ms) || !in.get(s.p99_ms) || !in.get(s.p999_ms) ||
-      !in.get(reply.drain.repaired) || !in.get(reply.drain.still_bad) ||
+  if (!in.get(reply.drain.repaired) || !in.get(reply.drain.still_bad) ||
       !in.get(reply.drain.doubled_delimiter) ||
       !in.get(reply.drain.shifted_column)) {
     return truncated("admin reply");

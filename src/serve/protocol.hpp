@@ -9,7 +9,7 @@
 //                               against the entity store
 //   kIngest / kIngestReply      streaming ingest — record batches or raw
 //                               CSV rows appended to the durable store
-//   kAdmin / kAdminReply        stats snapshot + quarantine drain
+//   kAdmin / kAdminReply        metrics snapshot + quarantine drain
 //
 // The request-level types live in namespace fbf (they are the public
 // client vocabulary — `fbf::MatchRequest` is what callers build); the
@@ -87,36 +87,15 @@ struct IngestReply {
   std::uint64_t store_size = 0;
 };
 
+/// Admin command byte.  Byte 1 is reserved: it was the fixed-field stats
+/// view, old clients may still send it, and it is rejected as unknown —
+/// do not reuse it.  kMetrics carries every service metric.
 enum class AdminCommand : std::uint8_t {
-  kStats = 1,
   kDrainQuarantine = 2,
   /// Full telemetry snapshot: every counter/gauge/histogram the service's
   /// private registry and the process-global registry hold, under the
-  /// canonical dotted naming scheme (DESIGN.md §16).  kStats survives as
-  /// the legacy fixed-field view computed from the same registry.
+  /// canonical dotted naming scheme (DESIGN.md §16).
   kMetrics = 3,
-};
-
-/// One stats snapshot (AdminCommand::kStats).  Legacy fixed-field view:
-/// every field is a rendering of a telemetry::Registry metric (see
-/// MatchService::metrics_snapshot); new consumers should prefer
-/// AdminCommand::kMetrics, which carries all of them and every future
-/// metric without a protocol change.
-struct ServiceStats {
-  std::uint64_t store_size = 0;
-  std::uint64_t entity_count = 0;
-  std::uint64_t corpus_size = 0;
-  std::string kernel;     ///< corpus filter kernel (tile-avx2, ...)
-  std::uint64_t queries = 0;
-  std::uint64_t ingests = 0;
-  std::uint64_t overloaded = 0;    ///< admission-control rejections
-  std::uint64_t quarantined = 0;   ///< rows currently parked
-  std::uint64_t coalesced_batches = 0;  ///< kernel batches dispatched
-  std::uint64_t coalesced_queries = 0;  ///< string queries through them
-  std::uint64_t max_batch = 0;          ///< largest batch observed
-  double p50_ms = 0.0;   ///< service-side match latency percentiles
-  double p99_ms = 0.0;
-  double p999_ms = 0.0;
 };
 
 /// Quarantine drain outcome (AdminCommand::kDrainQuarantine): rows the
@@ -131,8 +110,7 @@ struct DrainReply {
 
 /// One admin reply; `command` selects which member is meaningful.
 struct AdminReply {
-  AdminCommand command = AdminCommand::kStats;
-  ServiceStats stats;
+  AdminCommand command = AdminCommand::kMetrics;
   DrainReply drain;
   telemetry::MetricsSnapshot metrics;  ///< kMetrics payload
 };

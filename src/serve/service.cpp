@@ -250,10 +250,6 @@ u::Result<std::string> MatchService::handle_admin(std::string_view payload) {
   }
   AdminReply reply;
   reply.command = *command;
-  if (*command == AdminCommand::kStats) {
-    reply.stats = legacy_stats();
-    return encode_admin_reply(reply);
-  }
   if (*command == AdminCommand::kMetrics) {
     reply.metrics = metrics_snapshot();
     return encode_admin_reply(reply);
@@ -337,35 +333,6 @@ telemetry::MetricsSnapshot MatchService::metrics_snapshot() const {
   snap.info.emplace_back("serve.kernel", std::move(kernel));
   telemetry::merge_into(snap, telemetry::capture(telemetry::Registry::global()));
   return snap;
-}
-
-ServiceStats MatchService::legacy_stats() const {
-  // Every ServiceStats field is a rendering of one snapshot row — the
-  // struct survives one release as the kStats wire payload, nothing more.
-  const telemetry::MetricsSnapshot m = metrics_snapshot();
-  ServiceStats s;
-  s.store_size = static_cast<std::uint64_t>(m.gauge("serve.store_size"));
-  s.entity_count = static_cast<std::uint64_t>(m.gauge("serve.entity_count"));
-  s.corpus_size = static_cast<std::uint64_t>(m.gauge("serve.corpus_size"));
-  for (const auto& [name, value] : m.info) {
-    if (name == "serve.kernel") {
-      s.kernel = value;
-    }
-  }
-  s.queries = m.counter("serve.queries");
-  s.ingests = m.counter("serve.ingests");
-  s.overloaded = m.counter("serve.overloaded");
-  s.quarantined = static_cast<std::uint64_t>(m.gauge("serve.quarantined"));
-  s.coalesced_batches = static_cast<std::uint64_t>(m.gauge("serve.batch.batches"));
-  s.coalesced_queries =
-      static_cast<std::uint64_t>(m.gauge("serve.batch.coalesced"));
-  s.max_batch = static_cast<std::uint64_t>(m.gauge("serve.batch.max"));
-  if (const telemetry::HistogramStats* h = m.histogram("serve.query")) {
-    s.p50_ms = h->p50;
-    s.p99_ms = h->p99;
-    s.p999_ms = h->p999;
-  }
-  return s;
 }
 
 std::size_t MatchService::quarantine_size() const {

@@ -13,10 +13,10 @@
 //   kIngest      record batches and raw CSV rows append to the durable
 //                store (write-ahead journaled, group-commit policy).
 //                Damaged CSV rows quarantine intact; the batch commits.
-//   kAdmin       metrics snapshot (full telemetry registry dump), the
-//                legacy fixed-field stats view, and quarantine drain
-//                (doubled-delimiter + shifted-column triage, re-ingest
-//                of repaired rows broken down by family).
+//   kAdmin       metrics snapshot (full telemetry registry dump) and
+//                quarantine drain (doubled-delimiter + shifted-column
+//                triage, re-ingest of repaired rows broken down by
+//                family).
 //
 // Observability (DESIGN.md §16): the service owns a PRIVATE
 // telemetry::Registry — the source of truth for serve.* counters
@@ -25,8 +25,7 @@
 // counters — updated unconditionally, since these ARE the service stats,
 // not optional mirroring.  metrics_snapshot() captures it, merges the
 // process-global registry (pipeline.*, net.*, join.*, cluster.*) and is
-// what the kMetrics admin command ships.  The old ServiceStats view is a
-// one-release [[deprecated]] adapter computed from the same snapshot.
+// what the kMetrics admin command ships.
 //
 // Tracing: handle() installs the request's trace id (FrameContext.trace,
 // derived client-side) as the thread's current trace and records one
@@ -130,15 +129,6 @@ class MatchService {
   /// admin command ships exactly this.
   [[nodiscard]] telemetry::MetricsSnapshot metrics_snapshot() const;
 
-  /// Legacy fixed-field view, now computed from metrics_snapshot() —
-  /// one-release adapter kept for the kStats wire command.
-  [[deprecated(
-      "read metrics_snapshot() (AdminCommand::kMetrics) instead")]]
-  [[nodiscard]] ServiceStats
-  stats_snapshot() const {
-    return legacy_stats();
-  }
-
   [[nodiscard]] std::size_t quarantine_size() const;
   [[nodiscard]] const core::MatchCorpus& corpus() const noexcept {
     return corpus_;
@@ -171,8 +161,6 @@ class MatchService {
   [[nodiscard]] MatchResponse match_string(const MatchRequest& req,
                                            core::CorpusResult result) const;
   [[nodiscard]] MatchResponse match_record(const MatchRequest& req);
-  /// stats_snapshot() without the deprecation (internal kStats path).
-  [[nodiscard]] ServiceStats legacy_stats() const;
 
   ServiceOptions options_;
   core::MatchCorpus corpus_;

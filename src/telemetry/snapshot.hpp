@@ -37,8 +37,7 @@ struct MetricsSnapshot {
   std::vector<HistogramStats> histograms;
   std::vector<std::pair<std::string, std::string>> info;
 
-  /// Lookup helpers (0 / empty when absent) — convenience for tests and
-  /// the deprecated-stats adapters.
+  /// Lookup helpers (0 / empty when absent).
   [[nodiscard]] std::uint64_t counter(std::string_view name) const noexcept;
   [[nodiscard]] std::int64_t gauge(std::string_view name) const noexcept;
   [[nodiscard]] const HistogramStats* histogram(

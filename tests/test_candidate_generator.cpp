@@ -1,37 +1,35 @@
 // Property tests for the generate stage of the generate→filter→verify
 // cascade (DESIGN.md §14).  The load-bearing guarantee is zero false
-// negatives: every generator must surface a superset of
+// negatives: the block index must surface a superset of
 // { j : OSA(query, t_j) <= k }, so the verifier-final match set is
-// *identical* to the dense generator's across layouts, k in {1,2},
-// thread counts, and incremental appends.  Also pinned here: the CSR
+// *identical* to the dense sweep's across layouts, k in {1,2}, thread
+// counts, and incremental appends.  Also pinned here: the CSR
 // bit-packed postings store (round trip, order independence, bit-width
 // widening past 2^20 ids), generator selection (FBF_FORCE_GENERATOR),
 // and the soundness gates that keep a forced "block" from ever changing
 // answers.
-#include "core/candidate_generator.hpp"
+#include "core/block_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/block_index.hpp"
 #include "core/candidate_pipeline.hpp"
 #include "core/exec_policy.hpp"
 #include "core/match_join.hpp"
-#include "core/signature_index.hpp"
 #include "datagen/dataset.hpp"
 #include "linkage/engine.hpp"
 #include "linkage/incremental.hpp"
 #include "linkage/person_gen.hpp"
 #include "metrics/pdl.hpp"
-#include "search/generator_adapters.hpp"
 #include "testenv.hpp"
 #include "util/rng.hpp"
 
@@ -40,7 +38,6 @@ namespace {
 namespace c = fbf::core;
 namespace dg = fbf::datagen;
 namespace lk = fbf::linkage;
-namespace fs = fbf::search;
 using fbf::metrics::pdl_within;
 using fbf::util::Rng;
 
@@ -205,17 +202,6 @@ TEST(GeneratorSelect, EnvOverrideWinsBothWays) {
   }
 }
 
-TEST(GeneratorSelect, DenseGeneratorEmitsAllIds) {
-  c::DenseGenerator gen;
-  for (int i = 0; i < 5; ++i) {
-    gen.append("x");
-  }
-  std::vector<std::uint32_t> ids;
-  gen.generate("anything", ids);
-  EXPECT_EQ(ids, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
-  EXPECT_FALSE(gen.indexed());
-}
-
 // ---------------------------------------------------------------------------
 // BlockIndexGenerator: soundness and incremental behavior.
 // ---------------------------------------------------------------------------
@@ -230,7 +216,7 @@ TEST(BlockIndexGenerator, SupportedRange) {
 
 /// Every stored j with OSA(query, t_j) <= k must appear in generate()'s
 /// output (zero false negatives); output must be sorted unique.
-void expect_sound_superset(const c::CandidateGenerator& gen,
+void expect_sound_superset(const c::BlockIndexGenerator& gen,
                            std::span<const std::string> stored,
                            std::span<const std::string> queries, int k) {
   std::vector<std::uint32_t> ids;
@@ -371,66 +357,16 @@ TEST(BlockIndexGenerator, AutomaticCompactionTriggersAndStaysSound) {
 }
 
 // ---------------------------------------------------------------------------
-// Adapter generators: BK-tree, trie, signature probes.
-// ---------------------------------------------------------------------------
-
-TEST(GeneratorAdapters, AllGeneratorsAreSoundSupersets) {
-  const auto dataset =
-      dg::build_paired_dataset(dg::FieldKind::kLastName, 200, 77).value();
-  const int k = 1;
-  std::vector<std::string> queries;
-  for (std::size_t i = 0; i < dataset.clean.size(); i += 4) {
-    queries.push_back(dataset.clean[i]);
-  }
-
-  const c::BlockIndexGenerator block(k, dataset.error);
-  expect_sound_superset(block, dataset.error, queries, k);
-
-  const fs::BkTreeGenerator bk(k, dataset.error);
-  EXPECT_EQ(bk.size(), dataset.error.size());
-  expect_sound_superset(bk, dataset.error, queries, k);
-
-  const fs::TrieGenerator trie(k, dataset.error);
-  EXPECT_EQ(trie.size(), dataset.error.size());
-  expect_sound_superset(trie, dataset.error, queries, k);
-
-  auto probe = c::SignatureProbeGenerator::create(c::FieldClass::kAlpha,
-                                                  /*alpha_words=*/2, k);
-  ASSERT_TRUE(probe.has_value());
-  for (const std::string& s : dataset.error) {
-    probe->append(s);
-  }
-  EXPECT_EQ(probe->size(), dataset.error.size());
-  expect_sound_superset(*probe, dataset.error, queries, k);
-}
-
-TEST(GeneratorAdapters, SigProbeRefusesUnsupportedLayouts) {
-  // Alphanumeric signatures are wider than one 64-bit key; alpha at k=3
-  // blows the probe budget.  create() must refuse exactly where
-  // SignatureIndex::build does.
-  EXPECT_FALSE(c::SignatureProbeGenerator::create(
-                   c::FieldClass::kAlphanumeric, 2, 1)
-                   .has_value());
-  EXPECT_FALSE(
-      c::SignatureProbeGenerator::create(c::FieldClass::kAlpha, 2, 3)
-          .has_value());
-  EXPECT_TRUE(
-      c::SignatureProbeGenerator::create(c::FieldClass::kNumeric, 2, 2)
-          .has_value());
-}
-
-// ---------------------------------------------------------------------------
 // filter_ids: the generate→filter seam.
 // ---------------------------------------------------------------------------
 
-/// One query's verified match set via generate → filter_ids → verify.
+/// One query's verified match set via filter_ids → verify over the
+/// candidate ids `ids`.
 std::vector<std::uint32_t> indexed_matches(
-    const c::CandidateGenerator& gen, const c::CandidatePipeline& pipe,
+    std::span<const std::uint32_t> ids, const c::CandidatePipeline& pipe,
     std::span<const std::string> stored, const std::string& query,
     c::PipelineCounters& pc) {
-  std::vector<std::uint32_t> ids;
   std::vector<std::uint32_t> survivors;
-  gen.generate(query, ids);
   pipe.filter_ids(pipe.make_query(query), ids, survivors, pc);
   std::vector<std::uint32_t> matches;
   for (const std::uint32_t j : survivors) {
@@ -442,10 +378,10 @@ std::vector<std::uint32_t> indexed_matches(
 }
 
 TEST(FilterIds, MatchSetsAreGeneratorIndependent) {
-  // The contract the whole PR hangs on: dense and every indexed generator
-  // produce the same verified match set, which equals the brute-force
-  // PDL ground truth.  Ladder counters stay monotone per generator but
-  // legitimately differ across generators.
+  // The generate→filter contract: every id (the dense candidate set) and
+  // the block index's ids produce the same verified match set, which
+  // equals the brute-force PDL ground truth.  Ladder counters stay
+  // monotone per generator but legitimately differ across generators.
   struct LayoutCase {
     dg::FieldKind kind;
     c::FieldClass cls;
@@ -469,23 +405,20 @@ TEST(FilterIds, MatchSetsAreGeneratorIndependent) {
       cfg.use_length = true;
       const c::CandidatePipeline pipe(cfg, dataset.error);
 
-      const c::DenseGenerator dense = [&dataset] {
-        c::DenseGenerator g;
-        for (const std::string& s : dataset.error) {
-          g.append(s);
-        }
-        return g;
-      }();
+      std::vector<std::uint32_t> all_ids(dataset.error.size());
+      std::iota(all_ids.begin(), all_ids.end(), 0u);
       const c::BlockIndexGenerator block(k, dataset.error);
 
       for (std::size_t i = 0; i < dataset.clean.size(); i += 5) {
         const std::string& q = dataset.clean[i];
         c::PipelineCounters pc_dense;
         c::PipelineCounters pc_block;
+        std::vector<std::uint32_t> block_ids;
+        block.generate(q, block_ids);
         const auto m_dense =
-            indexed_matches(dense, pipe, dataset.error, q, pc_dense);
+            indexed_matches(all_ids, pipe, dataset.error, q, pc_dense);
         const auto m_block =
-            indexed_matches(block, pipe, dataset.error, q, pc_block);
+            indexed_matches(block_ids, pipe, dataset.error, q, pc_block);
         ASSERT_EQ(m_dense, m_block)
             << dg::field_kind_name(layout.kind) << " l=" << layout.alpha_words
             << " k=" << k << " i=" << i;
@@ -526,15 +459,17 @@ TEST(FilterIds, EmptyIdListIsANoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// Consumer equivalence: the join, the indexed join, linkage, the store.
+// Consumer equivalence: the join, linkage, the store.
 // ---------------------------------------------------------------------------
 
 TEST(GeneratorEquivalence, MatchJoinBlockEqualsDense) {
   // Pin the env: this test asserts the *requested* generator is honored,
   // so it must not inherit a CI leg's FBF_FORCE_GENERATOR override.
   const ScopedForceGenerator clear_env(nullptr);
+  // One field per packed layout: alpha, numeric, alphanumeric.
   for (const dg::FieldKind kind :
-       {dg::FieldKind::kLastName, dg::FieldKind::kSsn}) {
+       {dg::FieldKind::kLastName, dg::FieldKind::kSsn,
+        dg::FieldKind::kAddress}) {
     for (const int k : {1, 2}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         const auto dataset = dg::build_paired_dataset(kind, 300, 211).value();
@@ -625,45 +560,6 @@ TEST(GeneratorEquivalence, ForcedBlockMatchesDenseJoin) {
   EXPECT_STREQ(forced.generator, "block-index");
   EXPECT_EQ(dense.matches, forced.matches);
   ASSERT_EQ(dense.match_pairs, forced.match_pairs);
-}
-
-TEST(GeneratorEquivalence, IndexedJoinBlockPathMatchesScan) {
-  // match_strings_indexed with the block generator must agree with the
-  // scan join on every layout — including alphanumeric, which the probe
-  // index refuses.
-  struct LayoutCase {
-    dg::FieldKind kind;
-    c::FieldClass cls;
-  };
-  const LayoutCase layouts[] = {
-      {dg::FieldKind::kLastName, c::FieldClass::kAlpha},
-      {dg::FieldKind::kSsn, c::FieldClass::kNumeric},
-      {dg::FieldKind::kAddress, c::FieldClass::kAlphanumeric},
-  };
-  const ScopedForceGenerator clear_env(nullptr);  // asserts the block path
-  for (const auto& layout : layouts) {
-    for (const int k : {1, 2}) {
-      const auto dataset =
-          dg::build_paired_dataset(layout.kind, 220, 139).value();
-      c::JoinConfig scan_cfg;
-      scan_cfg.method = c::Method::kFpdl;
-      scan_cfg.k = k;
-      scan_cfg.field_class = layout.cls;
-      const auto scan =
-          c::match_strings(dataset.clean, dataset.error, scan_cfg);
-      c::QueryOptions options;
-      options.field_class = layout.cls;
-      options.k = k;
-      options.exec.generator = c::GeneratorKind::kBlockIndex;
-      const auto indexed =
-          c::match_strings_indexed(dataset.clean, dataset.error, options);
-      ASSERT_TRUE(indexed.has_value())
-          << dg::field_kind_name(layout.kind) << " k=" << k;
-      EXPECT_STREQ(indexed->path, "block-index");
-      EXPECT_EQ(indexed->matches, scan.matches);
-      EXPECT_EQ(indexed->diagonal_matches, scan.diagonal_matches);
-    }
-  }
 }
 
 TEST(GeneratorEquivalence, LinkageBlockEqualsDense) {

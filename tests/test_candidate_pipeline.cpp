@@ -1,9 +1,9 @@
-// Property tests for the CandidatePipeline refactor (DESIGN.md §9): every
+// Property tests for the CandidatePipeline (DESIGN.md §9): every
 // consumer routed through the pipeline must be *indistinguishable* from
-// the preserved pre-refactor scalar path — identical decisions AND
-// identical ladder counters — across packed layouts (numeric, alpha
-// l <= 2), the alpha l >= 3 per-pair fallback, k in {1,2,3}, and thread
-// counts.  These are the tests that let the batched kernel replace the
+// the per-pair reference (the forced per-pair filter scan, score_pair,
+// link_candidates) — identical decisions AND identical ladder counters —
+// across packed layouts (numeric, alpha l <= 2), the alpha l >= 3
+// per-pair fallback, k in {1,2,3}, and thread counts.  These are the tests that let the batched kernel replace the
 // per-pair loops without a semantics audit at every call site.
 #include "core/candidate_pipeline.hpp"
 
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/exec_policy.hpp"
@@ -21,6 +22,7 @@
 #include "linkage/incremental.hpp"
 #include "linkage/person_gen.hpp"
 #include "linkage/sharded.hpp"
+#include "metrics/soundex.hpp"
 #include "testenv.hpp"
 #include "util/rng.hpp"
 
@@ -289,15 +291,83 @@ TEST(PipelineFilter, IncrementalAppendEqualsBulkConstruction) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 2: EntityStore::ingest.  The pipeline path must reproduce the
-// scalar score_pair path byte for byte: same entity ids, same merge /
-// new-entity decisions, same comparisons / fbf_evaluations / verify_calls.
+// Layer 2: EntityStore::ingest.  The filter bank must reproduce a
+// record-at-a-time score_pair loop byte for byte: same entity ids, same
+// merge / new-entity decisions, same comparisons / fbf_evaluations /
+// verify_calls.
 // ---------------------------------------------------------------------------
+
+/// The reference EntityStore: each batch record scores against the
+/// pre-batch store with score_pair, joins the first best-scoring record's
+/// entity at or above the threshold or founds a new one, and the batch is
+/// committed in order.
+class ReferenceStore {
+ public:
+  explicit ReferenceStore(lk::ComparatorConfig config)
+      : config_(std::move(config)),
+        uses_fbf_(lk::config_uses_fbf(config_)) {}
+
+  lk::IngestStats ingest(std::span<const lk::PersonRecord> batch) {
+    lk::IngestStats stats;
+    const std::size_t store_size = records_.size();
+    std::vector<lk::RecordSignatures> batch_sigs;
+    for (const lk::PersonRecord& r : batch) {
+      batch_sigs.push_back(uses_fbf_ ? lk::build_record_signatures(
+                                           r, config_.alpha_words)
+                                     : lk::RecordSignatures{});
+    }
+    std::vector<std::size_t> best(batch.size(), store_size);
+    lk::CompareCounters counters;
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+      double best_score = 0.0;
+      for (std::size_t s = 0; s < store_size; ++s) {
+        ++stats.comparisons;
+        const double score = lk::score_pair(
+            batch[b], records_[s], uses_fbf_ ? &batch_sigs[b] : nullptr,
+            uses_fbf_ ? &sigs_[s] : nullptr, config_, counters);
+        if (score >= config_.match_threshold && score > best_score) {
+          best_score = score;
+          best[b] = s;
+        }
+      }
+    }
+    stats.fbf_evaluations = counters.fbf_evaluations;
+    stats.verify_calls = counters.verify_calls;
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+      if (best[b] < store_size) {
+        entity_ids_.push_back(entity_ids_[best[b]]);
+        ++stats.merged;
+      } else {
+        entity_ids_.push_back(entity_total_++);
+        ++stats.new_entities;
+      }
+      records_.push_back(batch[b]);
+      sigs_.push_back(batch_sigs[b]);
+    }
+    return stats;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
+  [[nodiscard]] std::size_t entity_count() const noexcept {
+    return entity_total_;
+  }
+  [[nodiscard]] std::uint32_t entity_of(std::size_t i) const noexcept {
+    return entity_ids_[i];
+  }
+
+ private:
+  lk::ComparatorConfig config_;
+  bool uses_fbf_;
+  std::vector<lk::PersonRecord> records_;
+  std::vector<lk::RecordSignatures> sigs_;
+  std::vector<std::uint32_t> entity_ids_;
+  std::uint32_t entity_total_ = 0;
+};
 
 void expect_store_equivalence(const lk::ComparatorConfig& config,
                               std::size_t threads, std::uint64_t seed,
                               std::size_t n) {
-  // Pipeline-vs-scalar counter identities assume dense generation; pin
+  // Bank-vs-reference counter identities assume dense generation; pin
   // the env against the forced-generator CI legs.
   const fbf::testenv::ScopedForceGenerator clear_env(nullptr);
   Rng rng(seed);
@@ -307,10 +377,8 @@ void expect_store_equivalence(const lk::ComparatorConfig& config,
   const auto error = lk::make_error_records(clean, model, rng);
   const auto more = lk::generate_people(n / 3, rng);
 
-  lk::EntityStore fast(
-      config, fbf::core::ExecPolicy{.use_pipeline = true, .threads = threads});
-  lk::EntityStore ref(config,
-                      fbf::core::ExecPolicy{.use_pipeline = false});
+  lk::EntityStore fast(config, fbf::core::ExecPolicy{.threads = threads});
+  ReferenceStore ref(config);
   for (const auto& batch : {clean, error, more}) {
     const auto fs = fast.ingest(batch);
     const auto rs = ref.ingest(batch);
@@ -363,7 +431,7 @@ TEST(EntityStoreEquivalence, NumericOnlyRules) {
 TEST(EntityStoreEquivalence, AlphaThreeWordFallback) {
   // l = 3 alpha signatures cannot pack: the bank's alpha rules run the
   // per-pair fallback inside the same pipeline interface, and must still
-  // be byte-identical to the scalar path.
+  // be byte-identical to the score_pair reference.
   auto config = lk::make_point_threshold_config(lk::FieldStrategy::kFpdl, 1);
   config.alpha_words = 3;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -373,8 +441,8 @@ TEST(EntityStoreEquivalence, AlphaThreeWordFallback) {
 
 TEST(EntityStoreEquivalence, RestoredStoreKeepsEquivalence) {
   // Snapshot recovery rebuilds the filter bank; post-restore ingest must
-  // still match the scalar path.  Counter identities assume dense
-  // generation on the pipeline side.
+  // still match the score_pair reference.  Counter identities assume
+  // dense generation.
   const fbf::testenv::ScopedForceGenerator clear_env(nullptr);
   const auto config =
       lk::make_point_threshold_config(lk::FieldStrategy::kFpdl, 1);
@@ -384,8 +452,7 @@ TEST(EntityStoreEquivalence, RestoredStoreKeepsEquivalence) {
 
   lk::EntityStore donor(config);
   donor.ingest(base);
-  lk::EntityStore fast(
-      config, fbf::core::ExecPolicy{.use_pipeline = true, .threads = 4});
+  lk::EntityStore fast(config, fbf::core::ExecPolicy{.threads = 4});
   ASSERT_TRUE(fast.restore(
                       std::vector(donor.records().begin(),
                                   donor.records().end()),
@@ -393,8 +460,7 @@ TEST(EntityStoreEquivalence, RestoredStoreKeepsEquivalence) {
                                   donor.entity_ids().end()),
                       static_cast<std::uint32_t>(donor.entity_count()))
                   .ok());
-  lk::EntityStore ref(config,
-                      fbf::core::ExecPolicy{.use_pipeline = false});
+  ReferenceStore ref(config);
   ref.ingest(base);
 
   const auto fs = fast.ingest(next);
@@ -410,7 +476,8 @@ TEST(EntityStoreEquivalence, RestoredStoreKeepsEquivalence) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: the linkage engine and the sharded runner.
+// Layer 3: the linkage engine and the sharded runner, against
+// link_candidates (per-pair score_pair) over the same pair space.
 // ---------------------------------------------------------------------------
 
 std::vector<lk::CandidatePair> sorted_pairs(std::vector<lk::CandidatePair> v) {
@@ -420,23 +487,21 @@ std::vector<lk::CandidatePair> sorted_pairs(std::vector<lk::CandidatePair> v) {
 
 void expect_link_equivalence(const lk::ComparatorConfig& comparator,
                              std::size_t threads, std::uint64_t seed) {
-  // The pipeline/scalar counter identities below hold only when both
-  // runs generate densely; pin the env against forced-generator CI legs.
+  // The bank-vs-reference counter identities below hold only under dense
+  // generation; pin the env against forced-generator CI legs.
   const fbf::testenv::ScopedForceGenerator clear_env(nullptr);
   Rng rng(seed);
   const auto left = lk::generate_people(120, rng);
   const auto right = lk::make_error_records(left, {}, rng);
 
-  lk::LinkConfig pipe;
-  pipe.comparator = comparator;
-  pipe.exec.threads = threads;
-  pipe.collect_matches = true;
-  pipe.exec.use_pipeline = true;
-  lk::LinkConfig scalar = pipe;
-  scalar.exec.use_pipeline = false;
+  lk::LinkConfig config;
+  config.comparator = comparator;
+  config.exec.threads = threads;
+  config.collect_matches = true;
 
-  const auto a = lk::link_exhaustive(left, right, pipe);
-  const auto b = lk::link_exhaustive(left, right, scalar);
+  const auto a = lk::link_exhaustive(left, right, config);
+  const auto b = lk::link_candidates(
+      left, right, lk::exhaustive_pairs(left.size(), right.size()), config);
   EXPECT_EQ(a.candidate_pairs, b.candidate_pairs);
   EXPECT_EQ(a.matches, b.matches);
   EXPECT_EQ(a.true_positives, b.true_positives);
@@ -461,6 +526,35 @@ TEST(EngineEquivalence, ExhaustivePipelineMatchesScalar) {
   expect_link_equivalence(fallback, 4, 209);
 }
 
+/// Shard s's candidate pairs under `scheme`, in original record indices:
+/// replicate-right slices left round-robin against all of right; the hash
+/// schemes pair records whose last-name key hashes to the same shard.
+std::vector<lk::CandidatePair> shard_pairs(
+    std::span<const lk::PersonRecord> left,
+    std::span<const lk::PersonRecord> right, lk::PartitionScheme scheme,
+    std::size_t n_shards, std::size_t shard) {
+  const auto shard_of = [&](const lk::PersonRecord& r) {
+    const std::string key = scheme == lk::PartitionScheme::kHashLastName
+                                ? r.last_name
+                                : fbf::metrics::soundex(r.last_name);
+    return fbf::util::fnv1a64(key) % n_shards;
+  };
+  std::vector<lk::CandidatePair> pairs;
+  for (std::size_t i = 0; i < left.size(); ++i) {
+    for (std::size_t j = 0; j < right.size(); ++j) {
+      const bool local = scheme == lk::PartitionScheme::kReplicateRight
+                             ? i % n_shards == shard
+                             : shard_of(left[i]) == shard &&
+                                   shard_of(right[j]) == shard;
+      if (local) {
+        pairs.emplace_back(static_cast<std::uint32_t>(i),
+                           static_cast<std::uint32_t>(j));
+      }
+    }
+  }
+  return pairs;
+}
+
 TEST(ShardedEquivalence, AllSchemesMatchScalarPath) {
   Rng rng(88);
   const auto left = lk::generate_people(150, rng);
@@ -468,27 +562,32 @@ TEST(ShardedEquivalence, AllSchemesMatchScalarPath) {
   for (const auto scheme :
        {lk::PartitionScheme::kReplicateRight, lk::PartitionScheme::kHashLastName,
         lk::PartitionScheme::kHashSoundexLastName}) {
-    lk::ShardedConfig pipe;
-    pipe.n_shards = 4;
-    pipe.scheme = scheme;
-    pipe.link.comparator =
+    lk::ShardedConfig config;
+    config.n_shards = 4;
+    config.scheme = scheme;
+    config.link.comparator =
         lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
-    pipe.link.exec.use_pipeline = true;
-    lk::ShardedConfig scalar = pipe;
-    scalar.link.exec.use_pipeline = false;
 
-    const auto a = lk::link_sharded(left, right, pipe);
-    const auto b = lk::link_sharded(left, right, scalar);
-    ASSERT_EQ(a.shards.size(), b.shards.size());
-    EXPECT_EQ(a.total_pairs, b.total_pairs);
-    EXPECT_EQ(a.total_matches, b.total_matches);
-    EXPECT_EQ(a.total_true_positives, b.total_true_positives);
+    const auto a = lk::link_sharded(left, right, config);
+    ASSERT_EQ(a.shards.size(), config.n_shards);
+    std::uint64_t pairs = 0;
+    std::uint64_t matches = 0;
+    std::uint64_t true_positives = 0;
     for (std::size_t s = 0; s < a.shards.size(); ++s) {
-      EXPECT_EQ(a.shards[s].pairs, b.shards[s].pairs) << "shard " << s;
-      EXPECT_EQ(a.shards[s].matches, b.shards[s].matches) << "shard " << s;
-      EXPECT_EQ(a.shards[s].true_positives, b.shards[s].true_positives)
+      const auto b = lk::link_candidates(
+          left, right, shard_pairs(left, right, scheme, config.n_shards, s),
+          config.link);
+      EXPECT_EQ(a.shards[s].pairs, b.candidate_pairs) << "shard " << s;
+      EXPECT_EQ(a.shards[s].matches, b.matches) << "shard " << s;
+      EXPECT_EQ(a.shards[s].true_positives, b.true_positives)
           << "shard " << s;
+      pairs += b.candidate_pairs;
+      matches += b.matches;
+      true_positives += b.true_positives;
     }
+    EXPECT_EQ(a.total_pairs, pairs);
+    EXPECT_EQ(a.total_matches, matches);
+    EXPECT_EQ(a.total_true_positives, true_positives);
   }
 }
 

