@@ -3,7 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstddef>
+#include <limits>
+#include <memory>
+#include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "util/thread_pool.hpp"
 
@@ -44,6 +50,25 @@ constexpr std::size_t kMinPieceLength = 4;
 
 constexpr std::uint64_t kPieceSeed = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kDeletionSeed = 0xc2b2ae3d27d4eb4full;
+
+/// Number of keys collect_keys(s, k, ., dedup=false) emits for a string
+/// of length l (0 when l is too long to enumerate).
+[[nodiscard]] constexpr std::size_t enumerated_key_count(std::size_t l,
+                                                         int k) noexcept {
+  if (l > kMaxEnumLength) {
+    return 0;
+  }
+  const std::size_t n_pieces = 2 * static_cast<std::size_t>(k) + 1;
+  std::size_t n = l >= n_pieces * kMinPieceLength ? n_pieces : 0;
+  n += 1;  // d = 0
+  if (k >= 1) {
+    n += l;
+  }
+  if (k >= 2 && l >= 2) {
+    n += l * (l - 1) / 2;
+  }
+  return n;
+}
 
 /// splitmix64 finalizer: spreads the polynomial hash across all 64 bits
 /// before it becomes a postings key.
@@ -156,89 +181,251 @@ bool collect_keys(std::string_view s, int k, KeyScratch& scratch,
   return true;
 }
 
-}  // namespace
+// Partition sizing for PackedPostings::build: about this many entries
+// per partition (16 B each), so a partition and its radix scratch stay
+// in a core's L2 while it is sorted and packed.
+constexpr std::size_t kPartitionEntries = std::size_t{1} << 14;
+constexpr int kMaxPartitionBits = 16;
+// find() table density: about four keys per bucket.
+constexpr std::size_t kKeysPerBucket = 4;
 
-void PackedPostings::build(std::vector<PostingEntry> entries) {
-  // Near-linear sort: scatter by the hashes' top bits (uniform after the
-  // splitmix64 finalizer, so buckets average ~1 entry), then
-  // comparison-sort only the rare bucket with more than one entry.  The
-  // result is the same fully sorted order a global std::sort would
-  // produce, at a fraction of the build cost.
-  const auto cmp = [](const PostingEntry& a, const PostingEntry& b) {
+/// Sorts `part` (entries sharing their top `partition_bits` hash bits)
+/// by (hash, id) through `scratch`, deduplicates it in place and returns
+/// {unique entries, distinct keys}.  A radix split on the next hash bits
+/// leaves ~1 entry per bucket (the hashes are uniform after finalize()),
+/// so one insertion pass orders the small buckets; only a large bucket
+/// (a hot key) sees a comparison sort.
+std::pair<std::size_t, std::size_t> sort_partition(
+    std::span<PostingEntry> part, int partition_bits,
+    std::vector<PostingEntry>& scratch, std::vector<std::uint32_t>& starts) {
+  if (part.empty()) {
+    return {0, 0};
+  }
+  const int radix_bits =
+      std::max(1, static_cast<int>(std::bit_width(part.size())));
+  const int shift = 64 - partition_bits - radix_bits;
+  const std::uint64_t mask = (std::uint64_t{1} << radix_bits) - 1;
+  starts.assign((std::size_t{1} << radix_bits) + 1, 0);
+  for (const PostingEntry& e : part) {
+    ++starts[((e.hash >> shift) & mask) + 1];
+  }
+  for (std::size_t b = 1; b < starts.size(); ++b) {
+    starts[b] += starts[b - 1];
+  }
+  scratch.resize(part.size());
+  for (const PostingEntry& e : part) {
+    scratch[starts[(e.hash >> shift) & mask]++] = e;
+  }
+  const auto less = [](const PostingEntry& a, const PostingEntry& b) {
     return a.hash != b.hash ? a.hash < b.hash : a.id < b.id;
   };
-  if (!entries.empty()) {
-    const int radix_bits =
-        std::max(1, static_cast<int>(std::bit_width(entries.size())));
-    const int radix_shift = 64 - radix_bits;
-    std::vector<std::size_t> starts((std::size_t{1} << radix_bits) + 1, 0);
-    for (const PostingEntry& e : entries) {
-      ++starts[(e.hash >> radix_shift) + 1];
+  // The scatter advanced starts[b] to bucket b's end; bucket 0 begins
+  // at 0.
+  constexpr std::size_t kInsertionLimit = 16;
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
+    const std::size_t end = starts[b];
+    if (end - begin > kInsertionLimit) {
+      std::sort(scratch.begin() + static_cast<std::ptrdiff_t>(begin),
+                scratch.begin() + static_cast<std::ptrdiff_t>(end), less);
     }
-    for (std::size_t b = 1; b < starts.size(); ++b) {
-      starts[b] += starts[b - 1];
-    }
-    std::vector<PostingEntry> scattered(entries.size());
-    std::vector<std::size_t> cursor(starts.begin(), starts.end() - 1);
-    for (const PostingEntry& e : entries) {
-      scattered[cursor[e.hash >> radix_shift]++] = e;
-    }
-    for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
-      if (starts[b + 1] - starts[b] > 1) {
-        std::sort(scattered.begin() + static_cast<std::ptrdiff_t>(starts[b]),
-                  scattered.begin() + static_cast<std::ptrdiff_t>(starts[b + 1]),
-                  cmp);
-      }
-    }
-    entries = std::move(scattered);
+    begin = end;
   }
-  entries.erase(std::unique(entries.begin(), entries.end(),
-                            [](const PostingEntry& a, const PostingEntry& b) {
-                              return a.hash == b.hash && a.id == b.id;
-                            }),
-                entries.end());
-  keys_.clear();
-  offsets_.clear();
-  count_ = entries.size();
-  keys_.reserve(count_);
-  offsets_.reserve(count_ + 1);
+  // Buckets are ordered and large ones sorted, so an entry only ever moves
+  // back within its own small bucket.
+  for (std::size_t i = 1; i < scratch.size(); ++i) {
+    if (less(scratch[i], scratch[i - 1])) {
+      const PostingEntry e = scratch[i];
+      std::size_t j = i;
+      do {
+        scratch[j] = scratch[j - 1];
+        --j;
+      } while (j > 0 && less(e, scratch[j - 1]));
+      scratch[j] = e;
+    }
+  }
+  std::size_t n = 0;
+  std::size_t keys = 0;
+  for (const PostingEntry& e : scratch) {
+    if (n > 0 && e.hash == part[n - 1].hash) {
+      if (e.id == part[n - 1].id) {
+        continue;
+      }
+    } else {
+      ++keys;
+    }
+    part[n++] = e;
+  }
+  return {n, keys};
+}
+
+}  // namespace
+
+void PackedPostings::build(std::vector<std::vector<PostingEntry>> runs,
+                           std::size_t threads) {
+  std::size_t total = 0;
+  for (const auto& run : runs) {
+    total += run.size();
+  }
+  if (total > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("PackedPostings: more than 2^32 entries");
+  }
+  // Partition p holds the hashes whose top `partition_bits` bits equal p.
+  // The count depends only on the entry total, never on `threads`.
+  const int partition_bits = std::clamp(
+      static_cast<int>(std::bit_width(total / kPartitionEntries)), 1,
+      kMaxPartitionBits);
+  const int partition_shift = 64 - partition_bits;
+  const std::size_t n_parts = std::size_t{1} << partition_bits;
+  const std::size_t n_runs = runs.size();
+
+  // 1. Each run histograms its entries by partition (and finds its widest
+  //    id).
+  std::vector<std::size_t> cursor(n_runs * n_parts, 0);
+  std::vector<std::uint32_t> run_max_id(n_runs, 0);
+  fbf::util::parallel_chunks(
+      n_runs, threads, [&](std::size_t, std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          std::size_t* counts = cursor.data() + r * n_parts;
+          std::uint32_t max_id = 0;
+          for (const PostingEntry& e : runs[r]) {
+            ++counts[e.hash >> partition_shift];
+            max_id = std::max(max_id, e.id);
+          }
+          run_max_id[r] = max_id;
+        }
+      });
+
+  // 2. Partition-major layout: partition p's range starts at part_begin[p]
+  //    and holds run 0's entries for p, then run 1's, and so on.
+  std::vector<std::size_t> part_begin(n_parts + 1, 0);
+  std::size_t at = 0;
+  for (std::size_t p = 0; p < n_parts; ++p) {
+    part_begin[p] = at;
+    for (std::size_t r = 0; r < n_runs; ++r) {
+      at += std::exchange(cursor[r * n_parts + p], at);
+    }
+  }
+  part_begin[n_parts] = at;
+
+  // 3. Every run scatters into its slots and is then released.  The
+  //    array is written before it is read, so it skips the zero-fill.
+  const auto parts = std::make_unique_for_overwrite<PostingEntry[]>(total);
+  fbf::util::parallel_chunks(
+      n_runs, threads, [&](std::size_t, std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          std::size_t* slot = cursor.data() + r * n_parts;
+          for (const PostingEntry& e : runs[r]) {
+            parts[slot[e.hash >> partition_shift]++] = e;
+          }
+          std::vector<PostingEntry>().swap(runs[r]);
+        }
+      });
+
+  // 4. Sort, deduplicate and count each partition on its own.
+  std::vector<std::size_t> part_entries(n_parts + 1, 0);
+  std::vector<std::size_t> part_keys(n_parts + 1, 0);
+  fbf::util::parallel_chunks(
+      n_parts, threads, [&](std::size_t, std::size_t p0, std::size_t p1) {
+        std::vector<PostingEntry> scratch;
+        std::vector<std::uint32_t> starts;
+        for (std::size_t p = p0; p < p1; ++p) {
+          const std::span<PostingEntry> part(
+              parts.get() + part_begin[p], part_begin[p + 1] - part_begin[p]);
+          std::tie(part_entries[p], part_keys[p]) =
+              sort_partition(part, partition_bits, scratch, starts);
+        }
+      });
+
+  // 5. Exclusive prefix sums give each partition its global entry and key
+  //    offsets.
+  std::size_t entry_total = 0;
+  std::size_t key_total = 0;
+  for (std::size_t p = 0; p <= n_parts; ++p) {
+    entry_total += std::exchange(part_entries[p], entry_total);
+    key_total += std::exchange(part_keys[p], key_total);
+  }
+  count_ = entry_total;
   std::uint32_t max_id = 0;
-  for (const PostingEntry& e : entries) {
-    max_id = std::max(max_id, e.id);
+  for (const std::uint32_t id : run_max_id) {
+    max_id = std::max(max_id, id);
   }
   bits_per_id_ = std::max(1, static_cast<int>(std::bit_width(max_id)));
-  bits_.assign((count_ * static_cast<std::size_t>(bits_per_id_) + 63) / 64 + 1,
-               0);
-  for (std::size_t pos = 0; pos < count_; ++pos) {
-    if (pos == 0 || entries[pos].hash != entries[pos - 1].hash) {
-      keys_.push_back(entries[pos].hash);
-      offsets_.push_back(pos);
-    }
-    const std::size_t bit = pos * static_cast<std::size_t>(bits_per_id_);
-    const std::size_t word = bit / 64;
-    const std::size_t shift = bit % 64;
-    const std::uint64_t id = entries[pos].id;
-    bits_[word] |= id << shift;
-    if (shift + static_cast<std::size_t>(bits_per_id_) > 64) {
-      bits_[word + 1] |= id >> (64 - shift);
-    }
-  }
-  offsets_.push_back(count_);
-
-  // Bucket acceleration: key hashes are splitmix64-finalized, so their
-  // top bits are uniform — a radix table of ~key_count buckets narrows
-  // find() to an expected O(1) scan instead of a full binary search
-  // (probes are the hot path: one per key family member per query).
+  const auto bpi = static_cast<std::size_t>(bits_per_id_);
+  keys_.resize(key_total);
+  offsets_.resize(key_total + 1);
+  offsets_[key_total] = count_;
+  bits_.assign((count_ * bpi + 63) / 64 + 1, 0);
+  // Bucket acceleration for find(): key hashes are splitmix64-finalized,
+  // so their top bits are uniform — a radix table at ~4 keys per bucket
+  // narrows a probe to one short scan of adjacent keys.  At least as many
+  // buckets as partitions, so each partition fills its own bucket range.
   const int bucket_bits =
-      std::max(1, static_cast<int>(std::bit_width(keys_.size())));
+      std::max(partition_bits,
+               static_cast<int>(std::bit_width(key_total / kKeysPerBucket)));
   bucket_shift_ = 64 - bucket_bits;
-  const std::size_t n_buckets = std::size_t{1} << bucket_bits;
-  bucket_starts_.assign(n_buckets + 1, 0);
-  for (const std::uint64_t key : keys_) {
-    ++bucket_starts_[(key >> bucket_shift_) + 1];
-  }
-  for (std::size_t b = 1; b <= n_buckets; ++b) {
-    bucket_starts_[b] += bucket_starts_[b - 1];
+  const int part_bucket_bits = bucket_bits - partition_bits;
+  bucket_starts_.resize((std::size_t{1} << bucket_bits) + 1);
+  bucket_starts_.back() = static_cast<std::uint32_t>(key_total);
+
+  // 6. Pack every partition in parallel.  Interior id words belong to one
+  //    partition alone; the first and last word of a partition's bit range
+  //    may be shared with a neighbour, so those two are accumulated
+  //    privately and OR-ed in afterwards.
+  struct EdgeWords {
+    std::size_t first = 0;
+    std::uint64_t head = 0;
+    std::size_t last = 0;
+    std::uint64_t tail = 0;
+  };
+  std::vector<EdgeWords> edges(n_parts);
+  fbf::util::parallel_chunks(
+      n_parts, threads, [&](std::size_t, std::size_t p0, std::size_t p1) {
+        for (std::size_t p = p0; p < p1; ++p) {
+          const PostingEntry* part = parts.get() + part_begin[p];
+          const std::size_t pos0 = part_entries[p];
+          const std::size_t n = part_entries[p + 1] - pos0;
+          std::size_t key = part_keys[p];
+          std::size_t bucket = p << part_bucket_bits;
+          const std::size_t bucket_end = (p + 1) << part_bucket_bits;
+          EdgeWords& edge = edges[p];
+          edge.first = pos0 * bpi / 64;
+          edge.last = n == 0 ? edge.first : ((pos0 + n) * bpi - 1) / 64;
+          const auto put = [&](std::size_t word, std::uint64_t v) {
+            if (word == edge.first) {
+              edge.head |= v;
+            } else if (word == edge.last) {
+              edge.tail |= v;
+            } else {
+              bits_[word] |= v;
+            }
+          };
+          for (std::size_t i = 0; i < n; ++i) {
+            const PostingEntry& e = part[i];
+            if (i == 0 || e.hash != part[i - 1].hash) {
+              const std::size_t b = e.hash >> bucket_shift_;
+              while (bucket <= b) {
+                bucket_starts_[bucket++] = static_cast<std::uint32_t>(key);
+              }
+              keys_[key] = e.hash;
+              offsets_[key] = pos0 + i;
+              ++key;
+            }
+            const std::size_t bit = (pos0 + i) * bpi;
+            const std::size_t shift = bit % 64;
+            put(bit / 64, std::uint64_t{e.id} << shift);
+            if (shift + bpi > 64) {
+              put(bit / 64 + 1, std::uint64_t{e.id} >> (64 - shift));
+            }
+          }
+          while (bucket < bucket_end) {
+            bucket_starts_[bucket++] = static_cast<std::uint32_t>(key);
+          }
+        }
+      });
+  for (const EdgeWords& edge : edges) {
+    bits_[edge.first] |= edge.head;
+    bits_[edge.last] |= edge.tail;
   }
 }
 
@@ -247,9 +434,8 @@ PackedPostings::Range PackedPostings::find(std::uint64_t hash) const noexcept {
     return {};
   }
   const std::size_t bucket = hash >> bucket_shift_;
-  const std::size_t lo = bucket_starts_[bucket];
   const std::size_t hi = bucket_starts_[bucket + 1];
-  for (std::size_t i = lo; i < hi; ++i) {
+  for (std::size_t i = bucket_starts_[bucket]; i < hi; ++i) {
     if (keys_[i] == hash) {
       return {offsets_[i], offsets_[i + 1]};
     }
@@ -296,55 +482,66 @@ void BlockIndexGenerator::append(std::span<const std::string> values,
   const auto base_id = static_cast<std::uint32_t>(size_);
   const std::size_t n_chunks =
       std::max<std::size_t>(1, std::min(threads, values.size()));
-  std::vector<std::vector<PostingEntry>> chunk_entries(n_chunks);
+  std::vector<std::vector<PostingEntry>> runs(n_chunks);
   std::vector<std::vector<std::uint32_t>> chunk_long(n_chunks);
   fbf::util::parallel_chunks(
       values.size(), threads,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        // Key counts depend only on (length, k): size the run exactly up
+        // front (a reservation, so a miscount could only cost a regrow).
+        std::size_t n_keys = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          n_keys += enumerated_key_count(values[i].size(), k_);
+        }
+        std::vector<PostingEntry>& run = runs[chunk];
+        run.reserve(n_keys);
         KeyScratch scratch;
         for (std::size_t i = begin; i < end; ++i) {
           const auto id = static_cast<std::uint32_t>(base_id + i);
-          // No per-string dedup: the CSR build below deduplicates
-          // (hash, id) pairs globally anyway.
+          // No per-string dedup: the CSR build deduplicates (hash, id)
+          // pairs globally anyway.
           if (!collect_keys(values[i], k_, scratch, /*dedup=*/false)) {
             chunk_long[chunk].push_back(id);
             continue;
           }
+          assert(scratch.keys.size() ==
+                 enumerated_key_count(values[i].size(), k_));
           for (const std::uint64_t key : scratch.keys) {
-            chunk_entries[chunk].push_back({key, id});
+            run.push_back({key, id});
           }
         }
       });
   size_ += values.size();
-  // Merge new entries with the existing tiers and rebuild the CSR base:
-  // the result depends only on the entry multiset, so any thread count
-  // (and any bulk/single append interleaving) yields the same index.
-  std::vector<PostingEntry> entries;
-  std::size_t total = base_.entry_count() + overflow_entries_;
-  for (const auto& chunk : chunk_entries) {
-    total += chunk.size();
+  rebuild(std::move(runs), threads);
+  for (const auto& chunk : chunk_long) {
+    long_ids_.insert(long_ids_.end(), chunk.begin(), chunk.end());
   }
-  entries.reserve(total);
+}
+
+void BlockIndexGenerator::rebuild(std::vector<std::vector<PostingEntry>> runs,
+                                  std::size_t threads) {
+  // The existing base and overflow entries enter as one more run; the
+  // build depends only on the entry multiset, so any thread count (and
+  // any bulk/single append interleaving) yields the same index.
+  std::vector<PostingEntry> existing;
+  existing.reserve(base_.entry_count() + overflow_entries_);
   for (std::size_t i = 0; i < base_.key_count(); ++i) {
     const PackedPostings::Range r = base_.range_at(i);
     for (std::size_t pos = r.begin; pos < r.end; ++pos) {
-      entries.push_back({base_.key_at(i), base_.id_at(pos)});
+      existing.push_back({base_.key_at(i), base_.id_at(pos)});
     }
   }
   for (const auto& [key, ids] : overflow_) {
     for (const std::uint32_t id : ids) {
-      entries.push_back({key, id});
+      existing.push_back({key, id});
     }
   }
-  for (auto& chunk : chunk_entries) {
-    entries.insert(entries.end(), chunk.begin(), chunk.end());
+  if (!existing.empty()) {
+    runs.push_back(std::move(existing));
   }
-  base_.build(std::move(entries));
+  base_.build(std::move(runs), threads);
   overflow_.clear();
   overflow_entries_ = 0;
-  for (const auto& chunk : chunk_long) {
-    long_ids_.insert(long_ids_.end(), chunk.begin(), chunk.end());
-  }
 }
 
 void BlockIndexGenerator::insert_keys(std::span<const std::uint64_t> keys,
@@ -369,22 +566,7 @@ void BlockIndexGenerator::compact() {
   if (overflow_.empty()) {
     return;
   }
-  std::vector<PostingEntry> entries;
-  entries.reserve(base_.entry_count() + overflow_entries_);
-  for (std::size_t i = 0; i < base_.key_count(); ++i) {
-    const PackedPostings::Range r = base_.range_at(i);
-    for (std::size_t pos = r.begin; pos < r.end; ++pos) {
-      entries.push_back({base_.key_at(i), base_.id_at(pos)});
-    }
-  }
-  for (const auto& [key, ids] : overflow_) {
-    for (const std::uint32_t id : ids) {
-      entries.push_back({key, id});
-    }
-  }
-  base_.build(std::move(entries));
-  overflow_.clear();
-  overflow_entries_ = 0;
+  rebuild({}, 1);
   ++compactions_;
 }
 

@@ -34,7 +34,8 @@
 // Storage is a CSR bit-packed postings list (PackedPostings): sorted
 // 64-bit key hashes, an offset table, and ids packed at
 // ceil(log2(max_id+1)) bits — ~20 bits per id at a million rows, the
-// snippet's own improvement note — rebuilt deterministically on compact.
+// snippet's own improvement note — built by one partitioned parallel
+// pass and rebuilt deterministically on compact.
 // Incremental appends land in a small overflow tier (hash map) probed
 // alongside the frozen CSR base and folded in when it grows past a
 // fraction of the base, so ingest never rebuilds per record.
@@ -60,23 +61,32 @@
 
 namespace fbf::core {
 
-/// One postings entry: a key hash and the id stored under it.
+/// One postings entry: a key hash and the id stored under it.  Trivial
+/// (no member initializers), so the build's bulk arrays skip zero-fill.
 struct PostingEntry {
-  std::uint64_t hash = 0;
-  std::uint32_t id = 0;
+  std::uint64_t hash;
+  std::uint32_t id;
 };
 
 /// Immutable CSR postings store with bit-packed ids.  Keys are sorted
-/// unique 64-bit hashes; key i's ids live at packed positions
+/// unique 64-bit hashes, expected uniform (find() scans the keys that
+/// share the hash's top bits); key i's ids live at packed positions
 /// [offset(i), offset(i+1)), ascending.  Ids are packed at
 /// max(1, bit_width(max_id)) bits, so the store widens automatically past
 /// 2^20 ids (round-trip property-tested at the boundary).
 class PackedPostings {
  public:
-  /// Replaces the contents.  `entries` is sorted and deduplicated here;
-  /// the result is a pure function of the entry multiset, independent of
-  /// input order (deterministic across build thread counts).
-  void build(std::vector<PostingEntry> entries);
+  /// Replaces the contents with the union of `runs`, sorted and
+  /// deduplicated.  One partitioned pass fanned across `threads`
+  /// (`threads <= 1` runs inline): each run histograms its entries by the
+  /// top hash bits and scatters them into a partition-major array, then
+  /// each partition (a cache-sized range of the key space) is sorted,
+  /// deduplicated and packed on its own.  The result is a pure function
+  /// of the entry multiset: byte-identical for any split into runs, any
+  /// input order and any thread count.  Throws std::length_error past
+  /// 2^32 entries.
+  void build(std::vector<std::vector<PostingEntry>> runs,
+             std::size_t threads = 1);
 
   struct Range {
     std::size_t begin = 0;
@@ -106,9 +116,10 @@ class PackedPostings {
   std::vector<std::uint64_t> offsets_;  ///< key i -> [offsets_[i], offsets_[i+1])
   std::vector<std::uint64_t> bits_;     ///< bit-packed ids
   /// Radix acceleration over the (uniform) key hashes: bucket b covers
-  /// keys_[bucket_starts_[b], bucket_starts_[b + 1]), making find() an
-  /// expected O(1) scan.
-  std::vector<std::size_t> bucket_starts_;
+  /// keys_[bucket_starts_[b], bucket_starts_[b + 1]), about four keys per
+  /// bucket, so the table stays cache-resident (~2 MB at 200k rows) and
+  /// find() is an expected O(1) scan.
+  std::vector<std::uint32_t> bucket_starts_;
   int bucket_shift_ = 63;
   int bits_per_id_ = 1;
   std::size_t count_ = 0;
@@ -127,8 +138,8 @@ struct BlockIndexStats {
 class BlockIndexGenerator {
  public:
   explicit BlockIndexGenerator(int k);
-  /// Bulk build: key generation fans across `threads`; the CSR pack is
-  /// sequential and deterministic.
+  /// Bulk build: key generation and the CSR build both fan across
+  /// `threads`; the index is identical for every thread count.
   BlockIndexGenerator(int k, std::span<const std::string> values,
                       std::size_t threads = 1);
 
@@ -147,8 +158,8 @@ class BlockIndexGenerator {
 
   /// Appends one candidate string; ids are assigned in append order.
   void append(std::string_view value);
-  /// Bulk append with parallel key generation; folds the overflow tier
-  /// into the CSR base afterwards.
+  /// Bulk append: parallel key generation, then one parallel CSR build
+  /// over the new entries plus the existing base and overflow tiers.
   void append(std::span<const std::string> values, std::size_t threads = 1);
 
   /// Appends to `out` the ids of stored candidates that may be within
@@ -161,10 +172,18 @@ class BlockIndexGenerator {
   void compact();
 
   [[nodiscard]] BlockIndexStats stats() const noexcept;
+  /// The frozen CSR base (excludes the overflow tier and long strings).
+  [[nodiscard]] const PackedPostings& postings() const noexcept {
+    return base_;
+  }
 
  private:
   void insert_keys(std::span<const std::uint64_t> keys, std::uint32_t id);
   void maybe_compact();
+  /// Rebuilds the base from `runs` plus the current base and overflow
+  /// entries, and empties the overflow tier.
+  void rebuild(std::vector<std::vector<PostingEntry>> runs,
+               std::size_t threads);
 
   int k_ = 1;
   std::size_t size_ = 0;

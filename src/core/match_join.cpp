@@ -192,20 +192,29 @@ void run_pipeline_tile(const CandidatePipeline& pipe_left,
 /// Left rows are the parallel work unit (contiguous chunks); per-chunk
 /// stats merge in chunk order, and matches sort afterwards, so output is
 /// identical for any thread count — and, by the generator soundness
-/// contract, identical to the dense tile sweep's.
+/// contract, identical to the dense tile sweep's.  The affinity schedule
+/// follows run_tile_space's rule: with >= 2 workers, worker w is pinned
+/// to CPU w and owns the w-th contiguous chunk of left rows; a single
+/// worker runs inline on the caller, which is never pinned.
 void run_indexed_join(const BlockIndexGenerator& gen,
                       const CandidatePipeline& pipe_left,
                       const CandidatePipeline& pipe_right,
                       std::span<const std::string> left,
                       std::span<const std::string> right,
-                      std::size_t threads, bool collect, JoinStats& stats) {
+                      std::size_t threads, bool affinity, bool collect,
+                      JoinStats& stats) {
   const std::size_t n_chunks =
       std::max<std::size_t>(1, std::min(threads, left.size()));
   stats.tiles = n_chunks;
+  const bool pin = affinity && n_chunks >= 2;
+  stats.affinity_schedule = pin;
   std::vector<JoinStats> chunk_stats(n_chunks);
   fbf::util::parallel_chunks(
       left.size(), threads,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        if (pin) {
+          fbf::util::pin_current_thread(chunk);
+        }
         JoinStats& local = chunk_stats[chunk];
         PipelineCounters counters;
         std::vector<std::uint32_t> ids;
@@ -304,8 +313,15 @@ JoinStats match_strings(std::span<const std::string> left,
         verifier != Verifier::kNone && BlockIndexGenerator::supported(k)) {
       const fbf::util::Stopwatch index_timer;
       block_gen.emplace(k, right, config.threads);
-      stats.signature_gen_ms += index_timer.elapsed_ms();
+      const double index_ms = index_timer.elapsed_ms();
+      stats.signature_gen_ms += index_ms;
       stats.generator = block_gen->name();
+      if (fbf::telemetry::enabled()) {
+        static fbf::telemetry::Histogram& index_build =
+            fbf::telemetry::Registry::global().histogram(
+                "join.index_build_ms");
+        index_build.record(index_ms);
+      }
     }
   } else if (config.method == Method::kSoundex) {
     const fbf::util::Stopwatch gen_timer;
@@ -371,7 +387,7 @@ JoinStats match_strings(std::span<const std::string> left,
         const bool collect = config.collect_matches;
         if (block_gen) {
           run_indexed_join(*block_gen, *pipe_left, *pipe_right, left, right,
-                           config.threads, collect, stats);
+                           config.threads, affinity, collect, stats);
           break;
         }
         run_tile_space(left.size(), right.size(), config.threads, affinity,

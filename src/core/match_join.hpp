@@ -35,8 +35,10 @@ namespace fbf::core {
 /// worker pool; the affinity schedule instead pins each worker to a CPU
 /// and makes it *own* tile rows (row r → worker r % n_workers), so a
 /// row's plane data streams through one core's cache — and stays in one
-/// NUMA domain — for the whole join.  Counters and match sets are
-/// byte-identical under either schedule (integer sums + sorted pairs).
+/// NUMA domain — for the whole join.  On the block-index route the
+/// pinned worker w owns the w-th contiguous chunk of left rows.  Counters
+/// and match sets are byte-identical under either schedule (integer sums
+/// + sorted pairs).
 enum class TileAffinity {
   kAuto,  ///< affinity schedule only when the machine has > 1 NUMA node
   kOff,   ///< always the shared-queue schedule

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
@@ -54,7 +55,7 @@ TEST(PackedPostings, RoundTripSortsAndDeduplicates) {
       {40, 7}, {10, 3}, {40, 1}, {10, 3}, {25, 0}, {40, 7}, {10, 9},
   };
   c::PackedPostings p;
-  p.build(std::move(entries));
+  p.build({std::move(entries)});
   ASSERT_EQ(p.key_count(), 3u);
   EXPECT_EQ(p.entry_count(), 5u);  // two duplicates dropped
   EXPECT_EQ(p.key_at(0), 10u);
@@ -90,8 +91,8 @@ TEST(PackedPostings, BuildIsInputOrderIndependent) {
   }
   c::PackedPostings a;
   c::PackedPostings b;
-  a.build(std::move(entries));
-  b.build(std::move(shuffled));
+  a.build({std::move(entries)});
+  b.build({std::move(shuffled)});
   ASSERT_EQ(a.key_count(), b.key_count());
   ASSERT_EQ(a.entry_count(), b.entry_count());
   for (std::size_t i = 0; i < a.key_count(); ++i) {
@@ -112,8 +113,9 @@ TEST(PackedPostings, BitWidthWidensPastTwentyBitIds) {
   // round-trip exactly.
   constexpr std::uint32_t kBoundary = 1u << 20;
   {
+    std::vector<c::PostingEntry> entries = {{1, kBoundary - 1}, {1, 12345}};
     c::PackedPostings p;
-    p.build({{1, kBoundary - 1}, {1, 12345}});
+    p.build({std::move(entries)});
     EXPECT_EQ(p.bits_per_id(), 20);
     const auto r = p.find(1);
     EXPECT_EQ(p.id_at(r.begin), 12345u);
@@ -127,7 +129,7 @@ TEST(PackedPostings, BitWidthWidensPastTwentyBitIds) {
       entries.push_back({i % 7, kBoundary + i});
     }
     c::PackedPostings p;
-    p.build(std::move(entries));
+    p.build({std::move(entries)});
     EXPECT_EQ(p.bits_per_id(), 21);
     for (std::uint64_t key = 0; key < 7; ++key) {
       const auto r = p.find(key);
@@ -151,11 +153,145 @@ TEST(PackedPostings, EmptyAndSingleEntry) {
   p.build({});
   EXPECT_EQ(p.key_count(), 0u);
   EXPECT_EQ(p.entry_count(), 0u);
-  p.build({{0, 0}});
+  std::vector<c::PostingEntry> single = {{0, 0}};
+  p.build({std::move(single)});
   EXPECT_EQ(p.bits_per_id(), 1);
   const auto r = p.find(0);
   ASSERT_EQ(r.end - r.begin, 1u);
   EXPECT_EQ(p.id_at(r.begin), 0u);
+}
+
+/// Every observable of two stores is equal: counts, id width, and each
+/// key_at / range_at / id_at position, and find() of every stored key.
+void expect_same_csr(const c::PackedPostings& a, const c::PackedPostings& b,
+                     const std::string& label) {
+  ASSERT_EQ(a.key_count(), b.key_count()) << label;
+  ASSERT_EQ(a.entry_count(), b.entry_count()) << label;
+  ASSERT_EQ(a.bits_per_id(), b.bits_per_id()) << label;
+  for (std::size_t i = 0; i < a.key_count(); ++i) {
+    ASSERT_EQ(a.key_at(i), b.key_at(i)) << label << " key " << i;
+    const auto ra = a.range_at(i);
+    const auto rb = b.range_at(i);
+    ASSERT_EQ(ra.begin, rb.begin) << label << " key " << i;
+    ASSERT_EQ(ra.end, rb.end) << label << " key " << i;
+    const auto found = b.find(b.key_at(i));
+    ASSERT_EQ(found.begin, rb.begin) << label << " find key " << i;
+    ASSERT_EQ(found.end, rb.end) << label << " find key " << i;
+  }
+  for (std::size_t pos = 0; pos < a.entry_count(); ++pos) {
+    ASSERT_EQ(a.id_at(pos), b.id_at(pos)) << label << " pos " << pos;
+  }
+}
+
+/// The store holds exactly `entries` sorted by (hash, id) and
+/// deduplicated, and find() misses hashes it does not hold.
+void expect_csr_of(const c::PackedPostings& p,
+                   std::vector<c::PostingEntry> entries, Rng& rng,
+                   const std::string& label) {
+  const auto less = [](const c::PostingEntry& a, const c::PostingEntry& b) {
+    return a.hash != b.hash ? a.hash < b.hash : a.id < b.id;
+  };
+  std::sort(entries.begin(), entries.end(), less);
+  entries.erase(std::unique(entries.begin(), entries.end(),
+                            [](const c::PostingEntry& a,
+                               const c::PostingEntry& b) {
+                              return a.hash == b.hash && a.id == b.id;
+                            }),
+                entries.end());
+  ASSERT_EQ(p.entry_count(), entries.size()) << label;
+  std::uint32_t max_id = 0;
+  std::size_t key = 0;
+  for (std::size_t pos = 0; pos < entries.size(); ++pos) {
+    if (pos > 0 && entries[pos].hash != entries[pos - 1].hash) {
+      ++key;
+    }
+    ASSERT_LT(key, p.key_count()) << label;
+    ASSERT_EQ(p.key_at(key), entries[pos].hash) << label << " pos " << pos;
+    const auto r = p.range_at(key);
+    ASSERT_TRUE(pos >= r.begin && pos < r.end) << label << " pos " << pos;
+    ASSERT_EQ(p.id_at(pos), entries[pos].id) << label << " pos " << pos;
+    max_id = std::max(max_id, entries[pos].id);
+  }
+  ASSERT_EQ(p.key_count(), entries.empty() ? 0 : key + 1) << label;
+  EXPECT_EQ(p.bits_per_id(),
+            std::max(1, static_cast<int>(std::bit_width(max_id))))
+      << label;
+  for (int probe = 0; probe < 1000; ++probe) {
+    const std::uint64_t h = rng.next();
+    const bool stored = std::binary_search(
+        entries.begin(), entries.end(), c::PostingEntry{h, 0},
+        [](const c::PostingEntry& a, const c::PostingEntry& b) {
+          return a.hash < b.hash;
+        });
+    if (!stored) {
+      const auto r = p.find(h);
+      ASSERT_EQ(r.begin, r.end) << label << " phantom hash " << h;
+    }
+  }
+}
+
+TEST(PackedPostings, BuildIsThreadCountInvariant) {
+  // The partitioned build must produce the same CSR at every thread
+  // count, equal to the sorted-unique entry list.  The shapes stress the
+  // partition seams: 21-bit ids (64 is not a multiple of 21, so
+  // neighbouring partitions share packed words), every hash in one
+  // partition, one hot key holding 12k ids, and mostly empty partitions.
+  Rng rng(2024);
+  constexpr std::size_t kEntries = 60000;
+  constexpr std::uint32_t kWideId = 1u << 20;
+  const auto random_id = [&] {
+    return kWideId + static_cast<std::uint32_t>(rng.next() % 200000);
+  };
+  struct Shape {
+    std::string name;
+    std::vector<c::PostingEntry> entries;
+  };
+  std::vector<Shape> shapes(4);
+  shapes[0].name = "uniform 21-bit ids";
+  shapes[1].name = "one partition";
+  shapes[2].name = "hot key";
+  shapes[3].name = "empty partitions";
+  for (std::size_t i = 0; i < kEntries; ++i) {
+    shapes[0].entries.push_back({rng.next(), random_id()});
+    // Top byte clear: every entry falls in the first partition.
+    shapes[1].entries.push_back({rng.next() >> 8, random_id()});
+    const std::uint64_t high = (rng.next() & 1) != 0 ? 0xfull << 60 : 0;
+    shapes[3].entries.push_back({(rng.next() >> 4) | high, random_id()});
+  }
+  constexpr std::uint64_t kHotHash = 0x5eed5eed5eed5eedull;
+  for (std::uint32_t i = 0; i < 12000; ++i) {
+    // Descending ids: the hot key's order must come from the sort.
+    shapes[2].entries.push_back({kHotHash, kWideId + 12000 - i});
+  }
+  for (std::size_t i = 0; i < kEntries; ++i) {
+    shapes[2].entries.push_back({rng.next(), random_id()});
+  }
+  for (Shape& shape : shapes) {
+    // Exact duplicates must collapse at every thread count too.
+    const std::size_t original = shape.entries.size();
+    for (std::size_t i = 0; i < original; i += 17) {
+      const c::PostingEntry copy = shape.entries[i];
+      shape.entries.push_back(copy);
+    }
+    c::PackedPostings serial;
+    serial.build({shape.entries}, 1);
+    expect_csr_of(serial, shape.entries, rng, shape.name);
+    for (const std::size_t threads :
+         {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
+      // Uneven runs, one of them empty, as the key-generation chunks and
+      // the existing-entries run hand them over.
+      const auto at = [&](std::size_t sevenths) {
+        return shape.entries.begin() +
+               static_cast<std::ptrdiff_t>(shape.entries.size() * sevenths / 7);
+      };
+      std::vector<std::vector<c::PostingEntry>> runs = {
+          {at(0), at(1)}, {}, {at(1), at(4)}, {at(4), at(7)}};
+      c::PackedPostings parallel;
+      parallel.build(std::move(runs), threads);
+      expect_same_csr(serial, parallel,
+                      shape.name + " threads=" + std::to_string(threads));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -309,6 +445,32 @@ TEST(BlockIndexGenerator, IncrementalAppendsMatchBulkBuild) {
       incremental.generate(dataset.clean[i], b);
       ASSERT_EQ(a, b) << "threads=" << threads << " query i=" << i;
     }
+  }
+}
+
+TEST(BlockIndexGenerator, BulkAppendOntoBaseAndOverflowEqualsFreshBuild) {
+  // A bulk append folds the existing base and overflow entries into the
+  // same build as the new ones; the CSR must equal a fresh bulk build of
+  // every string, position for position, at every thread count.
+  const auto dataset =
+      dg::build_paired_dataset(dg::FieldKind::kLastName, 7000, 59).value();
+  const std::span<const std::string> all(dataset.error);
+  const c::BlockIndexGenerator fresh(1, all, 3);
+  ASSERT_GE(fresh.stats().entries, 50000u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{4},
+                                    std::size_t{8}}) {
+    c::BlockIndexGenerator gen(1);
+    gen.append(all.subspan(0, 3000), threads);
+    for (std::size_t i = 3000; i < 3200; ++i) {
+      gen.append(all[i]);
+    }
+    ASSERT_GT(gen.stats().overflow_entries, 0u);
+    gen.append(all.subspan(3200), threads);
+    EXPECT_EQ(gen.stats().overflow_entries, 0u);
+    ASSERT_EQ(gen.size(), fresh.size());
+    expect_same_csr(fresh.postings(), gen.postings(),
+                    "threads=" + std::to_string(threads));
   }
 }
 

@@ -27,6 +27,7 @@
 #include "storage/mem_object.hpp"
 #include "telemetry/snapshot.hpp"
 #include "telemetry/telemetry.hpp"
+#include "testenv.hpp"
 #include "util/rng.hpp"
 
 namespace c = fbf::core;
@@ -337,6 +338,35 @@ TEST(TelemetryNeutrality, MirrorTracksTheLadderUnderKernelAndGeneratorPins) {
   ASSERT_EQ(setenv("FBF_FORCE_GENERATOR", "block", 1), 0);
   EXPECT_EQ(run_and_check("FBF_FORCE_GENERATOR=block"), baseline);
   ASSERT_EQ(unsetenv("FBF_FORCE_GENERATOR"), 0);
+}
+
+TEST(TelemetryNeutrality, BlockJoinRecordsIndexBuildTime) {
+  // join.index_build_ms gains one sample per block-route join, none on
+  // the dense route, and none with telemetry off.
+  const TelemetryGuard guard;
+  const fbf::testenv::ScopedForceGenerator unpinned(nullptr);
+  auto built = d::build_paired_dataset(d::FieldKind::kLastName, 300, 31);
+  ASSERT_TRUE(built.ok());
+  const d::PairedDataset& dataset = built.value();
+  const auto samples = [] {
+    const t::MetricsSnapshot snap = t::capture(t::Registry::global());
+    const t::HistogramStats* h = snap.histogram("join.index_build_ms");
+    return h == nullptr ? std::uint64_t{0} : h->count;
+  };
+  const auto run = [&](c::GeneratorKind generator) {
+    c::JoinConfig config;
+    config.generator = generator;
+    return c::match_strings(dataset.clean, dataset.error, config);
+  };
+
+  EXPECT_STREQ(run(c::GeneratorKind::kDense).generator, "dense");
+  EXPECT_EQ(samples(), 0u);
+  EXPECT_STREQ(run(c::GeneratorKind::kBlockIndex).generator, "block-index");
+  EXPECT_EQ(samples(), 1u);
+  t::set_enabled(false);
+  run(c::GeneratorKind::kBlockIndex);
+  t::set_enabled(true);
+  EXPECT_EQ(samples(), 1u);
 }
 
 // --- tracing ------------------------------------------------------------
