@@ -3,19 +3,23 @@
 //
 // The batched tile kernel amortizes every packed plane load across up to
 // kMaxBlockQueries queries, but an online daemon receives queries one at
-// a time on independent connections.  The coalescer closes that gap: a
-// submitting thread parks its query on a pending queue and blocks on a
-// future; a single dispatcher thread collects up to `max_batch` pending
-// queries — waiting at most `max_linger_ms` after the first arrival so a
-// lone query is never held hostage to batch-filling — and runs them
-// through one BatchFn call (MatchCorpus::query_batch downstream).
+// a time on independent connections.  The coalescer closes that gap as a
+// leader/follower combiner ("flat combining", Hendler et al., SPAA 2010)
+// with no thread of its own: a submitter parks its query on a FIFO queue;
+// if no batch is running it becomes the *leader* and runs up to
+// `max_batch` pending queries through one BatchFn call on its own thread
+// (MatchCorpus::query_batch downstream), then publishes every member's
+// result.  Queries that arrive while a batch runs form the next batch,
+// led by the same leader until its own query is answered, then by the
+// oldest waiter — so no query waits longer than the batches queued ahead
+// of it, and a lone query runs the moment it arrives.
 //
 // Two properties carry the design:
 //
 //  * Invisibility — the BatchFn contract (per-query counter attribution
-//    in filter_block) means each future resolves to exactly the result
-//    and ladder counters a solo query would have produced.  Batching is
-//    a throughput optimization, never an observable behavior change
+//    in filter_block) means each submit() returns exactly the result and
+//    ladder counters a solo query would have produced.  Batching is a
+//    throughput optimization, never an observable behavior change
 //    (property-tested under fuzzed arrival orders in test_serve.cpp).
 //  * Admission control — the pending queue is bounded (`max_inflight`);
 //    beyond it submit() fails fast with kResourceExhausted rather than
@@ -31,46 +35,39 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/corpus.hpp"
 #include "core/fbf_kernel.hpp"
-#include "telemetry/telemetry.hpp"
 #include "util/status.hpp"
 
 namespace fbf::serve {
 
 struct CoalescerOptions {
-  /// Queries per dispatched batch; the default is one full kernel
-  /// register block.
+  /// Queries per batch; the default is one full kernel register block.
   std::size_t max_batch = core::kMaxBlockQueries;
-  /// How long the dispatcher lingers after the first pending arrival
-  /// before dispatching a partial batch.  0 dispatches immediately
-  /// (coalescing then happens only while a batch is already running).
-  double max_linger_ms = 0.25;
   /// Pending-queue admission bound; beyond it submit() fails fast with
   /// kResourceExhausted.
   std::size_t max_inflight = 64;
 };
 
 struct CoalescerStats {
-  std::uint64_t batches = 0;   ///< BatchFn dispatches
+  std::uint64_t batches = 0;   ///< BatchFn calls
   std::uint64_t queries = 0;   ///< queries admitted
   std::uint64_t coalesced = 0; ///< queries that shared a batch with others
   std::uint64_t rejected = 0;  ///< admission-control rejections
-  std::uint64_t max_batch = 0; ///< largest batch dispatched
+  std::uint64_t max_batch = 0; ///< largest batch run
 };
 
 class BatchCoalescer {
  public:
   /// Runs one batch of queries; result[i] answers queries[i].  Called on
-  /// the dispatcher thread only, so the BatchFn may hold locks of its
-  /// own but must not call back into submit().
+  /// the leading submitter's thread, never concurrently with itself and
+  /// with no trace installed (telemetry::current_trace() == 0).  It may
+  /// take locks of its own but must neither throw nor call submit().
   using BatchFn = std::function<std::vector<core::CorpusResult>(
       std::span<const std::string> queries)>;
 
@@ -80,39 +77,34 @@ class BatchCoalescer {
   BatchCoalescer(const BatchCoalescer&) = delete;
   BatchCoalescer& operator=(const BatchCoalescer&) = delete;
 
-  /// Submits one query and blocks until its batch completes.  Fails fast
-  /// with kResourceExhausted when the pending queue is full, and with
-  /// kUnavailable after stop().
+  /// Submits one query and returns once its batch has run — possibly on
+  /// this thread.  Fails fast with kResourceExhausted when the pending
+  /// queue is full, and with kUnavailable after stop().
   [[nodiscard]] fbf::util::Result<core::CorpusResult> submit(
       std::string query);
 
-  /// Drains pending queries (they fail kUnavailable) and joins the
-  /// dispatcher.  Idempotent; called by the destructor.
+  /// Fails queued queries with kUnavailable and returns once a running
+  /// batch (if any) has finished.  Idempotent; called by the destructor.
   void stop();
 
   [[nodiscard]] CoalescerStats stats() const;
 
  private:
-  struct Pending {
-    std::string query;
-    /// telemetry::current_trace() of the submitting thread, captured at
-    /// admission: the trace crosses the promise boundary with the query,
-    /// so the batch span lands on the request that rode the batch even
-    /// though the dispatcher thread never had the trace installed.
-    std::uint64_t trace = 0;
-    std::promise<fbf::util::Result<core::CorpusResult>> promise;
-  };
+  /// One queued query.  Lives on its submitter's stack until answered.
+  struct Pending;
 
-  void dispatcher_loop();
+  /// Runs one batch from the queue front as leader; `lock` is held on
+  /// entry and exit, released around the BatchFn.
+  void lead(std::unique_lock<std::mutex>& lock) noexcept;
 
   BatchFn fn_;
   CoalescerOptions options_;
   mutable std::mutex mu_;
-  std::condition_variable arrival_cv_;
-  std::deque<Pending> pending_;
+  std::condition_variable idle_cv_;  ///< a batch finished (stop() waits)
+  std::deque<Pending*> pending_;
+  bool running_ = false;  ///< a leader is inside lead()
   bool stopping_ = false;
   CoalescerStats stats_;
-  std::thread dispatcher_;
 };
 
 }  // namespace fbf::serve

@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
   const std::string field_name = args.get_string("field", "ln");
   const std::size_t workers =
       static_cast<std::size_t>(args.get_int("workers", 2));
-  const double linger_ms = args.get_double("linger-ms", 0.25);
   const std::size_t max_batch =
       static_cast<std::size_t>(args.get_int("max-batch", 8));
   const std::size_t batch_threads =
@@ -170,7 +169,6 @@ int main(int argc, char** argv) {
   // >1 fans each coalesced batch across a worker pool (corpus.hpp);
   // results are exec-policy invariant, only saturation throughput moves.
   options.query.exec.threads = batch_threads;
-  options.coalescer.max_linger_ms = linger_ms;
   options.coalescer.max_batch = max_batch;
   options.coalescer.max_inflight = inflight;
   options.max_inflight = inflight;

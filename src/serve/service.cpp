@@ -43,7 +43,7 @@ MatchService::MatchService(ServiceOptions options,
                registry_.histogram("serve.admin")} {
   coalescer_.emplace(
       [this](std::span<const std::string> queries) {
-        std::lock_guard<std::mutex> lock(corpus_mu_);
+        const std::shared_lock<std::shared_mutex> lock(corpus_mu_);
         return corpus_.query_batch(queries);
       },
       options_.coalescer);
@@ -68,7 +68,7 @@ u::Result<linkage::RecoveryReport> MatchService::recover() {
 }
 
 void MatchService::index_strings(std::span<const std::string> values) {
-  std::lock_guard<std::mutex> lock(corpus_mu_);
+  const std::unique_lock<std::shared_mutex> lock(corpus_mu_);
   corpus_.append(values);
 }
 
@@ -167,7 +167,7 @@ MatchResponse MatchService::match_string(const MatchRequest& req,
   if (result.matches.size() > limit) {
     result.matches.resize(limit);
   }
-  std::lock_guard<std::mutex> lock(corpus_mu_);
+  const std::shared_lock<std::shared_mutex> lock(corpus_mu_);
   resp.comparisons = corpus_.size();
   resp.matches.reserve(result.matches.size());
   for (const std::uint32_t id : result.matches) {
@@ -311,7 +311,7 @@ telemetry::MetricsSnapshot MatchService::metrics_snapshot() const {
   }
   std::string kernel;
   {
-    std::lock_guard<std::mutex> lock(corpus_mu_);
+    const std::shared_lock<std::shared_mutex> lock(corpus_mu_);
     registry_.gauge("serve.corpus_size")
         .set(static_cast<std::int64_t>(corpus_.size()));
     kernel = corpus_.kernel_name();

@@ -32,6 +32,13 @@
 // serve.<family> span per traced request; the coalescer picks the id up
 // via telemetry::current_trace() so batch spans attribute correctly.
 //
+// Locking: the service owns no thread for string queries — the
+// coalescer's leader runs each batch sweep on its request thread.  The
+// sweep, reply assembly and the metrics read share corpus_mu_; only
+// index_strings takes it exclusively.  Answered followers therefore
+// assemble their replies while the next leader sweeps, and return to
+// the queue in time to fill the next batch.
+//
 // handler() exposes the service as a net::ShardHandler, so the same
 // instance backs an InProcessTransport (deterministic reference) and a
 // ShardServer over real loopback sockets — the transport-equivalence
@@ -45,6 +52,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -114,8 +122,9 @@ class MatchService {
     };
   }
 
-  /// Stops the coalescer (in-flight queries fail kUnavailable).  The
-  /// destructor calls this; explicit for orderly daemon shutdown.
+  /// Stops the coalescer: queued queries fail kUnavailable, a running
+  /// batch finishes first.  The destructor calls this; explicit for
+  /// orderly daemon shutdown.
   void stop();
 
   /// Test hook: kill -9 at this instant (forwards to
@@ -164,7 +173,9 @@ class MatchService {
 
   ServiceOptions options_;
   core::MatchCorpus corpus_;
-  mutable std::mutex corpus_mu_;  ///< guards corpus_ (batch fn + appends)
+  /// Guards corpus_: shared by the batch sweep, reply assembly and the
+  /// metrics read; exclusive for appends.
+  mutable std::shared_mutex corpus_mu_;
   linkage::DurableEntityStore store_;
   mutable std::mutex store_mu_;   ///< guards store_ + quarantine_
   std::vector<fbf::util::CsvRow> quarantine_;

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <latch>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -48,6 +50,20 @@ d::PairedDataset make_dataset(std::size_t n, std::uint64_t seed) {
   auto built = d::build_paired_dataset(d::FieldKind::kLastName, n, seed);
   EXPECT_TRUE(built.ok());
   return std::move(built.value());
+}
+
+/// Polls `done` for up to ten seconds; false on timeout.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 }  // namespace
@@ -139,7 +155,6 @@ TEST(Coalescer, ConcurrentSubmissionsMatchSoloQueries) {
   const d::PairedDataset dataset = make_dataset(500, 21);
   const c::MatchCorpus corpus(c::QueryOptions{}, dataset.clean);
   s::CoalescerOptions options;
-  options.max_linger_ms = 0.5;
   options.max_inflight = 1024;
   s::BatchCoalescer coalescer(
       [&corpus](std::span<const std::string> queries) {
@@ -199,7 +214,6 @@ TEST(Coalescer, OverloadFailsFastWithResourceExhausted) {
   // flood must split into served and kResourceExhausted, nothing lost.
   s::CoalescerOptions options;
   options.max_batch = 1;
-  options.max_linger_ms = 0.0;
   options.max_inflight = 2;
   s::BatchCoalescer coalescer(
       [](std::span<const std::string> queries) {
@@ -236,6 +250,160 @@ TEST(Coalescer, OverloadFailsFastWithResourceExhausted) {
   EXPECT_EQ(coalescer.stats().rejected, rejected);
 }
 
+TEST(Coalescer, LoneQueryRunsOnTheCallingThread) {
+  // No batch is running, so the submitter leads its own batch of one —
+  // and runs it with no trace installed, so nothing inside the batch is
+  // attributed to the leader's own request.
+  std::thread::id ran_on;
+  std::size_t batch_size = 0;
+  std::uint64_t trace_inside = 1;
+  s::BatchCoalescer coalescer([&](std::span<const std::string> queries) {
+    ran_on = std::this_thread::get_id();
+    batch_size = queries.size();
+    trace_inside = t::current_trace();
+    return std::vector<c::CorpusResult>(queries.size());
+  });
+  {
+    const t::ScopedTrace trace(42);
+    ASSERT_TRUE(coalescer.submit("q").ok());
+    EXPECT_EQ(t::current_trace(), 42u);
+  }
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(batch_size, 1u);
+  EXPECT_EQ(trace_inside, 0u);
+  EXPECT_EQ(coalescer.stats().batches, 1u);
+}
+
+TEST(Coalescer, ArrivalsDuringARunningBatchFormTheNextBatch) {
+  // The first batch blocks until kFollowers more submitters are queued;
+  // they then run together as the next batch, each answered exactly as
+  // a solo query and each traced once with the batch it rode.
+  const d::PairedDataset dataset = make_dataset(400, 22);
+  const c::MatchCorpus corpus(c::QueryOptions{}, dataset.clean);
+  constexpr std::size_t kFollowers = 5;
+  constexpr std::uint64_t kTraceBase = 0x5EED00;
+  std::latch first_running(1);
+  std::latch release(1);
+  std::vector<std::size_t> sizes;  // BatchFn calls never overlap
+  s::BatchCoalescer coalescer([&](std::span<const std::string> queries) {
+    sizes.push_back(queries.size());
+    if (sizes.size() == 1) {
+      first_running.count_down();
+      release.wait();
+    }
+    return corpus.query_batch(queries);
+  });
+
+  t::Registry::global().clear_spans();
+  const t::Histogram& wait_ms =
+      t::Registry::global().histogram("serve.coalescer.wait_ms");
+  const std::uint64_t waits_before = wait_ms.count();
+  const std::vector<std::string> queries(dataset.error.begin(),
+                                         dataset.error.begin() + kFollowers + 1);
+  std::vector<std::optional<u::Result<c::CorpusResult>>> got(queries.size());
+  std::vector<std::thread> threads;
+  auto submit = [&](std::size_t i) {
+    threads.emplace_back([&, i] {
+      const t::ScopedTrace trace(kTraceBase + i);
+      got[i] = coalescer.submit(queries[i]);
+    });
+  };
+  submit(0);
+  first_running.wait();
+  for (std::size_t i = 1; i <= kFollowers; ++i) {
+    submit(i);
+  }
+  const bool queued = eventually(
+      [&] { return coalescer.stats().queries == kFollowers + 1; });
+  release.count_down();
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  ASSERT_TRUE(queued);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{1, kFollowers}));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(got[i].has_value() && got[i]->ok()) << "query " << i;
+    expect_result_eq(got[i]->value(), corpus.query(queries[i]),
+                     "query " + std::to_string(i));
+  }
+  const s::CoalescerStats stats = coalescer.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.coalesced, kFollowers);
+  EXPECT_EQ(stats.max_batch, kFollowers);
+
+  if (!t::trace_enabled()) {
+    return;  // telemetry compiled out: no waits or spans to check
+  }
+  EXPECT_EQ(wait_ms.count() - waits_before, queries.size())
+      << "one serve.coalescer.wait_ms sample per query";
+  const std::vector<t::SpanRecord> spans = t::Registry::global().spans();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    std::vector<std::uint32_t> attempts;
+    for (const t::SpanRecord& span : spans) {
+      if (span.trace == kTraceBase + i && span.name == "serve.batch") {
+        attempts.push_back(span.attempt);
+      }
+    }
+    const std::uint32_t batch = i == 0 ? 1u : kFollowers;
+    EXPECT_EQ(attempts, std::vector<std::uint32_t>{batch}) << "query " << i;
+  }
+}
+
+TEST(Coalescer, StopFailsQueuedWaitersAndLetsTheRunningBatchFinish) {
+  constexpr std::size_t kQueued = 3;
+  std::latch first_running(1);
+  std::latch release(1);
+  std::atomic<std::size_t> calls{0};
+  s::BatchCoalescer coalescer([&](std::span<const std::string> queries) {
+    if (calls.fetch_add(1) == 0) {
+      first_running.count_down();
+      release.wait();
+    }
+    return std::vector<c::CorpusResult>(queries.size());
+  });
+  std::optional<u::Result<c::CorpusResult>> running;
+  std::thread leader([&] { running = coalescer.submit("running"); });
+  first_running.wait();
+  std::atomic<std::size_t> unavailable{0};
+  std::vector<std::thread> waiters;
+  for (std::size_t i = 0; i < kQueued; ++i) {
+    waiters.emplace_back([&] {
+      const u::Result<c::CorpusResult> got = coalescer.submit("queued");
+      if (!got.ok() && got.status().code() == u::StatusCode::kUnavailable) {
+        ++unavailable;
+      }
+    });
+  }
+  const bool queued = eventually(
+      [&] { return coalescer.stats().queries == kQueued + 1; });
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    coalescer.stop();
+    stopped = true;
+  });
+  // The queued waiters fail while the running batch is still blocked,
+  // and stop() is still waiting for that batch.
+  const bool failed_fast =
+      eventually([&] { return unavailable.load() == kQueued; });
+  const bool stop_waited = !stopped.load();
+  release.count_down();
+  stopper.join();
+  leader.join();
+  for (std::thread& waiter : waiters) {
+    waiter.join();
+  }
+  ASSERT_TRUE(queued);
+  EXPECT_TRUE(failed_fast) << "queued waiters must fail kUnavailable at stop";
+  EXPECT_TRUE(stop_waited) << "stop() returned before the running batch ended";
+  ASSERT_TRUE(running.has_value());
+  EXPECT_TRUE(running->ok()) << "the running batch must finish and answer";
+  EXPECT_EQ(calls.load(), 1u) << "queued queries must not run after stop()";
+  EXPECT_EQ(coalescer.submit("late").status().code(),
+            u::StatusCode::kUnavailable);
+  coalescer.stop();  // idempotent
+  EXPECT_EQ(coalescer.stats().batches, 1u);
+}
+
 // --- overload over the wire --------------------------------------------
 
 TEST(ServeOverload, ResourceExhaustedSurvivesTheTcpRoundTrip) {
@@ -267,12 +435,30 @@ TEST(ServeOverload, ServiceInflightBudgetRejectsFloods) {
   s::MatchService service(options, backend);
   const std::vector<std::string> corpus{"alpha", "beta", "gamma"};
   service.index_strings(corpus);
+  // A 3-string sweep takes microseconds, too short to keep requests in
+  // flight.  Once the flood is under way, bulk appends hold the corpus
+  // lock exclusively and stall the sweeps until the pile-up has tripped
+  // admission; the flood lasts until the appends stop.  The appends are
+  // bounded, so a budget that never trips fails the check below.
+  std::vector<std::string> bulk;
+  for (int i = 0; i < 10000; ++i) {
+    bulk.push_back("bulk" + std::to_string(i));
+  }
+  std::atomic<bool> appended{false};
 
   constexpr std::size_t kThreads = 16;
   std::atomic<std::uint64_t> ok{0};
   std::atomic<std::uint64_t> overloaded{0};
   std::vector<std::thread> threads;
-  std::barrier start(kThreads);
+  std::barrier start(kThreads + 1);
+  threads.emplace_back([&] {
+    start.arrive_and_wait();
+    eventually([&] { return ok.load() + overloaded.load() >= kThreads; });
+    for (int i = 0; i < 200 && overloaded.load() == 0; ++i) {
+      service.index_strings(bulk);
+    }
+    appended = true;
+  });
   fbf::MatchRequest request;
   request.text = "alpha";
   const std::string payload = s::encode_match_request(request);
@@ -281,7 +467,7 @@ TEST(ServeOverload, ServiceInflightBudgetRejectsFloods) {
       fbf::net::FrameContext ctx;
       ctx.type = fbf::net::FrameType::kMatchQuery;
       start.arrive_and_wait();
-      for (int i = 0; i < 50; ++i) {
+      for (int i = 0; i < 50 || !appended.load(); ++i) {
         const u::Result<std::string> reply = service.handle(ctx, payload);
         if (reply.ok()) {
           ++ok;
