@@ -9,7 +9,8 @@
 // google-benchmark binary: supports --benchmark_filter etc., plus --json
 // as shorthand for --benchmark_format=json (BENCH_*.json recording) and
 // --telemetry-gate, the Release CI check that telemetry-on does not
-// regress the filter_block hot path (DESIGN.md §16).
+// regress the filter_block hot path or the dense and block-index joins
+// (DESIGN.md §16).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -576,10 +577,12 @@ double time_filter_block_pass(const ScanWorkload& w, c::KernelKind kind,
   return std::chrono::duration<double>(stop - start).count();
 }
 
-/// The overhead gate CI's Release leg runs: the filter_block hot path and
-/// a full match_strings join, timed with telemetry::set_enabled(true) vs
-/// false in ONE binary, min-of-repeats, on/off samples interleaved so
-/// frequency drift hits both sides equally.  The kernel itself carries no
+/// The overhead gate CI's Release leg runs: the filter_block hot path, a
+/// dense match_strings join and a block-index one (whose probe loop
+/// mirrors the ladder per row and times itself into join.probe_ms),
+/// timed with telemetry::set_enabled(true) vs false in ONE binary,
+/// min-of-repeats, on/off samples interleaved so frequency drift hits
+/// both sides equally.  The kernel itself carries no
 /// instrumentation (the enabled() guards live at tile boundaries), so
 /// this line holds exactly that: if per-candidate instrumentation ever
 /// creeps into the kernel or the per-tile mirror grows a hot-loop cost,
@@ -592,14 +595,25 @@ int run_telemetry_gate() {
       ScanWorkload::get(dg::FieldKind::kLastName, c::FieldClass::kAlpha);
   const auto join_dataset =
       dg::build_paired_dataset(dg::FieldKind::kLastName, 2000, 13).value();
+  const auto block_dataset =
+      dg::build_paired_dataset(dg::FieldKind::kLastName, 20000, 17).value();
+  c::JoinConfig block_config;  // FPDL, k = 1
+  block_config.generator = c::GeneratorKind::kBlockIndex;
 
-  const auto run_join = [&join_dataset] {
+  const auto time_join = [](const dg::PairedDataset& dataset,
+                            const c::JoinConfig& config) {
     const auto start = std::chrono::steady_clock::now();
-    const c::JoinStats stats = c::match_strings(
-        join_dataset.clean, join_dataset.error, c::JoinConfig{});
+    const c::JoinStats stats =
+        c::match_strings(dataset.clean, dataset.error, config);
     const auto stop = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(stats.matches);
     return std::chrono::duration<double>(stop - start).count();
+  };
+  const auto run_join = [&] {
+    return time_join(join_dataset, c::JoinConfig{});
+  };
+  const auto run_block_join = [&] {
+    return time_join(block_dataset, block_config);
   };
 
   // Warmup primes the lazy workloads and the CPU clocks on both settings.
@@ -607,24 +621,30 @@ int run_telemetry_gate() {
     fbf::telemetry::set_enabled(on);
     (void)time_filter_block_pass(w, kind, 10);
     (void)run_join();
+    (void)run_block_join();
   }
 
   double kernel_on = 1e300;
   double kernel_off = 1e300;
   double join_on = 1e300;
   double join_off = 1e300;
+  double block_on = 1e300;
+  double block_off = 1e300;
   for (int rep = 0; rep < kRepeats; ++rep) {
     fbf::telemetry::set_enabled(true);
     kernel_on = std::min(kernel_on, time_filter_block_pass(w, kind, 50));
     join_on = std::min(join_on, run_join());
+    block_on = std::min(block_on, run_block_join());
     fbf::telemetry::set_enabled(false);
     kernel_off = std::min(kernel_off, time_filter_block_pass(w, kind, 50));
     join_off = std::min(join_off, run_join());
+    block_off = std::min(block_off, run_block_join());
   }
   fbf::telemetry::set_enabled(true);
 
   const double kernel_ratio = kernel_on / kernel_off;
   const double join_ratio = join_on / join_off;
+  const double block_ratio = block_on / block_off;
   std::printf("telemetry gate (%s, min of %d repeats, threshold %.2fx)\n",
               c::kernel_name(kind), kRepeats, kMaxRatio);
   std::printf("  %-22s on %9.3f ms   off %9.3f ms   ratio %.3fx\n",
@@ -633,7 +653,11 @@ int run_telemetry_gate() {
   std::printf("  %-22s on %9.3f ms   off %9.3f ms   ratio %.3fx\n",
               "match_strings n=2000", join_on * 1e3, join_off * 1e3,
               join_ratio);
-  if (kernel_ratio > kMaxRatio || join_ratio > kMaxRatio) {
+  std::printf("  %-22s on %9.3f ms   off %9.3f ms   ratio %.3fx\n",
+              "block join n=20000", block_on * 1e3, block_off * 1e3,
+              block_ratio);
+  if (kernel_ratio > kMaxRatio || join_ratio > kMaxRatio ||
+      block_ratio > kMaxRatio) {
     std::fprintf(stderr,
                  "telemetry gate FAILED: telemetry-on regresses the hot "
                  "path beyond %.2fx\n",

@@ -11,6 +11,7 @@
 #include <tuple>
 #include <utility>
 
+#include "util/prefetch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fbf::core {
@@ -99,19 +100,21 @@ const std::uint64_t* power_table() {
 struct KeyScratch {
   std::vector<std::uint64_t> pre;   ///< pre[i] = rolling hash of s[0, i)
   std::vector<std::uint64_t> suf;   ///< suf[i] = sum_{m>=i} s[m]*B^(l-1-m)
-  std::vector<std::uint64_t> keys;  ///< sorted unique key hashes
-  std::vector<std::uint32_t> ids;   ///< generate() gather buffer
+  std::vector<std::uint64_t> keys;  ///< key hashes (collect_keys appends)
+  /// generate_batch: group query q's keys are keys[key_begin[q],
+  /// key_begin[q + 1]), resolved to ranges[] by one find_batch.
+  std::vector<std::size_t> key_begin;
+  std::vector<PackedPostings::Range> ranges;
 };
 
-/// Emits the key hashes for `s` into scratch.keys — sorted unique when
-/// `dedup` (the append path, so the index never stores duplicate
-/// postings), raw enumeration order otherwise (the probe path: duplicate
-/// keys only re-surface ids the final candidate dedup removes anyway).
-/// Returns false when the string is too long to enumerate (caller takes
-/// the always-candidate path).
+/// Appends the key hashes for `s` to scratch.keys — the appended keys
+/// sorted unique when `dedup` (the append path, so the index never stores
+/// duplicate postings), raw enumeration order otherwise (the probe path:
+/// duplicate keys only re-surface ids the final candidate dedup removes
+/// anyway).  Returns false, appending nothing, when the string is too
+/// long to enumerate (caller takes the always-candidate path).
 bool collect_keys(std::string_view s, int k, KeyScratch& scratch,
                   bool dedup = true) {
-  scratch.keys.clear();
   const std::size_t l = s.size();
   if (l > kMaxEnumLength) {
     return false;
@@ -132,6 +135,7 @@ bool collect_keys(std::string_view s, int k, KeyScratch& scratch,
   const std::uint64_t* pre = scratch.pre.data();
   const std::uint64_t* suf = scratch.suf.data();
   std::vector<std::uint64_t>& keys = scratch.keys;
+  const auto first = static_cast<std::ptrdiff_t>(keys.size());
 
   // Piece family: 2k+1 near-equal contiguous pieces, keyed by (length,
   // piece index, content) — a piece only ever meets the same piece of an
@@ -175,8 +179,8 @@ bool collect_keys(std::string_view s, int k, KeyScratch& scratch,
     }
   }
   if (dedup) {
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    std::sort(keys.begin() + first, keys.end());
+    keys.erase(std::unique(keys.begin() + first, keys.end()), keys.end());
   }
   return true;
 }
@@ -430,17 +434,55 @@ void PackedPostings::build(std::vector<std::vector<PostingEntry>> runs,
 }
 
 PackedPostings::Range PackedPostings::find(std::uint64_t hash) const noexcept {
+  Range range;
+  find_batch({&hash, 1}, {&range, 1});
+  return range;
+}
+
+void PackedPostings::find_batch(std::span<const std::uint64_t> hashes,
+                                std::span<Range> ranges) const noexcept {
+  assert(hashes.size() == ranges.size());
   if (keys_.empty()) {
-    return {};
+    std::fill(ranges.begin(), ranges.end(), Range{});
+    return;
   }
-  const std::size_t bucket = hash >> bucket_shift_;
-  const std::size_t hi = bucket_starts_[bucket + 1];
-  for (std::size_t i = bucket_starts_[bucket]; i < hi; ++i) {
-    if (keys_[i] == hash) {
-      return {offsets_[i], offsets_[i + 1]};
+  using fbf::util::prefetch;
+  const std::size_t n = hashes.size();
+  // 1. Every hash's bucket bounds.
+  for (std::size_t i = 0; i < n; ++i) {
+    prefetch(bucket_starts_.data() + (hashes[i] >> bucket_shift_));
+  }
+  // 2. Each bucket's run of keys: ranges[i] holds key indices for now.
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t bucket = hashes[i] >> bucket_shift_;
+    ranges[i] = {bucket_starts_[bucket], bucket_starts_[bucket + 1]};
+    prefetch(keys_.data() + ranges[i].begin);
+  }
+  // 3. Scan the run: a hit narrows ranges[i] to its one key index, a miss
+  //    empties it.
+  for (std::size_t i = 0; i < n; ++i) {
+    Range& r = ranges[i];
+    std::size_t key = r.begin;
+    while (key < r.end && keys_[key] != hashes[i]) {
+      ++key;
     }
+    if (key == r.end) {
+      r = {};
+      continue;
+    }
+    r = {key, key + 1};
+    prefetch(offsets_.data() + key);
+    prefetch(offsets_.data() + key + 1);
   }
-  return {};
+  // 4. Key index -> packed positions, and the first id word they decode.
+  const auto bpi = static_cast<std::size_t>(bits_per_id_);
+  for (Range& r : ranges) {
+    if (r.begin == r.end) {
+      continue;
+    }
+    r = {offsets_[r.begin], offsets_[r.begin + 1]};
+    prefetch(bits_.data() + r.begin * bpi / 64);
+  }
 }
 
 std::uint32_t PackedPostings::id_at(std::size_t pos) const noexcept {
@@ -469,6 +511,7 @@ BlockIndexGenerator::BlockIndexGenerator(int k,
 void BlockIndexGenerator::append(std::string_view value) {
   const auto id = static_cast<std::uint32_t>(size_++);
   thread_local KeyScratch scratch;
+  scratch.keys.clear();
   if (!collect_keys(value, k_, scratch)) {
     long_ids_.push_back(id);
     return;
@@ -500,6 +543,7 @@ void BlockIndexGenerator::append(std::span<const std::string> values,
           const auto id = static_cast<std::uint32_t>(base_id + i);
           // No per-string dedup: the CSR build deduplicates (hash, id)
           // pairs globally anyway.
+          scratch.keys.clear();
           if (!collect_keys(values[i], k_, scratch, /*dedup=*/false)) {
             chunk_long[chunk].push_back(id);
             continue;
@@ -572,33 +616,64 @@ void BlockIndexGenerator::compact() {
 
 void BlockIndexGenerator::generate(std::string_view query,
                                    std::vector<std::uint32_t>& out) const {
-  const std::size_t start = out.size();
+  generate_batch({&query, 1}, {&out, 1});
+}
+
+void BlockIndexGenerator::generate_batch(
+    std::span<const std::string_view> queries,
+    std::span<std::vector<std::uint32_t>> outs) const {
+  assert(queries.size() == outs.size());
   thread_local KeyScratch scratch;
-  if (!collect_keys(query, k_, scratch, /*dedup=*/false)) {
-    // Query too long to enumerate: every stored id is a candidate (rare;
-    // sound by construction — the filter and verifier still run).
-    out.reserve(start + size_);
-    for (std::size_t j = 0; j < size_; ++j) {
-      out.push_back(static_cast<std::uint32_t>(j));
+  std::vector<std::uint64_t>& keys = scratch.keys;
+  std::vector<std::size_t>& key_begin = scratch.key_begin;
+  for (std::size_t g = 0; g < queries.size(); g += kProbeGroup) {
+    const std::size_t n = std::min(kProbeGroup, queries.size() - g);
+    // 1. The whole group's keys, query by query (a query too long to
+    //    enumerate contributes none).
+    keys.clear();
+    key_begin.assign(1, 0);
+    std::array<bool, kProbeGroup> enumerated{};
+    for (std::size_t q = 0; q < n; ++q) {
+      enumerated[q] = collect_keys(queries[g + q], k_, scratch,
+                                   /*dedup=*/false);
+      key_begin.push_back(keys.size());
     }
-    return;
-  }
-  for (const std::uint64_t key : scratch.keys) {
-    const PackedPostings::Range r = base_.find(key);
-    for (std::size_t pos = r.begin; pos < r.end; ++pos) {
-      out.push_back(base_.id_at(pos));
-    }
-    if (!overflow_.empty()) {
-      if (const auto it = overflow_.find(key); it != overflow_.end()) {
-        out.insert(out.end(), it->second.begin(), it->second.end());
+    // 2. One staged lookup resolves every key of the group.
+    scratch.ranges.resize(keys.size());
+    base_.find_batch(keys, scratch.ranges);
+    // 3. Each query's ids: base postings and overflow hits per key, plus
+    //    the long strings, then sorted and deduplicated.
+    for (std::size_t q = 0; q < n; ++q) {
+      std::vector<std::uint32_t>& out = outs[g + q];
+      const std::size_t start = out.size();
+      if (!enumerated[q]) {
+        // Query too long to enumerate: every stored id is a candidate
+        // (rare; sound by construction — the filter and verifier still
+        // run).
+        out.reserve(start + size_);
+        for (std::size_t j = 0; j < size_; ++j) {
+          out.push_back(static_cast<std::uint32_t>(j));
+        }
+        continue;
       }
+      for (std::size_t e = key_begin[q]; e < key_begin[q + 1]; ++e) {
+        const PackedPostings::Range r = scratch.ranges[e];
+        for (std::size_t pos = r.begin; pos < r.end; ++pos) {
+          out.push_back(base_.id_at(pos));
+        }
+        if (!overflow_.empty()) {
+          if (const auto it = overflow_.find(keys[e]); it != overflow_.end()) {
+            out.insert(out.end(), it->second.begin(), it->second.end());
+          }
+        }
+      }
+      out.insert(out.end(), long_ids_.begin(), long_ids_.end());
+      std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end());
+      out.erase(std::unique(out.begin() + static_cast<std::ptrdiff_t>(start),
+                            out.end()),
+                out.end());
     }
   }
-  out.insert(out.end(), long_ids_.begin(), long_ids_.end());
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end());
-  out.erase(std::unique(out.begin() + static_cast<std::ptrdiff_t>(start),
-                        out.end()),
-            out.end());
 }
 
 BlockIndexStats BlockIndexGenerator::stats() const noexcept {

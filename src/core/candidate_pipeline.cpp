@@ -6,6 +6,7 @@
 #include "metrics/length_filter.hpp"
 #include "metrics/pdl.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/prefetch.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -529,6 +530,29 @@ std::size_t CandidatePipeline::filter_ids(
     }
   }
   return appended;
+}
+
+void CandidatePipeline::prefetch(
+    std::span<const std::uint32_t> ids) const noexcept {
+  using fbf::util::prefetch;
+  if (!batched_) {
+    for (const std::uint32_t id : ids) {
+      prefetch(&classic_[id]);
+    }
+    return;
+  }
+  const std::uint64_t* p0 = packed_.plane(0);
+  const std::uint64_t* p1 = packed_.words() == 2 ? packed_.plane(1) : nullptr;
+  const std::uint32_t* len = packed_.lengths();
+  for (const std::uint32_t id : ids) {
+    prefetch(p0 + id);
+    if (p1 != nullptr) {
+      prefetch(p1 + id);
+    }
+    if (config_.use_length) {
+      prefetch(len + id);
+    }
+  }
 }
 
 bool CandidatePipeline::verify(std::string_view a, std::string_view b,

@@ -204,6 +204,12 @@ class CandidatePipeline {
                          std::vector<std::uint32_t>& survivors,
                          PipelineCounters& counters) const;
 
+  /// Hints the filter-stage rows of candidates `ids` into cache (packed
+  /// plane words and lengths, or classic signatures), so a later
+  /// filter_ids over them finds its gathers in flight or done.  Changes
+  /// no result and no counter.
+  void prefetch(std::span<const std::uint32_t> ids) const noexcept;
+
   // -- verify stage -----------------------------------------------------
 
   /// Runs the configured verifier on one surviving pair, charging

@@ -1,8 +1,10 @@
 #include "core/match_join.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <optional>
+#include <utility>
 
 #include "core/block_index.hpp"
 #include "core/candidate_pipeline.hpp"
@@ -15,6 +17,7 @@
 #include "metrics/soundex.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/affinity.hpp"
+#include "util/prefetch.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -187,15 +190,24 @@ void run_pipeline_tile(const CandidatePipeline& pipe_left,
   local.verify_calls += counters.verify_calls;
 }
 
-/// Indexed FBF join body: probe the block index per left row, gather-
-/// filter the candidate ids through the right pipeline, verify survivors.
-/// Left rows are the parallel work unit (contiguous chunks); per-chunk
-/// stats merge in chunk order, and matches sort afterwards, so output is
-/// identical for any thread count — and, by the generator soundness
-/// contract, identical to the dense tile sweep's.  The affinity schedule
-/// follows run_tile_space's rule: with >= 2 workers, worker w is pinned
-/// to CPU w and owns the w-th contiguous chunk of left rows; a single
-/// worker runs inline on the caller, which is never pinned.
+/// Indexed FBF join body: probe the block index, gather-filter the
+/// candidate ids through the right pipeline, verify survivors.  The work
+/// unit is a block of kBlock left rows: each worker claims the next
+/// unclaimed block until none is left, so a worker that a busy core slows
+/// down takes fewer blocks instead of holding up the join.  Per-block
+/// stats merge in block order, so counters and the (already ascending)
+/// match pairs are identical for any thread count and claim order — and,
+/// by the generator soundness contract, identical to the dense tile
+/// sweep's.  The affinity schedule follows run_tile_space's rule: with
+/// >= 2 workers, worker w is pinned to CPU w; a single worker runs inline
+/// on the caller, which is never pinned.
+///
+/// The probe is a chain of dependent cache misses, so a block's rows go
+/// through it in groups of BlockIndexGenerator::kProbeGroup: one batched
+/// generate for the group, then prefetches of every candidate's plane row
+/// and right-side string, then filter and verify row by row in ascending
+/// order.  Grouping changes when lines are loaded, never which pairs are
+/// evaluated or in what order.
 void run_indexed_join(const BlockIndexGenerator& gen,
                       const CandidatePipeline& pipe_left,
                       const CandidatePipeline& pipe_right,
@@ -203,48 +215,73 @@ void run_indexed_join(const BlockIndexGenerator& gen,
                       std::span<const std::string> right,
                       std::size_t threads, bool affinity, bool collect,
                       JoinStats& stats) {
-  const std::size_t n_chunks =
-      std::max<std::size_t>(1, std::min(threads, left.size()));
-  stats.tiles = n_chunks;
-  const bool pin = affinity && n_chunks >= 2;
+  constexpr std::size_t kGroup = BlockIndexGenerator::kProbeGroup;
+  // 256 rows: ~800 blocks at 200k rows keep the last claims short, and
+  // each block's merge is one append.
+  constexpr std::size_t kBlock = 16 * kGroup;
+  const std::size_t n_blocks = (left.size() + kBlock - 1) / kBlock;
+  const std::size_t n_workers =
+      std::max<std::size_t>(1, std::min(threads, n_blocks));
+  stats.tiles = n_blocks;
+  const bool pin = affinity && n_workers >= 2;
   stats.affinity_schedule = pin;
-  std::vector<JoinStats> chunk_stats(n_chunks);
+  std::vector<JoinStats> block_stats(n_blocks);
+  std::atomic<std::size_t> next_block{0};
   fbf::util::parallel_chunks(
-      left.size(), threads,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+      n_workers, n_workers, [&](std::size_t worker, std::size_t, std::size_t) {
         if (pin) {
-          fbf::util::pin_current_thread(chunk);
+          fbf::util::pin_current_thread(worker);
         }
-        JoinStats& local = chunk_stats[chunk];
-        PipelineCounters counters;
-        std::vector<std::uint32_t> ids;
+        std::string_view queries[kGroup];
+        std::vector<std::uint32_t> ids[kGroup];
         std::vector<std::uint32_t> survivors;
-        for (std::size_t i = begin; i < end; ++i) {
-          ids.clear();
-          gen.generate(left[i], ids);
-          survivors.clear();
-          pipe_right.filter_ids(pipe_left.row_query(i), ids, survivors,
-                                counters);
-          for (const std::uint32_t j : survivors) {
-            if (pipe_right.verify(left[i], right[j], counters)) {
-              ++local.matches;
-              if (i == j) {
-                ++local.diagonal_matches;
+        for (std::size_t blk = next_block++; blk < n_blocks;
+             blk = next_block++) {
+          const std::size_t begin = blk * kBlock;
+          const std::size_t end = std::min(begin + kBlock, left.size());
+          JoinStats local;
+          PipelineCounters counters;
+          for (std::size_t g = begin; g < end; g += kGroup) {
+            const std::size_t n = std::min(kGroup, end - g);
+            for (std::size_t b = 0; b < n; ++b) {
+              queries[b] = left[g + b];
+              ids[b].clear();
+            }
+            gen.generate_batch({queries, n}, {ids, n});
+            for (std::size_t b = 0; b < n; ++b) {
+              pipe_right.prefetch(ids[b]);
+              for (const std::uint32_t j : ids[b]) {
+                fbf::util::prefetch(&right[j]);
               }
-              if (collect) {
-                local.match_pairs.emplace_back(static_cast<std::uint32_t>(i),
-                                               j);
+            }
+            for (std::size_t b = 0; b < n; ++b) {
+              const std::size_t i = g + b;
+              survivors.clear();
+              pipe_right.filter_ids(pipe_left.row_query(i), ids[b],
+                                    survivors, counters);
+              for (const std::uint32_t j : survivors) {
+                if (pipe_right.verify(left[i], right[j], counters)) {
+                  ++local.matches;
+                  if (i == j) {
+                    ++local.diagonal_matches;
+                  }
+                  if (collect) {
+                    local.match_pairs.emplace_back(
+                        static_cast<std::uint32_t>(i), j);
+                  }
+                }
               }
             }
           }
+          local.candidates_generated += counters.candidates_generated;
+          local.length_pass += counters.length_pass;
+          local.fbf_evaluated += counters.fbf_evaluated;
+          local.fbf_pass += counters.fbf_pass;
+          local.verify_calls += counters.verify_calls;
+          block_stats[blk] = std::move(local);
         }
-        local.candidates_generated += counters.candidates_generated;
-        local.length_pass += counters.length_pass;
-        local.fbf_evaluated += counters.fbf_evaluated;
-        local.fbf_pass += counters.fbf_pass;
-        local.verify_calls += counters.verify_calls;
       });
-  for (const JoinStats& local : chunk_stats) {
+  for (const JoinStats& local : block_stats) {
     stats.merge_counts(local);
   }
 }
@@ -386,8 +423,15 @@ JoinStats match_strings(std::span<const std::string> left,
       if (uses_fbf) {
         const bool collect = config.collect_matches;
         if (block_gen) {
+          const fbf::util::Stopwatch probe_timer;
           run_indexed_join(*block_gen, *pipe_left, *pipe_right, left, right,
                            config.threads, affinity, collect, stats);
+          if (fbf::telemetry::enabled()) {
+            static fbf::telemetry::Histogram& probe =
+                fbf::telemetry::Registry::global().histogram(
+                    "join.probe_ms");
+            probe.record(probe_timer.elapsed_ms());
+          }
           break;
         }
         run_tile_space(left.size(), right.size(), config.threads, affinity,
@@ -430,8 +474,12 @@ JoinStats match_strings(std::span<const std::string> left,
   }
   // Tiles visit the pair space out of row-major order; restore the
   // documented ascending (i, j) ordering so collect_matches output is
-  // byte-identical across thread counts and tile shapes.
-  std::sort(stats.match_pairs.begin(), stats.match_pairs.end());
+  // byte-identical across thread counts and tile shapes.  The indexed
+  // route's blocks merge in row order, so its pairs already arrive
+  // sorted, and sorting them again would cost far more than the check.
+  if (!std::is_sorted(stats.match_pairs.begin(), stats.match_pairs.end())) {
+    std::sort(stats.match_pairs.begin(), stats.match_pairs.end());
+  }
   stats.join_ms = join_timer.elapsed_ms();
   if (fbf::telemetry::enabled()) {
     // Join-level mirror (the ladder rungs were already mirrored by the

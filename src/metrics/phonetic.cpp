@@ -1,5 +1,8 @@
 #include "metrics/phonetic.hpp"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "util/ascii.hpp"
 
 namespace fbf::metrics {
@@ -35,6 +38,15 @@ bool ends_with(const std::string& s, std::string_view suffix) {
          std::string_view(s).substr(s.size() - suffix.size()) == suffix;
 }
 
+/// Same-length translation: writes `with` over w[pos, pos + with.size()).
+/// Every NYSIIS cluster rewrite but the terminal ones keeps the length, so
+/// an in-place copy says exactly that.  (g++ 12 also flags replace() here
+/// with a -Wrestrict false positive, which breaks -Werror builds.)
+void overwrite(std::string& w, std::size_t pos, std::string_view with) {
+  std::copy(with.begin(), with.end(),
+            w.begin() + static_cast<std::ptrdiff_t>(pos));
+}
+
 }  // namespace
 
 std::string nysiis(std::string_view name) {
@@ -44,15 +56,15 @@ std::string nysiis(std::string_view name) {
   }
   // Step 1: initial-cluster translations.
   if (starts_with(w, "MAC")) {
-    w.replace(0, 3, "MCC");
+    overwrite(w, 0, "MCC");
   } else if (starts_with(w, "KN")) {
-    w.replace(0, 2, "NN");
+    overwrite(w, 0, "NN");
   } else if (starts_with(w, "K")) {
-    w.replace(0, 1, "C");
+    overwrite(w, 0, "C");
   } else if (starts_with(w, "PH") || starts_with(w, "PF")) {
-    w.replace(0, 2, "FF");
+    overwrite(w, 0, "FF");
   } else if (starts_with(w, "SCH")) {
-    w.replace(0, 3, "SSS");
+    overwrite(w, 0, "SSS");
   }
   // Step 2: terminal-cluster translations.
   if (ends_with(w, "EE") || ends_with(w, "IE")) {
@@ -65,10 +77,8 @@ std::string nysiis(std::string_view name) {
   std::string key(1, w[0]);
   // Step 4: scan remaining characters with context rules.
   for (std::size_t i = 1; i < w.size(); ++i) {
-    std::string replacement;
     if (w.compare(i, 2, "EV") == 0) {
-      replacement = "AF";
-      w.replace(i, 2, replacement);
+      overwrite(w, i, "AF");
     } else if (is_vowel(w[i])) {
       w[i] = 'A';
     } else if (w[i] == 'Q') {
@@ -78,13 +88,13 @@ std::string nysiis(std::string_view name) {
     } else if (w[i] == 'M') {
       w[i] = 'N';
     } else if (w.compare(i, 2, "KN") == 0) {
-      w.replace(i, 2, "NN");
+      overwrite(w, i, "NN");
     } else if (w[i] == 'K') {
       w[i] = 'C';
     } else if (w.compare(i, 3, "SCH") == 0) {
-      w.replace(i, 3, "SSS");
+      overwrite(w, i, "SSS");
     } else if (w.compare(i, 2, "PH") == 0) {
-      w.replace(i, 2, "FF");
+      overwrite(w, i, "FF");
     } else if (w[i] == 'H' &&
                (!is_vowel(w[i - 1]) ||
                 (i + 1 < w.size() && !is_vowel(w[i + 1])))) {

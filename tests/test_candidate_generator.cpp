@@ -20,6 +20,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -518,6 +519,66 @@ TEST(BlockIndexGenerator, AutomaticCompactionTriggersAndStaysSound) {
   expect_sound_superset(gen, dataset.error, queries, 1);
 }
 
+TEST(BlockIndexGenerator, BatchedProbeEqualsPerQueryGenerate) {
+  // generate_batch must append exactly what per-query generate appends,
+  // for every group size around kProbeGroup, on an index with all three
+  // tiers populated: CSR base, un-compacted overflow, and long strings.
+  // Queries include an empty one and ones too long to enumerate.
+  constexpr std::size_t kGroup = c::BlockIndexGenerator::kProbeGroup;
+  const auto dataset =
+      dg::build_paired_dataset(dg::FieldKind::kLastName, 160, 71).value();
+  std::vector<std::string> stored(dataset.error.begin(),
+                                  dataset.error.begin() + 120);
+  stored.push_back("");
+  stored.push_back(std::string(70, 'Q'));
+  stored.push_back(std::string(65, 'Q') + "RS");
+  std::vector<std::string> appended(dataset.error.begin() + 120,
+                                    dataset.error.end());
+  appended.push_back(std::string(80, 'Z'));
+  std::vector<std::string> queries(dataset.clean.begin(),
+                                   dataset.clean.begin() + 40);
+  queries.insert(queries.begin() + 3, "");
+  queries.insert(queries.begin() + 11, std::string(70, 'Q'));
+  queries.insert(queries.begin() + 20, std::string(66, 'Q') + "R");
+  queries.push_back(dataset.clean[130]);  // matches an overflow entry
+  queries.push_back(dataset.clean[150]);
+  for (const int k : {0, 1, 2}) {
+    c::BlockIndexGenerator gen(k, stored);
+    for (const std::string& s : appended) {
+      gen.append(s);
+    }
+    const c::BlockIndexStats st = gen.stats();
+    ASSERT_GT(st.overflow_entries, 0u) << "k=" << k;
+    ASSERT_EQ(st.long_strings, 3u) << "k=" << k;
+
+    // Per-query reference; every list starts with a marker so the
+    // comparison also checks that generate_batch appends.
+    constexpr std::uint32_t kMarker = 0xfffffffu;
+    std::vector<std::vector<std::uint32_t>> expected(queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      expected[q].push_back(kMarker);
+      gen.generate(queries[q], expected[q]);
+    }
+    const std::vector<std::string_view> views(queries.begin(), queries.end());
+    for (std::size_t n = 1; n <= kGroup + 1; ++n) {
+      for (std::size_t b = 0; b < views.size(); b += n) {
+        const std::size_t len = std::min(n, views.size() - b);
+        std::vector<std::vector<std::uint32_t>> outs(len, {kMarker});
+        gen.generate_batch(std::span(views).subspan(b, len), outs);
+        for (std::size_t q = 0; q < len; ++q) {
+          ASSERT_EQ(outs[q], expected[b + q])
+              << "k=" << k << " group size " << n << " query " << b + q
+              << " '" << queries[b + q] << "'";
+        }
+      }
+    }
+    // The whole query list in one call (several internal groups).
+    std::vector<std::vector<std::uint32_t>> all(views.size(), {kMarker});
+    gen.generate_batch(views, all);
+    EXPECT_EQ(all, expected) << "k=" << k;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // filter_ids: the generate→filter seam.
 // ---------------------------------------------------------------------------
@@ -662,6 +723,50 @@ TEST(GeneratorEquivalence, MatchJoinBlockEqualsDense) {
       }
     }
   }
+}
+
+TEST(GeneratorEquivalence, BlockJoinIsScheduleInvariant) {
+  // Workers claim blocks of left rows in whatever order they get to
+  // them; counters and the sorted match pairs must not depend on that —
+  // across thread counts, the affinity schedule, and enough rows for
+  // many blocks per worker.
+  const ScopedForceGenerator clear_env(nullptr);
+  const auto dataset =
+      dg::build_paired_dataset(dg::FieldKind::kLastName, 5000, 223).value();
+  c::JoinConfig cfg;
+  cfg.collect_matches = true;
+  cfg.generator = c::GeneratorKind::kBlockIndex;
+  cfg.threads = 1;
+  const auto serial = c::match_strings(dataset.clean, dataset.error, cfg);
+  ASSERT_STREQ(serial.generator, "block-index");
+  ASSERT_GT(serial.tiles, 8u);
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    for (const c::TileAffinity affinity :
+         {c::TileAffinity::kOff, c::TileAffinity::kOn}) {
+      cfg.threads = threads;
+      cfg.affinity = affinity;
+      const auto run = c::match_strings(dataset.clean, dataset.error, cfg);
+      const std::string label = "threads=" + std::to_string(threads) +
+                                (affinity == c::TileAffinity::kOn
+                                     ? " affinity"
+                                     : "");
+      EXPECT_EQ(run.candidates_generated, serial.candidates_generated)
+          << label;
+      EXPECT_EQ(run.length_pass, serial.length_pass) << label;
+      EXPECT_EQ(run.fbf_evaluated, serial.fbf_evaluated) << label;
+      EXPECT_EQ(run.fbf_pass, serial.fbf_pass) << label;
+      EXPECT_EQ(run.verify_calls, serial.verify_calls) << label;
+      EXPECT_EQ(run.matches, serial.matches) << label;
+      EXPECT_EQ(run.diagonal_matches, serial.diagonal_matches) << label;
+      ASSERT_EQ(run.match_pairs, serial.match_pairs) << label;
+    }
+  }
+  cfg.threads = 3;
+  cfg.affinity = c::TileAffinity::kOff;
+  cfg.generator = c::GeneratorKind::kDense;
+  EXPECT_EQ(c::match_strings(dataset.clean, dataset.error, cfg).match_pairs,
+            serial.match_pairs);
 }
 
 TEST(GeneratorEquivalence, FilterOnlyMethodStaysDense) {

@@ -19,7 +19,7 @@ lk::PersonRecord sample_person() {
   p.last_name = "JOHNSON";
   p.address = "1801 N BROAD ST";
   p.phone = "2155551234";
-  p.gender = "F";
+  p.gender.assign(1, 'F');
   p.ssn = "123121234";
   p.birth_date = "02251980";
   return p;
@@ -28,7 +28,7 @@ lk::PersonRecord sample_person() {
 TEST(Record, FieldAccessorRoundTrip) {
   lk::PersonRecord p = sample_person();
   for (const lk::RecordField f : lk::all_record_fields()) {
-    p.field(f) = "X";
+    p.field(f).assign(1, 'X');
     EXPECT_EQ(p.field(f), "X") << lk::record_field_name(f);
   }
 }

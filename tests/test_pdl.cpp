@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "metrics/damerau.hpp"
 #include "util/rng.hpp"
@@ -129,6 +131,47 @@ TEST_P(PdlEquivalence, MatchesFullDlOnNearPairs) {
   }
 }
 
+TEST_P(PdlEquivalence, BandKernelMatchesFullDlOnLongPairs) {
+  // Lengths 0..130 with k from 0 up to and past both lengths (the larger
+  // k run the band on a heap buffer instead of the stack rows).  Half the pairs are near
+  // copies (a few edits), so the distances sit around the band edges.
+  const auto [seed, k_param] = GetParam();
+  fbf::util::Rng rng(seed + 1300);
+  for (int i = 0; i < 60; ++i) {
+    const std::string s = random_string(rng, 0, 130, 6);
+    std::string t = random_string(rng, 0, 130, 6);
+    if (i % 2 == 0) {
+      t = s;
+      for (int e = static_cast<int>(rng.below(6)); e > 0 && !t.empty(); --e) {
+        const auto pos = static_cast<std::size_t>(rng.below(t.size()));
+        if (rng.below(2) == 0) {
+          t[pos] = static_cast<char>('A' + rng.below(6));
+        } else {
+          t.erase(t.begin() + static_cast<std::ptrdiff_t>(pos));
+        }
+      }
+    }
+    const int full = dl_distance(s, t);
+    const int longest = static_cast<int>(std::max(s.size(), t.size()));
+    for (const int k : {k_param, k_param + 7, longest, longest + 1,
+                        longest + 140}) {
+      // Algorithm 2's quirks: an empty operand or a length gap past k is
+      // FALSE up front (DL alone would accept "" vs "A" at k = 1).
+      const bool alg2 = !s.empty() && !t.empty() && full <= k;
+      EXPECT_EQ(pdl_within(s, t, k), alg2)
+          << "|s|=" << s.size() << " |t|=" << t.size() << " k=" << k
+          << " dl=" << full;
+      EXPECT_EQ(within_edits(s, t, k), full <= k);
+      const auto bounded = bounded_dl_distance(s, t, k);
+      if (full <= k) {
+        EXPECT_EQ(bounded, full) << "s=" << s << " t=" << t << " k=" << k;
+      } else {
+        EXPECT_FALSE(bounded.has_value()) << "s=" << s << " t=" << t;
+      }
+    }
+  }
+}
+
 TEST_P(PdlEquivalence, BoundedDistanceAgreesWithFullDl) {
   const auto [seed, k] = GetParam();
   fbf::util::Rng rng(seed + 900);
@@ -184,6 +227,45 @@ TEST(PdlLongStrings, RepeatedCharacterBlocks) {
                          "AAAAAAAAAACCCAAAAAAAAAA", 3));
   EXPECT_TRUE(pdl_within(std::string(40, 'A'), std::string(41, 'A'), 1));
   EXPECT_FALSE(pdl_within(std::string(40, 'A'), std::string(44, 'A'), 3));
+}
+
+TEST(PdlLongStrings, TranspositionsAtBothBandEdgesForKTwo) {
+  // One or two indels shift the alignment to diagonal +-1 or +-2 (the
+  // band's edges at k = 2) before or after an adjacent transposition, on
+  // either side; every placement must agree with the full DP.
+  const std::string base = "ABCDEFGHIJKL";
+  const auto shifted = [&](std::string t, std::size_t p, std::size_t q,
+                           int indels, bool insert) {
+    std::swap(t[p], t[p + 1]);
+    for (int e = 0; e < indels; ++e) {
+      if (insert) {
+        t.insert(t.begin() + static_cast<std::ptrdiff_t>(q), 'Z');
+      } else if (q < t.size()) {
+        t.erase(t.begin() + static_cast<std::ptrdiff_t>(q));
+      }
+    }
+    return t;
+  };
+  int accepted = 0;
+  int rejected = 0;
+  for (std::size_t p = 0; p + 1 < base.size(); ++p) {
+    for (std::size_t q = 0; q <= base.size(); ++q) {
+      for (const int indels : {1, 2}) {
+        for (const bool insert : {true, false}) {
+          const std::string t = shifted(base, p, q, indels, insert);
+          for (const auto& [a, b] : {std::pair{base, t}, std::pair{t, base}}) {
+            const bool expected = dl_distance(a, b) <= 2;
+            (expected ? accepted : rejected) += 1;
+            EXPECT_EQ(pdl_within(a, b, 2), expected)
+                << "a=" << a << " b=" << b;
+            EXPECT_EQ(fbf::metrics::within_edits(a, b, 2), expected);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);  // the sweep reaches both verdicts
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(PdlLongStrings, TranspositionAtBandEdge) {

@@ -106,7 +106,7 @@ TEST(StandardizeRecord, Idempotent) {
   r.last_name = "O'Brien";
   r.address = "1801 North Broad Street";
   r.phone = "(215) 555-1212";
-  r.gender = "f";
+  r.gender.assign(1, 'f');
   r.ssn = "123-12-1234";
   r.birth_date = "02/25/1980";
   lk::standardize_record(r);

@@ -369,6 +369,43 @@ TEST(TelemetryNeutrality, BlockJoinRecordsIndexBuildTime) {
   EXPECT_EQ(samples(), 1u);
 }
 
+TEST(TelemetryNeutrality, BlockJoinRecordsProbeTime) {
+  // join.probe_ms gains one sample per block-route join (the probe loop
+  // after the index build, so it fits inside join_ms), none on the dense
+  // route, and none with telemetry off.  Its match set is the dense one.
+  const TelemetryGuard guard;
+  const fbf::testenv::ScopedForceGenerator unpinned(nullptr);
+  auto built = d::build_paired_dataset(d::FieldKind::kLastName, 300, 37);
+  ASSERT_TRUE(built.ok());
+  const d::PairedDataset& dataset = built.value();
+  const auto probe = [] {
+    const t::MetricsSnapshot snap = t::capture(t::Registry::global());
+    const t::HistogramStats* h = snap.histogram("join.probe_ms");
+    return h == nullptr ? t::HistogramStats{} : *h;
+  };
+  const auto run = [&](c::GeneratorKind generator) {
+    c::JoinConfig config;
+    config.generator = generator;
+    config.collect_matches = true;
+    return c::match_strings(dataset.clean, dataset.error, config);
+  };
+
+  const c::JoinStats dense = run(c::GeneratorKind::kDense);
+  EXPECT_STREQ(dense.generator, "dense");
+  EXPECT_EQ(probe().count, 0u);
+  const c::JoinStats block = run(c::GeneratorKind::kBlockIndex);
+  EXPECT_STREQ(block.generator, "block-index");
+  EXPECT_EQ(block.match_pairs, dense.match_pairs);
+  const t::HistogramStats one = probe();
+  EXPECT_EQ(one.count, 1u);
+  EXPECT_GT(one.max, 0.0);
+  EXPECT_LE(one.max, block.join_ms + 1.0 / 1024);  // kept at 1/1024 ms
+  t::set_enabled(false);
+  run(c::GeneratorKind::kBlockIndex);
+  t::set_enabled(true);
+  EXPECT_EQ(probe().count, 1u);
+}
+
 // --- tracing ------------------------------------------------------------
 
 TEST(TelemetryTrace, DerivedIdsAreDeterministicAndNeverZero) {
