@@ -4,21 +4,21 @@
 //
 // The headline measurement is the coalescing payoff: the same corpus,
 // the same query stream, served once with coalescing disabled (Q=1 —
-// every query sweeps the planes alone) and once with full register
-// blocks (Q=8).  At saturation the Q=8 configuration amortizes each
-// packed plane load across the whole block, so throughput must rise
-// measurably; the bench records the ratio.  An open-loop phase then
-// replays arrivals at a fixed fraction of the measured Q=8 capacity to
-// show tail latency off-saturation, and a TCP phase round-trips through
-// real loopback sockets (plus a fault-injected transport-equivalence
-// check mirroring the property test).
+// every query probes the index and sweeps the unindexed tail alone) and
+// once with full register blocks (Q=8, one grouped index probe and one
+// tail sweep per batch); the bench records the QPS ratio.  Every phase
+// runs against the published block index (the served default), so the
+// ratio is the coalescer's cost or gain on that route.  An open-loop
+// phase then replays arrivals at a fixed fraction of the measured Q=8
+// capacity to show tail latency off-saturation, and a TCP phase
+// round-trips through real loopback sockets (plus a fault-injected
+// transport-equivalence check mirroring the property test).
 //
 //   --n        corpus size (default 12000; --full: 1000000, where the
-//              packed planes outgrow cache and the batch's one-sweep-
-//              per-tile plane reuse becomes the bottleneck saver)
+//              index and the packed planes outgrow cache)
 //   --clients  closed-loop client threads (default 8; --full: 16)
 //   --queries  total queries per closed-loop phase (default 4000;
-//              --full: 2000 — full-scale queries cost ~1 ms each)
+//              --full: 2000)
 //   --repeats  best-of repeats per closed-loop phase (default 3)
 //   --batch-threads  exec.threads for batch execution (default 1): >1
 //              additionally fans a coalesced batch across cores (a Q=1
@@ -311,6 +311,10 @@ int main(int argc, char** argv) {
     auto service = std::make_unique<s::MatchService>(
         options, std::make_shared<fbf::storage::MemObjectBackend>());
     service->index_strings(dataset.clean);
+    // Measure the served route: string queries go through the block index
+    // once it is published (ServiceOptions default), so every phase
+    // starts after the background build.
+    service->corpus().wait_for_index();
     return service;
   };
 

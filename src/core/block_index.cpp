@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstddef>
 #include <limits>
 #include <memory>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "util/prefetch.hpp"
@@ -102,19 +102,20 @@ struct KeyScratch {
   std::vector<std::uint64_t> suf;   ///< suf[i] = sum_{m>=i} s[m]*B^(l-1-m)
   std::vector<std::uint64_t> keys;  ///< key hashes (collect_keys appends)
   /// generate_batch: group query q's keys are keys[key_begin[q],
-  /// key_begin[q + 1]), resolved to ranges[] by one find_batch.
+  /// key_begin[q + 1]), resolved to bucket ranges[] by one find_batch.
   std::vector<std::size_t> key_begin;
   std::vector<PackedPostings::Range> ranges;
 };
 
-/// Appends the key hashes for `s` to scratch.keys — the appended keys
-/// sorted unique when `dedup` (the append path, so the index never stores
-/// duplicate postings), raw enumeration order otherwise (the probe path:
-/// duplicate keys only re-surface ids the final candidate dedup removes
-/// anyway).  Returns false, appending nothing, when the string is too
-/// long to enumerate (caller takes the always-candidate path).
+/// Appends the key hashes for `s` to `keys` — the appended keys sorted
+/// unique when `dedup` (the overflow tier never stores duplicate
+/// postings), raw enumeration order otherwise (the postings build
+/// deduplicates per id itself, and on the probe path duplicate keys only
+/// re-surface ids the final candidate dedup removes anyway).  Returns
+/// false, appending nothing, when the string is too long to enumerate
+/// (caller takes the always-candidate path).
 bool collect_keys(std::string_view s, int k, KeyScratch& scratch,
-                  bool dedup = true) {
+                  std::vector<std::uint64_t>& keys, bool dedup) {
   const std::size_t l = s.size();
   if (l > kMaxEnumLength) {
     return false;
@@ -134,7 +135,6 @@ bool collect_keys(std::string_view s, int k, KeyScratch& scratch,
   }
   const std::uint64_t* pre = scratch.pre.data();
   const std::uint64_t* suf = scratch.suf.data();
-  std::vector<std::uint64_t>& keys = scratch.keys;
   const auto first = static_cast<std::ptrdiff_t>(keys.size());
 
   // Piece family: 2k+1 near-equal contiguous pieces, keyed by (length,
@@ -185,303 +185,260 @@ bool collect_keys(std::string_view s, int k, KeyScratch& scratch,
   return true;
 }
 
-// Partition sizing for PackedPostings::build: about this many entries
-// per partition (16 B each), so a partition and its radix scratch stay
-// in a core's L2 while it is sorted and packed.
-constexpr std::size_t kPartitionEntries = std::size_t{1} << 14;
-constexpr int kMaxPartitionBits = 16;
-// find() table density: about four keys per bucket.
-constexpr std::size_t kKeysPerBucket = 4;
+// Bucket table density: about four entries per bucket.
+constexpr std::size_t kEntriesPerBucket = 4;
 
-/// Sorts `part` (entries sharing their top `partition_bits` hash bits)
-/// by (hash, id) through `scratch`, deduplicates it in place and returns
-/// {unique entries, distinct keys}.  A radix split on the next hash bits
-/// leaves ~1 entry per bucket (the hashes are uniform after finalize()),
-/// so one insertion pass orders the small buckets; only a large bucket
-/// (a hot key) sees a comparison sort.
-std::pair<std::size_t, std::size_t> sort_partition(
-    std::span<PostingEntry> part, int partition_bits,
-    std::vector<PostingEntry>& scratch, std::vector<std::uint32_t>& starts) {
-  if (part.empty()) {
-    return {0, 0};
-  }
-  const int radix_bits =
-      std::max(1, static_cast<int>(std::bit_width(part.size())));
-  const int shift = 64 - partition_bits - radix_bits;
-  const std::uint64_t mask = (std::uint64_t{1} << radix_bits) - 1;
-  starts.assign((std::size_t{1} << radix_bits) + 1, 0);
-  for (const PostingEntry& e : part) {
-    ++starts[((e.hash >> shift) & mask) + 1];
-  }
-  for (std::size_t b = 1; b < starts.size(); ++b) {
-    starts[b] += starts[b - 1];
-  }
-  scratch.resize(part.size());
-  for (const PostingEntry& e : part) {
-    scratch[starts[(e.hash >> shift) & mask]++] = e;
-  }
-  const auto less = [](const PostingEntry& a, const PostingEntry& b) {
-    return a.hash != b.hash ? a.hash < b.hash : a.id < b.id;
-  };
-  // The scatter advanced starts[b] to bucket b's end; bucket 0 begins
-  // at 0.
-  constexpr std::size_t kInsertionLimit = 16;
-  std::size_t begin = 0;
-  for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
-    const std::size_t end = starts[b];
-    if (end - begin > kInsertionLimit) {
-      std::sort(scratch.begin() + static_cast<std::ptrdiff_t>(begin),
-                scratch.begin() + static_cast<std::ptrdiff_t>(end), less);
-    }
-    begin = end;
-  }
-  // Buckets are ordered and large ones sorted, so an entry only ever moves
-  // back within its own small bucket.
-  for (std::size_t i = 1; i < scratch.size(); ++i) {
-    if (less(scratch[i], scratch[i - 1])) {
-      const PostingEntry e = scratch[i];
-      std::size_t j = i;
-      do {
-        scratch[j] = scratch[j - 1];
-        --j;
-      } while (j > 0 && less(e, scratch[j - 1]));
-      scratch[j] = e;
-    }
-  }
-  std::size_t n = 0;
-  std::size_t keys = 0;
-  for (const PostingEntry& e : scratch) {
-    if (n > 0 && e.hash == part[n - 1].hash) {
-      if (e.id == part[n - 1].id) {
-        continue;
-      }
-    } else {
-      ++keys;
-    }
-    part[n++] = e;
-  }
-  return {n, keys};
+/// Bucket bits for `expected` entries: the power of two nearest (in log
+/// scale) to expected / kEntriesPerBucket, so buckets hold 2.8-5.7
+/// entries on average.  x * 181 / 256 ~ x / sqrt(2) turns bit_width's
+/// round-up of log2 into round-to-nearest.
+[[nodiscard]] int bucket_bits_for(std::size_t expected) noexcept {
+  const std::size_t target = expected / kEntriesPerBucket;
+  return std::clamp(static_cast<int>(std::bit_width(target * 181 / 256)), 1,
+                    32);
 }
+
+// Ids whose keys PackedPostings::build collects before it counts or
+// places them, so the group's cache misses overlap.
+constexpr std::size_t kBuildGroup = 16;
+
+// Key lists up to this long are deduplicated in place, keeping the first
+// occurrence; longer ones (k = 2) are sorted first.
+constexpr std::size_t kLinearDedup = 16;
+
+/// Drops repeated hashes from one id's key list.  Short lists keep their
+/// emission order (a linear scan per key beats sorting them); long lists
+/// come out sorted.  Either way the result is a pure function of the
+/// list.
+void dedup_keys(std::vector<std::uint64_t>& hashes) {
+  if (hashes.size() > kLinearDedup) {
+    std::sort(hashes.begin(), hashes.end());
+    hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
+    return;
+  }
+  const auto first = hashes.begin();
+  auto kept = first;
+  for (const std::uint64_t h : hashes) {
+    if (std::find(first, kept, h) == kept) {
+      *kept++ = h;
+    }
+  }
+  hashes.erase(kept, hashes.end());
+}
+
+// Strings between two checks of a cancellable build's stop token.
+constexpr std::uint32_t kStopCheckIds = 4096;
+
+// Overflow compaction: fold once the tier holds at least this many
+// entries and a quarter as many as the base.
+constexpr std::size_t kMinCompactEntries = 4096;
 
 }  // namespace
 
-void PackedPostings::build(std::vector<std::vector<PostingEntry>> runs,
-                           std::size_t threads) {
-  std::size_t total = 0;
-  for (const auto& run : runs) {
-    total += run.size();
+bool PackedPostings::build(std::uint32_t n_ids, std::size_t expected_entries,
+                           const KeySource& keys, std::size_t threads,
+                           int tag_bits) {
+  assert(tag_bits >= 0 && tag_bits <= kTagBits);
+  *this = PackedPostings{};
+  const int bucket_bits = bucket_bits_for(expected_entries);
+  const std::size_t n_buckets = std::size_t{1} << bucket_bits;
+  bucket_shift_ = 64 - bucket_bits;
+  tag_shift_ = bucket_shift_ - tag_bits;
+  tag_mask_ = (std::uint64_t{1} << tag_bits) - 1;
+  tag_bits_ = tag_bits;
+  bits_per_id_ = std::max(
+      1, static_cast<int>(std::bit_width(n_ids == 0 ? 0u : n_ids - 1)));
+  const auto bpi = static_cast<std::size_t>(bits_per_id_);
+
+  // Ids are split into chunks as parallel_chunks splits them; both passes
+  // see the same chunks.  Chunk c keeps one cursor per bucket: first its
+  // entry count, then (after the prefix sums) the position of its next
+  // entry.  The last chunk's cursors live in bucket_starts_[1..], so once
+  // every entry is placed they hold the bucket ends.
+  const std::size_t n_chunks =
+      std::max<std::size_t>(1, std::min<std::size_t>(threads, n_ids));
+  bucket_starts_.assign(n_buckets + 1, 0);
+  std::vector<std::uint32_t> side((n_chunks - 1) * n_buckets, 0);
+  const auto cursors = [&](std::size_t chunk) {
+    return chunk + 1 == n_chunks ? bucket_starts_.data() + 1
+                                 : side.data() + chunk * n_buckets;
+  };
+  std::vector<std::size_t> chunk_entries(n_chunks, 0);
+  // Packed ids share words across chunk seams, so with several chunks
+  // the ids are placed as 32-bit values first and packed afterwards.
+  std::unique_ptr<std::uint32_t[]> wide_ids;
+  std::atomic<bool> aborted{false};
+
+  // One pass over every id: ids in groups of kBuildGroup, whose keys are
+  // collected first (their cursors prefetched) and then counted or
+  // placed in order, so a group's cache misses overlap.
+  const auto pass = [&](bool place) {
+    fbf::util::parallel_chunks(
+        n_ids, n_chunks,
+        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+          std::uint32_t* const cur = cursors(chunk);
+          std::vector<std::uint64_t> hashes;
+          std::vector<std::uint64_t> group;
+          std::vector<std::uint32_t> group_ids;
+          std::vector<std::uint32_t> group_pos;
+          for (std::size_t g = begin; g < end; g += kBuildGroup) {
+            group.clear();
+            group_ids.clear();
+            for (std::size_t i = g; i < std::min(g + kBuildGroup, end); ++i) {
+              const auto id = static_cast<std::uint32_t>(i);
+              hashes.clear();
+              if (aborted.load(std::memory_order_relaxed) ||
+                  !keys(id, hashes)) {
+                aborted.store(true, std::memory_order_relaxed);
+                return;
+              }
+              dedup_keys(hashes);
+              for (const std::uint64_t h : hashes) {
+                fbf::util::prefetch(cur + bucket_of(h));
+                group.push_back(h);
+                group_ids.push_back(id);
+              }
+            }
+            if (!place) {
+              for (const std::uint64_t h : group) {
+                ++cur[bucket_of(h)];
+              }
+              chunk_entries[chunk] += group.size();
+              continue;
+            }
+            group_pos.resize(group.size());
+            for (std::size_t e = 0; e < group.size(); ++e) {
+              const std::uint32_t pos = cur[bucket_of(group[e])]++;
+              group_pos[e] = pos;
+              fbf::util::prefetch_write(tags_.data() + pos);
+              fbf::util::prefetch_write(
+                  wide_ids ? static_cast<const void*>(wide_ids.get() + pos)
+                           : bits_.data() + pos * bpi / 64);
+            }
+            for (std::size_t e = 0; e < group.size(); ++e) {
+              const std::uint32_t pos = group_pos[e];
+              tags_[pos] = tag_of(group[e]);
+              if (wide_ids) {
+                wide_ids[pos] = group_ids[e];
+              } else {
+                put_id(pos, group_ids[e]);
+              }
+            }
+          }
+        });
+  };
+
+  // 1. Count: each chunk tallies its entries per bucket.
+  pass(/*place=*/false);
+  if (aborted.load()) {
+    *this = PackedPostings{};
+    return false;
   }
+  std::size_t total = 0;
+  for (const std::size_t n : chunk_entries) {
+    total += n;
+  }
+  // Per-bucket counts are 32-bit, so a bucket past 2^32 entries would
+  // have wrapped; the total cannot wrap and bounds every bucket.
   if (total > std::numeric_limits<std::uint32_t>::max()) {
+    *this = PackedPostings{};
     throw std::length_error("PackedPostings: more than 2^32 entries");
   }
-  // Partition p holds the hashes whose top `partition_bits` bits equal p.
-  // The count depends only on the entry total, never on `threads`.
-  const int partition_bits = std::clamp(
-      static_cast<int>(std::bit_width(total / kPartitionEntries)), 1,
-      kMaxPartitionBits);
-  const int partition_shift = 64 - partition_bits;
-  const std::size_t n_parts = std::size_t{1} << partition_bits;
-  const std::size_t n_runs = runs.size();
 
-  // 1. Each run histograms its entries by partition (and finds its widest
-  //    id).
-  std::vector<std::size_t> cursor(n_runs * n_parts, 0);
-  std::vector<std::uint32_t> run_max_id(n_runs, 0);
+  // 2. Prefix sums in (bucket, chunk) order turn the counts into each
+  //    chunk's first position in each bucket, fanned over bucket ranges:
+  //    every range totals its counts, then assigns from its offset.
+  const std::size_t n_ranges =
+      std::min(std::max<std::size_t>(1, threads), n_buckets);
+  std::vector<std::size_t> range_start(n_ranges + 1, 0);
   fbf::util::parallel_chunks(
-      n_runs, threads, [&](std::size_t, std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-          std::size_t* counts = cursor.data() + r * n_parts;
-          std::uint32_t max_id = 0;
-          for (const PostingEntry& e : runs[r]) {
-            ++counts[e.hash >> partition_shift];
-            max_id = std::max(max_id, e.id);
+      n_buckets, n_ranges,
+      [&](std::size_t r, std::size_t b0, std::size_t b1) {
+        std::size_t sum = 0;
+        for (std::size_t c = 0; c < n_chunks; ++c) {
+          const std::uint32_t* cur = cursors(c);
+          for (std::size_t b = b0; b < b1; ++b) {
+            sum += cur[b];
           }
-          run_max_id[r] = max_id;
         }
+        range_start[r + 1] = sum;
       });
-
-  // 2. Partition-major layout: partition p's range starts at part_begin[p]
-  //    and holds run 0's entries for p, then run 1's, and so on.
-  std::vector<std::size_t> part_begin(n_parts + 1, 0);
-  std::size_t at = 0;
-  for (std::size_t p = 0; p < n_parts; ++p) {
-    part_begin[p] = at;
-    for (std::size_t r = 0; r < n_runs; ++r) {
-      at += std::exchange(cursor[r * n_parts + p], at);
-    }
+  for (std::size_t r = 0; r < n_ranges; ++r) {
+    range_start[r + 1] += range_start[r];
   }
-  part_begin[n_parts] = at;
-
-  // 3. Every run scatters into its slots and is then released.  The
-  //    array is written before it is read, so it skips the zero-fill.
-  const auto parts = std::make_unique_for_overwrite<PostingEntry[]>(total);
   fbf::util::parallel_chunks(
-      n_runs, threads, [&](std::size_t, std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-          std::size_t* slot = cursor.data() + r * n_parts;
-          for (const PostingEntry& e : runs[r]) {
-            parts[slot[e.hash >> partition_shift]++] = e;
+      n_buckets, n_ranges,
+      [&](std::size_t r, std::size_t b0, std::size_t b1) {
+        auto at = static_cast<std::uint32_t>(range_start[r]);
+        for (std::size_t b = b0; b < b1; ++b) {
+          for (std::size_t c = 0; c < n_chunks; ++c) {
+            at += std::exchange(cursors(c)[b], at);
           }
-          std::vector<PostingEntry>().swap(runs[r]);
         }
       });
 
-  // 4. Sort, deduplicate and count each partition on its own.
-  std::vector<std::size_t> part_entries(n_parts + 1, 0);
-  std::vector<std::size_t> part_keys(n_parts + 1, 0);
-  fbf::util::parallel_chunks(
-      n_parts, threads, [&](std::size_t, std::size_t p0, std::size_t p1) {
-        std::vector<PostingEntry> scratch;
-        std::vector<std::uint32_t> starts;
-        for (std::size_t p = p0; p < p1; ++p) {
-          const std::span<PostingEntry> part(
-              parts.get() + part_begin[p], part_begin[p + 1] - part_begin[p]);
-          std::tie(part_entries[p], part_keys[p]) =
-              sort_partition(part, partition_bits, scratch, starts);
-        }
-      });
-
-  // 5. Exclusive prefix sums give each partition its global entry and key
-  //    offsets.
-  std::size_t entry_total = 0;
-  std::size_t key_total = 0;
-  for (std::size_t p = 0; p <= n_parts; ++p) {
-    entry_total += std::exchange(part_entries[p], entry_total);
-    key_total += std::exchange(part_keys[p], key_total);
+  // 3. Place every entry at its chunk's cursor, then (several chunks)
+  //    pack the ids in runs of 64 positions, whole words each.
+  tags_.resize(total);
+  bits_.assign((total * bpi + 63) / 64 + 1, 0);
+  if (n_chunks > 1) {
+    wide_ids = std::make_unique_for_overwrite<std::uint32_t[]>(total);
   }
-  count_ = entry_total;
-  std::uint32_t max_id = 0;
-  for (const std::uint32_t id : run_max_id) {
-    max_id = std::max(max_id, id);
+  pass(/*place=*/true);
+  if (aborted.load()) {
+    *this = PackedPostings{};
+    return false;
   }
-  bits_per_id_ = std::max(1, static_cast<int>(std::bit_width(max_id)));
-  const auto bpi = static_cast<std::size_t>(bits_per_id_);
-  keys_.resize(key_total);
-  offsets_.resize(key_total + 1);
-  offsets_[key_total] = count_;
-  bits_.assign((count_ * bpi + 63) / 64 + 1, 0);
-  // Bucket acceleration for find(): key hashes are splitmix64-finalized,
-  // so their top bits are uniform — a radix table at ~4 keys per bucket
-  // narrows a probe to one short scan of adjacent keys.  At least as many
-  // buckets as partitions, so each partition fills its own bucket range.
-  const int bucket_bits =
-      std::max(partition_bits,
-               static_cast<int>(std::bit_width(key_total / kKeysPerBucket)));
-  bucket_shift_ = 64 - bucket_bits;
-  const int part_bucket_bits = bucket_bits - partition_bits;
-  bucket_starts_.resize((std::size_t{1} << bucket_bits) + 1);
-  bucket_starts_.back() = static_cast<std::uint32_t>(key_total);
+  if (wide_ids) {
+    fbf::util::parallel_chunks(
+        (total + 63) / 64, threads,
+        [&](std::size_t, std::size_t g0, std::size_t g1) {
+          for (std::size_t pos = g0 * 64; pos < std::min(g1 * 64, total);
+               ++pos) {
+            put_id(pos, wide_ids[pos]);
+          }
+        });
+  }
+  return true;
+}
 
-  // 6. Pack every partition in parallel.  Interior id words belong to one
-  //    partition alone; the first and last word of a partition's bit range
-  //    may be shared with a neighbour, so those two are accumulated
-  //    privately and OR-ed in afterwards.
-  struct EdgeWords {
-    std::size_t first = 0;
-    std::uint64_t head = 0;
-    std::size_t last = 0;
-    std::uint64_t tail = 0;
-  };
-  std::vector<EdgeWords> edges(n_parts);
-  fbf::util::parallel_chunks(
-      n_parts, threads, [&](std::size_t, std::size_t p0, std::size_t p1) {
-        for (std::size_t p = p0; p < p1; ++p) {
-          const PostingEntry* part = parts.get() + part_begin[p];
-          const std::size_t pos0 = part_entries[p];
-          const std::size_t n = part_entries[p + 1] - pos0;
-          std::size_t key = part_keys[p];
-          std::size_t bucket = p << part_bucket_bits;
-          const std::size_t bucket_end = (p + 1) << part_bucket_bits;
-          EdgeWords& edge = edges[p];
-          edge.first = pos0 * bpi / 64;
-          edge.last = n == 0 ? edge.first : ((pos0 + n) * bpi - 1) / 64;
-          const auto put = [&](std::size_t word, std::uint64_t v) {
-            if (word == edge.first) {
-              edge.head |= v;
-            } else if (word == edge.last) {
-              edge.tail |= v;
-            } else {
-              bits_[word] |= v;
-            }
-          };
-          for (std::size_t i = 0; i < n; ++i) {
-            const PostingEntry& e = part[i];
-            if (i == 0 || e.hash != part[i - 1].hash) {
-              const std::size_t b = e.hash >> bucket_shift_;
-              while (bucket <= b) {
-                bucket_starts_[bucket++] = static_cast<std::uint32_t>(key);
-              }
-              keys_[key] = e.hash;
-              offsets_[key] = pos0 + i;
-              ++key;
-            }
-            const std::size_t bit = (pos0 + i) * bpi;
-            const std::size_t shift = bit % 64;
-            put(bit / 64, std::uint64_t{e.id} << shift);
-            if (shift + bpi > 64) {
-              put(bit / 64 + 1, std::uint64_t{e.id} >> (64 - shift));
-            }
-          }
-          while (bucket < bucket_end) {
-            bucket_starts_[bucket++] = static_cast<std::uint32_t>(key);
-          }
-        }
-      });
-  for (const EdgeWords& edge : edges) {
-    bits_[edge.first] |= edge.head;
-    bits_[edge.last] |= edge.tail;
+void PackedPostings::put_id(std::size_t pos, std::uint32_t id) noexcept {
+  const std::size_t bit = pos * static_cast<std::size_t>(bits_per_id_);
+  const std::size_t shift = bit % 64;
+  bits_[bit / 64] |= std::uint64_t{id} << shift;
+  if (shift + static_cast<std::size_t>(bits_per_id_) > 64) {
+    bits_[bit / 64 + 1] |= std::uint64_t{id} >> (64 - shift);
   }
 }
 
-PackedPostings::Range PackedPostings::find(std::uint64_t hash) const noexcept {
-  Range range;
-  find_batch({&hash, 1}, {&range, 1});
-  return range;
+void PackedPostings::find(std::uint64_t hash,
+                          std::vector<std::uint32_t>& out) const {
+  Range bucket;
+  find_batch({&hash, 1}, {&bucket, 1});
+  for_each_id(hash, bucket, [&](std::uint32_t id) { out.push_back(id); });
 }
 
 void PackedPostings::find_batch(std::span<const std::uint64_t> hashes,
-                                std::span<Range> ranges) const noexcept {
-  assert(hashes.size() == ranges.size());
-  if (keys_.empty()) {
-    std::fill(ranges.begin(), ranges.end(), Range{});
+                                std::span<Range> buckets) const noexcept {
+  assert(hashes.size() == buckets.size());
+  if (tags_.empty()) {
+    std::fill(buckets.begin(), buckets.end(), Range{});
     return;
   }
   using fbf::util::prefetch;
   const std::size_t n = hashes.size();
   // 1. Every hash's bucket bounds.
   for (std::size_t i = 0; i < n; ++i) {
-    prefetch(bucket_starts_.data() + (hashes[i] >> bucket_shift_));
+    prefetch(bucket_starts_.data() + bucket_of(hashes[i]));
   }
-  // 2. Each bucket's run of keys: ranges[i] holds key indices for now.
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t bucket = hashes[i] >> bucket_shift_;
-    ranges[i] = {bucket_starts_[bucket], bucket_starts_[bucket + 1]};
-    prefetch(keys_.data() + ranges[i].begin);
-  }
-  // 3. Scan the run: a hit narrows ranges[i] to its one key index, a miss
-  //    empties it.
-  for (std::size_t i = 0; i < n; ++i) {
-    Range& r = ranges[i];
-    std::size_t key = r.begin;
-    while (key < r.end && keys_[key] != hashes[i]) {
-      ++key;
-    }
-    if (key == r.end) {
-      r = {};
-      continue;
-    }
-    r = {key, key + 1};
-    prefetch(offsets_.data() + key);
-    prefetch(offsets_.data() + key + 1);
-  }
-  // 4. Key index -> packed positions, and the first id word they decode.
+  // 2. Each bucket's run: its tag line and its first id word, both
+  //    addressed by the bucket start, so they load side by side.
   const auto bpi = static_cast<std::size_t>(bits_per_id_);
-  for (Range& r : ranges) {
-    if (r.begin == r.end) {
-      continue;
-    }
-    r = {offsets_[r.begin], offsets_[r.begin + 1]};
-    prefetch(bits_.data() + r.begin * bpi / 64);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t b = bucket_of(hashes[i]);
+    buckets[i] = {bucket_starts_[b], bucket_starts_[b + 1]};
+    prefetch(tags_.data() + buckets[i].begin);
+    prefetch(bits_.data() + buckets[i].begin * bpi / 64);
   }
 }
 
@@ -504,114 +461,96 @@ BlockIndexGenerator::BlockIndexGenerator(int k) : k_(k) {}
 BlockIndexGenerator::BlockIndexGenerator(int k,
                                          std::span<const std::string> values,
                                          std::size_t threads)
-    : k_(k) {
-  append(values, threads);
+    : BlockIndexGenerator(std::move(*build(k, values, threads, {}))) {}
+
+std::optional<BlockIndexGenerator> BlockIndexGenerator::build(
+    int k, std::span<const std::string> values, std::size_t threads,
+    std::stop_token stop, int tag_bits) {
+  BlockIndexGenerator gen(k);
+  gen.tag_bits_ = tag_bits;
+  gen.size_ = values.size();
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (values[i].size() > kMaxEnumLength) {
+      gen.long_ids_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  if (!gen.rebuild(values, threads, std::move(stop))) {
+    return std::nullopt;
+  }
+  return gen;
 }
 
-void BlockIndexGenerator::append(std::string_view value) {
-  const auto id = static_cast<std::uint32_t>(size_++);
-  thread_local KeyScratch scratch;
-  scratch.keys.clear();
-  if (!collect_keys(value, k_, scratch)) {
-    long_ids_.push_back(id);
+void BlockIndexGenerator::append(std::span<const std::string> column,
+                                 std::size_t threads) {
+  assert(column.size() >= size_);
+  const std::size_t first = size_;
+  std::size_t new_keys = 0;
+  for (std::size_t i = first; i < column.size(); ++i) {
+    new_keys += enumerated_key_count(column[i].size(), k_);
+    if (column[i].size() > kMaxEnumLength) {
+      long_ids_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  size_ = column.size();
+  // Fold everything into the base once the overflow tier would stop
+  // being small next to it; the threshold keeps steady single-record
+  // ingest amortized O(keys) per append.
+  const std::size_t pending = overflow_entries_ + new_keys;
+  if (pending >= kMinCompactEntries && pending * 4 >= base_.entry_count()) {
+    if (!overflow_.empty()) {
+      ++compactions_;
+    }
+    rebuild(column, threads);
     return;
   }
-  insert_keys(scratch.keys, id);
-  maybe_compact();
-}
-
-void BlockIndexGenerator::append(std::span<const std::string> values,
-                                 std::size_t threads) {
-  const auto base_id = static_cast<std::uint32_t>(size_);
-  const std::size_t n_chunks =
-      std::max<std::size_t>(1, std::min(threads, values.size()));
-  std::vector<std::vector<PostingEntry>> runs(n_chunks);
-  std::vector<std::vector<std::uint32_t>> chunk_long(n_chunks);
-  fbf::util::parallel_chunks(
-      values.size(), threads,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        // Key counts depend only on (length, k): size the run exactly up
-        // front (a reservation, so a miscount could only cost a regrow).
-        std::size_t n_keys = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          n_keys += enumerated_key_count(values[i].size(), k_);
-        }
-        std::vector<PostingEntry>& run = runs[chunk];
-        run.reserve(n_keys);
-        KeyScratch scratch;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto id = static_cast<std::uint32_t>(base_id + i);
-          // No per-string dedup: the CSR build deduplicates (hash, id)
-          // pairs globally anyway.
-          scratch.keys.clear();
-          if (!collect_keys(values[i], k_, scratch, /*dedup=*/false)) {
-            chunk_long[chunk].push_back(id);
-            continue;
-          }
-          assert(scratch.keys.size() ==
-                 enumerated_key_count(values[i].size(), k_));
-          for (const std::uint64_t key : scratch.keys) {
-            run.push_back({key, id});
-          }
-        }
-      });
-  size_ += values.size();
-  rebuild(std::move(runs), threads);
-  for (const auto& chunk : chunk_long) {
-    long_ids_.insert(long_ids_.end(), chunk.begin(), chunk.end());
+  thread_local KeyScratch scratch;
+  for (std::size_t i = first; i < size_; ++i) {
+    scratch.keys.clear();
+    if (!collect_keys(column[i], k_, scratch, scratch.keys, /*dedup=*/true)) {
+      continue;
+    }
+    for (const std::uint64_t key : scratch.keys) {
+      overflow_[key].push_back(static_cast<std::uint32_t>(i));
+    }
+    overflow_entries_ += scratch.keys.size();
   }
 }
 
-void BlockIndexGenerator::rebuild(std::vector<std::vector<PostingEntry>> runs,
+void BlockIndexGenerator::compact(std::span<const std::string> column,
                                   std::size_t threads) {
-  // The existing base and overflow entries enter as one more run; the
-  // build depends only on the entry multiset, so any thread count (and
-  // any bulk/single append interleaving) yields the same index.
-  std::vector<PostingEntry> existing;
-  existing.reserve(base_.entry_count() + overflow_entries_);
-  for (std::size_t i = 0; i < base_.key_count(); ++i) {
-    const PackedPostings::Range r = base_.range_at(i);
-    for (std::size_t pos = r.begin; pos < r.end; ++pos) {
-      existing.push_back({base_.key_at(i), base_.id_at(pos)});
-    }
-  }
-  for (const auto& [key, ids] : overflow_) {
-    for (const std::uint32_t id : ids) {
-      existing.push_back({key, id});
-    }
-  }
-  if (!existing.empty()) {
-    runs.push_back(std::move(existing));
-  }
-  base_.build(std::move(runs), threads);
-  overflow_.clear();
-  overflow_entries_ = 0;
-}
-
-void BlockIndexGenerator::insert_keys(std::span<const std::uint64_t> keys,
-                                      std::uint32_t id) {
-  for (const std::uint64_t key : keys) {
-    overflow_[key].push_back(id);
-  }
-  overflow_entries_ += keys.size();
-}
-
-void BlockIndexGenerator::maybe_compact() {
-  // Fold the overflow tier in once it stops being small relative to the
-  // base; the threshold keeps steady single-record ingest amortized
-  // O(keys) per append.
-  if (overflow_entries_ >= 4096 &&
-      overflow_entries_ * 4 >= base_.entry_count()) {
-    compact();
-  }
-}
-
-void BlockIndexGenerator::compact() {
   if (overflow_.empty()) {
     return;
   }
-  rebuild({}, 1);
+  rebuild(column, threads);
   ++compactions_;
+}
+
+bool BlockIndexGenerator::rebuild(std::span<const std::string> column,
+                                  std::size_t threads, std::stop_token stop) {
+  assert(column.size() >= size_);
+  if (size_ > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("BlockIndexGenerator: more than 2^32 strings");
+  }
+  column = column.first(size_);
+  // A string's key count depends only on (length, k): the pre-dedup total
+  // sizes the bucket table as a pure function of the strings.
+  std::size_t expected = 0;
+  for (const std::string& s : column) {
+    expected += enumerated_key_count(s.size(), k_);
+  }
+  overflow_.clear();
+  overflow_entries_ = 0;
+  return base_.build(
+      static_cast<std::uint32_t>(size_), expected,
+      [&](std::uint32_t id, std::vector<std::uint64_t>& out) {
+        if (id % kStopCheckIds == 0 && stop.stop_requested()) {
+          return false;
+        }
+        thread_local KeyScratch scratch;
+        collect_keys(column[id], k_, scratch, out, /*dedup=*/false);
+        return true;
+      },
+      threads, tag_bits_);
 }
 
 void BlockIndexGenerator::generate(std::string_view query,
@@ -634,15 +573,15 @@ void BlockIndexGenerator::generate_batch(
     key_begin.assign(1, 0);
     std::array<bool, kProbeGroup> enumerated{};
     for (std::size_t q = 0; q < n; ++q) {
-      enumerated[q] = collect_keys(queries[g + q], k_, scratch,
+      enumerated[q] = collect_keys(queries[g + q], k_, scratch, keys,
                                    /*dedup=*/false);
       key_begin.push_back(keys.size());
     }
-    // 2. One staged lookup resolves every key of the group.
+    // 2. One staged lookup finds every key's bucket.
     scratch.ranges.resize(keys.size());
     base_.find_batch(keys, scratch.ranges);
-    // 3. Each query's ids: base postings and overflow hits per key, plus
-    //    the long strings, then sorted and deduplicated.
+    // 3. Each query's ids: tag-matching base entries and overflow hits
+    //    per key, plus the long strings, then sorted and deduplicated.
     for (std::size_t q = 0; q < n; ++q) {
       std::vector<std::uint32_t>& out = outs[g + q];
       const std::size_t start = out.size();
@@ -657,10 +596,8 @@ void BlockIndexGenerator::generate_batch(
         continue;
       }
       for (std::size_t e = key_begin[q]; e < key_begin[q + 1]; ++e) {
-        const PackedPostings::Range r = scratch.ranges[e];
-        for (std::size_t pos = r.begin; pos < r.end; ++pos) {
-          out.push_back(base_.id_at(pos));
-        }
+        base_.for_each_id(keys[e], scratch.ranges[e],
+                          [&](std::uint32_t id) { out.push_back(id); });
         if (!overflow_.empty()) {
           if (const auto it = overflow_.find(keys[e]); it != overflow_.end()) {
             out.insert(out.end(), it->second.begin(), it->second.end());
@@ -679,8 +616,9 @@ void BlockIndexGenerator::generate_batch(
 BlockIndexStats BlockIndexGenerator::stats() const noexcept {
   BlockIndexStats s;
   s.entries = base_.entry_count();
-  s.keys = base_.key_count();
+  s.buckets = base_.bucket_count();
   s.bits_per_id = base_.bits_per_id();
+  s.bytes = base_.bytes();
   s.overflow_entries = overflow_entries_;
   s.long_strings = long_ids_.size();
   s.compactions = compactions_;

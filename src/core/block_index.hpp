@@ -31,13 +31,19 @@
 // generator's match set — the zero-false-negative property tests pin this
 // across layouts, k, thread counts and incremental appends.
 //
-// Storage is a CSR bit-packed postings list (PackedPostings): sorted
-// 64-bit key hashes, an offset table, and ids packed at
-// ceil(log2(max_id+1)) bits — ~20 bits per id at a million rows, the
-// snippet's own improvement note — built by one partitioned parallel
-// pass and rebuilt deterministically on compact.
+// Storage is a tag-only postings store (PackedPostings): one entry per
+// (key hash, id), grouped by the hash's top bits into buckets of about
+// four entries, each entry a 16-bit tag (the hash bits just below the
+// bucket bits) beside the id, bit-packed at ceil(log2(n)) bits — ~20
+// bits per id at a million rows, the snippet's own improvement note.
+// The full hash is not stored: a probe reads the bucket's tags and keeps
+// the entries whose tag matches, so a tag collision can only add a
+// candidate.  The build enumerates every string's keys twice (count per
+// bucket, then place) straight into the final arrays, and the index is a
+// pure function of the strings; without stored hashes, compaction
+// re-derives the keys from the caller's string column.
 // Incremental appends land in a small overflow tier (hash map) probed
-// alongside the frozen CSR base and folded in when it grows past a
+// alongside the frozen base and folded in when it grows past a
 // fraction of the base, so ingest never rebuilds per record.
 //
 // Soundness contract: generate(q) is a superset of { j : OSA(q, t_j) <= k }
@@ -53,7 +59,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <span>
+#include <stop_token>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -61,84 +70,129 @@
 
 namespace fbf::core {
 
-/// One postings entry: a key hash and the id stored under it.  Trivial
-/// (no member initializers), so the build's bulk arrays skip zero-fill.
-struct PostingEntry {
-  std::uint64_t hash;
-  std::uint32_t id;
-};
-
-/// Immutable CSR postings store with bit-packed ids.  Keys are sorted
-/// unique 64-bit hashes, expected uniform (find() scans the keys that
-/// share the hash's top bits); key i's ids live at packed positions
-/// [offset(i), offset(i+1)), ascending.  Ids are packed at
-/// max(1, bit_width(max_id)) bits, so the store widens automatically past
-/// 2^20 ids (round-trip property-tested at the boundary).
+/// Immutable tag-only postings store.  Entries are grouped by bucket (the
+/// top bits of the key hash, uniform after finalization); bucket b's
+/// entries sit at positions [bucket_starts[b], bucket_starts[b + 1]),
+/// each with a tag (the next `tag_bits` hash bits) in one array and its
+/// id bit-packed at max(1, bit_width(n_ids - 1)) bits in another.  Inside
+/// a bucket, entries run in ascending id order, and one id's entries in
+/// the order its key source emitted them (sorted beyond 16 keys).  A
+/// lookup returns every id in the hash's bucket whose tag matches: a
+/// superset of the ids stored under the hash, larger only by tag
+/// collisions (about 4 / 2^16 extra ids per lookup).
 class PackedPostings {
  public:
-  /// Replaces the contents with the union of `runs`, sorted and
-  /// deduplicated.  One partitioned pass fanned across `threads`
-  /// (`threads <= 1` runs inline): each run histograms its entries by the
-  /// top hash bits and scatters them into a partition-major array, then
-  /// each partition (a cache-sized range of the key space) is sorted,
-  /// deduplicated and packed on its own.  The result is a pure function
-  /// of the entry multiset: byte-identical for any split into runs, any
-  /// input order and any thread count.  Throws std::length_error past
-  /// 2^32 entries.
-  void build(std::vector<std::vector<PostingEntry>> runs,
-             std::size_t threads = 1);
+  static constexpr int kTagBits = 16;
 
+  /// keys(id, out) appends id's key hashes to `out`; repeats are
+  /// dropped, and the order places one id's entries inside a bucket.
+  /// build() calls it twice per id, possibly from several threads at
+  /// once, so it must be a pure function of `id`.  Returning false
+  /// aborts the build.
+  using KeySource =
+      std::function<bool(std::uint32_t id, std::vector<std::uint64_t>& out)>;
+
+  /// Replaces the contents with one entry per distinct (hash, id) that
+  /// `keys` yields for ids [0, n_ids).  `expected_entries` sizes the
+  /// bucket table at about four entries a bucket; pass a pure function of
+  /// the input (the generator passes the key count before deduplication)
+  /// so that equal inputs give equal layouts.  The build counts entries
+  /// per bucket, then places each one, both passes fanned across
+  /// `threads` chunks of ids (`threads <= 1` runs inline; with several
+  /// chunks the ids are staged at 32 bits and packed afterwards); the
+  /// result is byte-identical at every thread count.  `tag_bits` in
+  /// [0, 16] narrows the tags (tests force collisions with it).  Returns
+  /// false, leaving the store empty, when `keys` aborted; throws
+  /// std::length_error past 2^32 entries.
+  bool build(std::uint32_t n_ids, std::size_t expected_entries,
+             const KeySource& keys, std::size_t threads = 1,
+             int tag_bits = kTagBits);
+
+  /// A run of positions: one bucket.
   struct Range {
     std::size_t begin = 0;
-    std::size_t end = 0;  ///< one past the last packed position
+    std::size_t end = 0;  ///< one past the last position
   };
 
-  /// Packed position range for `hash`; empty range when absent.  The
-  /// n = 1 case of find_batch.
-  [[nodiscard]] Range find(std::uint64_t hash) const noexcept;
+  /// Appends to `out` the ids of `hash`'s bucket whose tag matches it.
+  /// The n = 1 case of find_batch + for_each_id.
+  void find(std::uint64_t hash, std::vector<std::uint32_t>& out) const;
 
-  /// ranges[i] = find(hashes[i]) for every i (the spans have equal
-  /// size).  The lookup runs in stages across all hashes — bucket bounds,
-  /// then the key scan, then the offsets — and each stage prefetches the
-  /// lines the next one reads, ending with each hit's first id word, so
+  /// buckets[i] = the bucket range of hashes[i] for every i (the spans
+  /// have equal size).  The lookup runs in stages across all hashes —
+  /// first every bucket bound, then each bucket's tag line and first id
+  /// word — and each stage prefetches the lines the next one reads, so
   /// the cache misses of a whole probe group overlap instead of queueing.
   void find_batch(std::span<const std::uint64_t> hashes,
-                  std::span<Range> ranges) const noexcept;
+                  std::span<Range> buckets) const noexcept;
 
-  /// Id at packed position `pos` (< entry_count()).
+  /// Calls fn(id) for every entry of `bucket` (hash's bucket, from
+  /// find_batch) whose tag matches `hash`, in position order.
+  template <typename Fn>
+  void for_each_id(std::uint64_t hash, Range bucket, Fn&& fn) const {
+    const std::uint16_t tag = tag_of(hash);
+    for (std::size_t pos = bucket.begin; pos < bucket.end; ++pos) {
+      if (tags_[pos] == tag) {
+        fn(id_at(pos));
+      }
+    }
+  }
+
+  /// The tag `hash` carries in this store.
+  [[nodiscard]] std::uint16_t tag_of(std::uint64_t hash) const noexcept {
+    return static_cast<std::uint16_t>((hash >> tag_shift_) & tag_mask_);
+  }
+  /// Tag and id at position `pos` (< entry_count()).
+  [[nodiscard]] std::uint16_t tag_at(std::size_t pos) const noexcept {
+    return tags_[pos];
+  }
   [[nodiscard]] std::uint32_t id_at(std::size_t pos) const noexcept;
 
-  [[nodiscard]] std::size_t key_count() const noexcept {
-    return keys_.size();
+  /// Buckets in the table (0 before the first build).
+  [[nodiscard]] std::size_t bucket_count() const noexcept {
+    return bucket_starts_.empty() ? 0 : bucket_starts_.size() - 1;
   }
-  [[nodiscard]] std::uint64_t key_at(std::size_t i) const noexcept {
-    return keys_[i];
+  /// Positions of bucket b (< bucket_count()).
+  [[nodiscard]] Range bucket_at(std::size_t b) const noexcept {
+    return {bucket_starts_[b], bucket_starts_[b + 1]};
   }
-  [[nodiscard]] Range range_at(std::size_t i) const noexcept {
-    return {offsets_[i], offsets_[i + 1]};
+  /// The bucket `hash` falls in (bucket_count() must be > 0).
+  [[nodiscard]] std::size_t bucket_of(std::uint64_t hash) const noexcept {
+    return static_cast<std::size_t>(hash >> bucket_shift_);
   }
-  [[nodiscard]] std::size_t entry_count() const noexcept { return count_; }
+  [[nodiscard]] std::size_t entry_count() const noexcept {
+    return tags_.size();
+  }
   [[nodiscard]] int bits_per_id() const noexcept { return bits_per_id_; }
+  [[nodiscard]] int tag_bits() const noexcept { return tag_bits_; }
+  /// Bytes held by the three arrays (tags, packed ids, bucket table).
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return tags_.size() * sizeof(std::uint16_t) +
+           bits_.size() * sizeof(std::uint64_t) +
+           bucket_starts_.size() * sizeof(std::uint32_t);
+  }
 
  private:
-  std::vector<std::uint64_t> keys_;     ///< sorted unique key hashes
-  std::vector<std::uint64_t> offsets_;  ///< key i -> [offsets_[i], offsets_[i+1])
-  std::vector<std::uint64_t> bits_;     ///< bit-packed ids
-  /// Radix acceleration over the (uniform) key hashes: bucket b covers
-  /// keys_[bucket_starts_[b], bucket_starts_[b + 1]), about four keys per
-  /// bucket, so the table stays cache-resident (~2 MB at 200k rows) and
-  /// find() is an expected O(1) scan.
+  /// ORs `id` into the packed bits of position `pos`.
+  void put_id(std::size_t pos, std::uint32_t id) noexcept;
+
+  std::vector<std::uint16_t> tags_;    ///< one tag per entry
+  std::vector<std::uint64_t> bits_;    ///< bit-packed ids, one per entry
+  /// bucket b covers positions [bucket_starts_[b], bucket_starts_[b + 1]).
   std::vector<std::uint32_t> bucket_starts_;
-  int bucket_shift_ = 63;
+  int bucket_shift_ = 63;  ///< bucket = hash >> bucket_shift_
+  int tag_shift_ = 47;     ///< tag = (hash >> tag_shift_) & tag_mask_
+  std::uint64_t tag_mask_ = 0xffff;
+  int tag_bits_ = kTagBits;
   int bits_per_id_ = 1;
-  std::size_t count_ = 0;
 };
 
 /// Diagnostics for benches and the selectivity accounting.
 struct BlockIndexStats {
-  std::size_t entries = 0;        ///< postings entries in the CSR base
-  std::size_t keys = 0;           ///< distinct key hashes in the base
+  std::size_t entries = 0;        ///< postings entries in the base
+  std::size_t buckets = 0;        ///< bucket table size of the base
   int bits_per_id = 1;            ///< packed id width
+  std::size_t bytes = 0;          ///< bytes held by the base's arrays
   std::size_t overflow_entries = 0;  ///< entries awaiting compaction
   std::size_t long_strings = 0;   ///< always-candidate escape hatch size
   std::size_t compactions = 0;    ///< overflow folds into the base
@@ -147,10 +201,18 @@ struct BlockIndexStats {
 class BlockIndexGenerator {
  public:
   explicit BlockIndexGenerator(int k);
-  /// Bulk build: key generation and the CSR build both fan across
+  /// Bulk build: both key passes of the postings build fan across
   /// `threads`; the index is identical for every thread count.
   BlockIndexGenerator(int k, std::span<const std::string> values,
                       std::size_t threads = 1);
+
+  /// The bulk build, abandoned (nullopt) once `stop` is requested: the
+  /// build checks it every few thousand strings, so a caller that owns
+  /// `values` can reclaim them promptly.  `tag_bits` narrows the postings
+  /// tags (PackedPostings::build; tests force collisions with it).
+  [[nodiscard]] static std::optional<BlockIndexGenerator> build(
+      int k, std::span<const std::string> values, std::size_t threads,
+      std::stop_token stop, int tag_bits = PackedPostings::kTagBits);
 
   /// True when the pigeonhole construction is sound and affordable for
   /// `k` (k in [0, 2]; larger k explodes the deletion neighborhood and
@@ -165,11 +227,13 @@ class BlockIndexGenerator {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] int k() const noexcept { return k_; }
 
-  /// Appends one candidate string; ids are assigned in append order.
-  void append(std::string_view value);
-  /// Bulk append: parallel key generation, then one parallel CSR build
-  /// over the new entries plus the existing base and overflow tiers.
-  void append(std::span<const std::string> values, std::size_t threads = 1);
+  /// Indexes column[size(), column.size()).  `column` is the caller's
+  /// append-only string column: its first size() strings must be the ones
+  /// already indexed, since the base stores no full key hashes and a
+  /// rebuild re-derives them from the column.  New strings land in the
+  /// overflow tier while it stays small next to the base; otherwise the
+  /// base is rebuilt from the whole column (fanned across `threads`).
+  void append(std::span<const std::string> column, std::size_t threads = 1);
 
   /// Queries generate_batch resolves through one staged postings lookup
   /// (consumers probing many rows hand it groups of this size).  Any
@@ -190,28 +254,28 @@ class BlockIndexGenerator {
   void generate_batch(std::span<const std::string_view> queries,
                       std::span<std::vector<std::uint32_t>> outs) const;
 
-  /// Folds the overflow tier into the CSR base (also runs automatically
-  /// when the overflow outgrows a fraction of the base).
-  void compact();
+  /// Rebuilds the base from `column` (as for append) and empties the
+  /// overflow tier; a no-op when the tier is empty.  Also runs
+  /// automatically when the tier outgrows a fraction of the base.
+  void compact(std::span<const std::string> column, std::size_t threads = 1);
 
   [[nodiscard]] BlockIndexStats stats() const noexcept;
-  /// The frozen CSR base (excludes the overflow tier and long strings).
+  /// The frozen base (excludes the overflow tier and long strings).
   [[nodiscard]] const PackedPostings& postings() const noexcept {
     return base_;
   }
 
  private:
-  void insert_keys(std::span<const std::uint64_t> keys, std::uint32_t id);
-  void maybe_compact();
-  /// Rebuilds the base from `runs` plus the current base and overflow
-  /// entries, and empties the overflow tier.
-  void rebuild(std::vector<std::vector<PostingEntry>> runs,
-               std::size_t threads);
+  /// Rebuilds the base from column[0, size()) and empties the overflow
+  /// tier; false (base left empty) when `stop` was requested.
+  bool rebuild(std::span<const std::string> column, std::size_t threads,
+               std::stop_token stop = {});
 
   int k_ = 1;
+  int tag_bits_ = PackedPostings::kTagBits;
   std::size_t size_ = 0;
   PackedPostings base_;
-  /// Incremental tier: key hash -> ids appended since the last compact.
+  /// Incremental tier: key hash -> ids appended since the last rebuild.
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> overflow_;
   std::size_t overflow_entries_ = 0;
   /// Ids of strings too long to enumerate deletion variants for; they are

@@ -2,6 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <exception>
+#include <optional>
+#include <utility>
+
+#include "telemetry/telemetry.hpp"
+#include "util/prefetch.hpp"
+#include "util/timer.hpp"
 
 namespace fbf::core {
 
@@ -12,6 +19,9 @@ namespace {
 /// tuned; any multiple of 64 preserves the equivalence contract.
 constexpr std::size_t kCorpusTile = 256;
 constexpr std::size_t kTileWords = CandidatePipeline::bitmap_words(kCorpusTile);
+/// The index covers a multiple of this many rows, so the tail sweep
+/// starts on a bitmap word boundary (CandidatePipeline::filter).
+constexpr std::size_t kIndexAlign = 64;
 
 }  // namespace
 
@@ -21,56 +31,121 @@ MatchCorpus::MatchCorpus(const QueryOptions& options,
   if (options_.exec.threads > 1) {
     pool_ = std::make_unique<fbf::util::ThreadPool>(options_.exec.threads);
   }
+  // The gates match_strings applies: the index covers { OSA <= k }, so it
+  // needs a verifier that decides on the edit distance, and a k the
+  // pigeonhole construction supports.
+  use_index_ =
+      select_generator(options_.exec.generator) == GeneratorKind::kBlockIndex &&
+      method_verifier(options_.method) != Verifier::kNone &&
+      BlockIndexGenerator::supported(options_.k);
   append(values);
 }
 
+MatchCorpus::~MatchCorpus() { stop_build(); }
+
+void MatchCorpus::stop_build() {
+  if (builder_.joinable()) {
+    builder_.request_stop();
+    builder_.join();
+  }
+}
+
 void MatchCorpus::append(std::span<const std::string> values) {
+  // The build reads values_: it must be gone before they change.
+  stop_build();
   pipeline_.append(values, options_.exec.threads);
   values_.insert(values_.end(), values.begin(), values.end());
+  const std::lock_guard<std::mutex> lock(index_mu_);
+  build_due_ = use_index_;
+}
+
+std::shared_ptr<const BlockIndexGenerator> MatchCorpus::demand_index() const {
+  if (!use_index_) {
+    return nullptr;
+  }
+  const std::lock_guard<std::mutex> lock(index_mu_);
+  if (build_due_) {
+    build_due_ = false;
+    const std::size_t rows = values_.size() / kIndexAlign * kIndexAlign;
+    if (rows > (index_ ? index_->size() : 0)) {
+      building_ = true;
+      const fbf::util::Stopwatch since_demand;
+      builder_ = std::jthread([this, rows, since_demand](std::stop_token stop) {
+        std::optional<BlockIndexGenerator> built;
+        std::exception_ptr error;
+        try {
+          built = BlockIndexGenerator::build(
+              options_.k, std::span<const std::string>(values_).first(rows),
+              1, std::move(stop));
+        } catch (...) {
+          // Queries stay on the dense route; wait_for_index reports it.
+          error = std::current_exception();
+        }
+        const std::lock_guard<std::mutex> done(index_mu_);
+        building_ = false;
+        build_error_ = error;
+        if (built.has_value()) {
+          index_ = std::make_shared<const BlockIndexGenerator>(
+              std::move(*built));
+          if (fbf::telemetry::enabled()) {
+            static fbf::telemetry::Histogram& ready =
+                fbf::telemetry::Registry::global().histogram(
+                    "corpus.index_ready_ms");
+            ready.record(since_demand.elapsed_ms());
+          }
+        }
+        build_done_.notify_all();
+      });
+    }
+  }
+  return index_;
+}
+
+std::size_t MatchCorpus::indexed_rows() const {
+  const std::lock_guard<std::mutex> lock(index_mu_);
+  return index_ ? index_->size() : 0;
+}
+
+void MatchCorpus::wait_for_index() const {
+  (void)demand_index();
+  std::unique_lock<std::mutex> lock(index_mu_);
+  build_done_.wait(lock, [this] { return !building_; });
+  if (build_error_) {
+    std::rethrow_exception(std::exchange(build_error_, nullptr));
+  }
 }
 
 CorpusResult MatchCorpus::query(std::string_view query) const {
   CorpusResult result;
-  const CandidatePipeline::Query q = pipeline_.make_query(query);
-  std::array<std::uint64_t, kTileWords> bitmap;
-  for (std::size_t begin = 0; begin < values_.size(); begin += kCorpusTile) {
-    const std::size_t end = std::min(values_.size(), begin + kCorpusTile);
-    bitmap.fill(0);
-    pipeline_.filter(q, begin, end, /*eligible=*/nullptr, bitmap.data(),
-                     result.counters);
-    CandidatePipeline::for_each_survivor(
-        bitmap.data(), end - begin, [&](std::size_t lane) {
-          const std::size_t id = begin + lane;
-          if (pipeline_.verify(query, values_[id], result.counters)) {
-            result.matches.push_back(static_cast<std::uint32_t>(id));
-          }
-        });
-  }
+  answer({&query, 1}, demand_index().get(), &result);
   return result;
 }
 
 std::vector<CorpusResult> MatchCorpus::query_batch(
     std::span<const std::string> queries) const {
+  const std::shared_ptr<const BlockIndexGenerator> index = demand_index();
+  const std::vector<std::string_view> views(queries.begin(), queries.end());
   std::vector<CorpusResult> results(queries.size());
   const std::size_t workers =
       pool_ ? std::min(pool_->size(), queries.size()) : 1;
   if (workers <= 1) {
-    query_block_range(queries, 0, queries.size(), results.data());
+    answer(views, index.get(), results.data());
     return results;
   }
   // Parallel path: contiguous query chunks, one per worker.  Each chunk
-  // runs the same register-block sweep it would run alone, so the
-  // partition cannot change any query's matches or counters — it only
-  // lets a coalesced batch use more than one core, which a lone query()
-  // cannot (the coalescing payoff bench_serve_latency measures).
+  // runs the same probe and sweep it would run alone, so the partition
+  // cannot change any query's matches or counters — it only lets a
+  // coalesced batch use more than one core, which a lone query() cannot
+  // (the coalescing payoff bench_serve_latency measures).
   std::lock_guard<std::mutex> lock(batch_mu_);
   const std::size_t chunk = queries.size() / workers;
   const std::size_t extra = queries.size() % workers;
   std::size_t base = 0;
   for (std::size_t w = 0; w < workers; ++w) {
     const std::size_t count = chunk + (w < extra ? 1 : 0);
-    pool_->submit([this, queries, base, count, out = results.data()] {
-      query_block_range(queries, base, count, out);
+    pool_->submit([this, &views, &index, base, count, out = results.data()] {
+      answer(std::span<const std::string_view>(views).subspan(base, count),
+             index.get(), out + base);
     });
     base += count;
   }
@@ -78,29 +153,58 @@ std::vector<CorpusResult> MatchCorpus::query_batch(
   return results;
 }
 
-void MatchCorpus::query_block_range(std::span<const std::string> queries,
-                                    std::size_t range_base,
-                                    std::size_t range_count,
-                                    CorpusResult* results) const {
+void MatchCorpus::answer(std::span<const std::string_view> queries,
+                         const BlockIndexGenerator* index,
+                         CorpusResult* results) const {
+  const std::size_t indexed = index != nullptr ? index->size() : 0;
+  const GeneratorKind served =
+      indexed > 0 ? GeneratorKind::kBlockIndex : GeneratorKind::kDense;
   std::vector<CandidatePipeline::Query> block;
   std::vector<PipelineCounters> block_counters;
   std::vector<std::uint64_t> bitmaps;
-  // Register blocks of kMaxBlockQueries queries; each block sweeps the
-  // planes tile by tile through one filter_block call per tile, then each
-  // query drains its own bitmap row.  Per-query counters come from the
-  // attributing filter_block overload, so results[i] is byte-identical to
-  // query(queries[i]) run alone (the serving coalescer's contract).
-  for (std::size_t base = range_base; base < range_base + range_count;
-       base += kMaxBlockQueries) {
+  std::array<std::vector<std::uint32_t>, kMaxBlockQueries> ids;
+  std::vector<std::uint32_t> survivors;
+  // Register blocks of kMaxBlockQueries queries.  Each block first probes
+  // the index for the indexed rows — one grouped generate_batch, then
+  // prefetches of every candidate's plane row and string, then filter_ids
+  // and verify query by query — and then sweeps the remaining rows tile
+  // by tile through one filter_block call per tile, each query draining
+  // its own bitmap row.  Per-query counters come from the attributing
+  // filter_block overload and filter_ids, so results[i] is byte-identical
+  // to query(queries[i]) run alone (the serving coalescer's contract).
+  for (std::size_t base = 0; base < queries.size(); base += kMaxBlockQueries) {
     const std::size_t q_count =
-        std::min(range_base + range_count - base, kMaxBlockQueries);
+        std::min(queries.size() - base, kMaxBlockQueries);
+    const std::span<const std::string_view> group =
+        queries.subspan(base, q_count);
     block.clear();
-    for (std::size_t i = 0; i < q_count; ++i) {
-      block.push_back(pipeline_.make_query(queries[base + i]));
+    for (const std::string_view q : group) {
+      block.push_back(pipeline_.make_query(q));
     }
     block_counters.assign(q_count, PipelineCounters{});
+    if (indexed > 0) {
+      for (std::size_t i = 0; i < q_count; ++i) {
+        ids[i].clear();
+      }
+      index->generate_batch(group, {ids.data(), q_count});
+      for (std::size_t i = 0; i < q_count; ++i) {
+        pipeline_.prefetch(ids[i]);
+        for (const std::uint32_t j : ids[i]) {
+          fbf::util::prefetch(&values_[j]);
+        }
+      }
+      for (std::size_t i = 0; i < q_count; ++i) {
+        survivors.clear();
+        pipeline_.filter_ids(block[i], ids[i], survivors, block_counters[i]);
+        for (const std::uint32_t j : survivors) {
+          if (pipeline_.verify(group[i], values_[j], block_counters[i])) {
+            results[base + i].matches.push_back(j);
+          }
+        }
+      }
+    }
     bitmaps.assign(q_count * kTileWords, 0);
-    for (std::size_t begin = 0; begin < values_.size();
+    for (std::size_t begin = indexed; begin < values_.size();
          begin += kCorpusTile) {
       const std::size_t end = std::min(values_.size(), begin + kCorpusTile);
       std::fill(bitmaps.begin(), bitmaps.end(), 0);
@@ -113,7 +217,7 @@ void MatchCorpus::query_block_range(std::span<const std::string> queries,
             bitmaps.data() + i * kTileWords, end - begin,
             [&](std::size_t lane) {
               const std::size_t id = begin + lane;
-              if (pipeline_.verify(queries[base + i], values_[id],
+              if (pipeline_.verify(group[i], values_[id],
                                    block_counters[i])) {
                 out.matches.push_back(static_cast<std::uint32_t>(id));
               }
@@ -122,6 +226,7 @@ void MatchCorpus::query_block_range(std::span<const std::string> queries,
     }
     for (std::size_t i = 0; i < q_count; ++i) {
       results[base + i].counters = block_counters[i];
+      results[base + i].generator = served;
     }
   }
 }

@@ -74,7 +74,7 @@ void RecordFilterBank::append(const PersonRecord& r,
       continue;
     }
     if (state.gen.has_value()) {
-      state.gen->append(value);
+      state.gen->append(state.values);
     }
     if (bit == 0) {
       state.nonempty.push_back(0);

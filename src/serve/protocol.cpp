@@ -80,6 +80,7 @@ std::string encode_match_response(const MatchResponse& resp) {
   put_counters(out, resp.counters);
   w::put<std::uint64_t>(out, resp.field_comparisons);
   w::put<std::uint64_t>(out, resp.comparisons);
+  w::put_string(out, resp.generator);
   w::put<std::uint32_t>(out, static_cast<std::uint32_t>(resp.matches.size()));
   for (const MatchResponse::Match& m : resp.matches) {
     w::put<std::uint32_t>(out, m.id);
@@ -95,7 +96,8 @@ u::Result<MatchResponse> decode_match_response(std::string_view payload) {
   MatchResponse resp;
   std::uint32_t n = 0;
   if (!get_counters(in, resp.counters) || !in.get(resp.field_comparisons) ||
-      !in.get(resp.comparisons) || !in.get(n)) {
+      !in.get(resp.comparisons) || !in.get_string(resp.generator) ||
+      !in.get(n)) {
     return truncated("match response");
   }
   resp.matches.resize(n);

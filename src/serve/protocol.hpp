@@ -60,7 +60,13 @@ struct MatchResponse {
   /// verify_calls); length_pass and fbf_pass stay 0 there.
   core::PipelineCounters counters;
   std::uint64_t field_comparisons = 0;  ///< kRecord: field pairs scored
-  std::uint64_t comparisons = 0;        ///< candidates swept (corpus/store size)
+  /// Candidates the cascade considered: the store size (kRecord), the
+  /// corpus size on the dense route or the generated candidates on the
+  /// block-index route (kString).
+  std::uint64_t comparisons = 0;
+  /// Candidate generator that served the reply ("dense" /
+  /// "block-index"; kString only, empty for kRecord).
+  std::string generator;
 };
 
 }  // namespace fbf

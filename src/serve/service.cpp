@@ -167,8 +167,9 @@ MatchResponse MatchService::match_string(const MatchRequest& req,
   if (result.matches.size() > limit) {
     result.matches.resize(limit);
   }
+  resp.comparisons = result.counters.candidates_generated;
+  resp.generator = core::generator_name(result.generator);
   const std::shared_lock<std::shared_mutex> lock(corpus_mu_);
-  resp.comparisons = corpus_.size();
   resp.matches.reserve(result.matches.size());
   for (const std::uint32_t id : result.matches) {
     resp.matches.push_back({id, 0, 1.0, corpus_.value(id)});
@@ -314,6 +315,8 @@ telemetry::MetricsSnapshot MatchService::metrics_snapshot() const {
     const std::shared_lock<std::shared_mutex> lock(corpus_mu_);
     registry_.gauge("serve.corpus_size")
         .set(static_cast<std::int64_t>(corpus_.size()));
+    registry_.gauge("corpus.indexed_rows")
+        .set(static_cast<std::int64_t>(corpus_.indexed_rows()));
     kernel = corpus_.kernel_name();
   }
   if (coalescer_.has_value()) {

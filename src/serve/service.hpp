@@ -88,9 +88,14 @@ struct ServiceOptions {
   /// beyond it handle() fails fast with kResourceExhausted.
   std::size_t max_inflight = 64;
 
+  /// Serves string queries through the block index by default
+  /// (query.exec.generator = kBlockIndex; MatchCorpus applies the
+  /// soundness gates and builds the index in the background).
   ServiceOptions()
       : comparator(linkage::make_point_threshold_config(
-            linkage::FieldStrategy::kFpdl)) {}
+            linkage::FieldStrategy::kFpdl)) {
+    query.exec.generator = core::GeneratorKind::kBlockIndex;
+  }
 };
 
 class MatchService {

@@ -61,10 +61,14 @@ void ThreadPool::worker_loop() {
       error = std::current_exception();
     }
     {
+      // The exception travels by move and the local is emptied here, so
+      // its reference is never released after the lock: wait_idle may
+      // rethrow and destroy the exception as soon as in_flight_ drops.
       std::lock_guard lock(mutex_);
       if (error && !first_error_) {
-        first_error_ = error;
+        first_error_ = std::move(error);
       }
+      error = nullptr;
       --in_flight_;
       if (in_flight_ == 0) {
         all_done_.notify_all();

@@ -3,9 +3,10 @@
 // negatives: the block index must surface a superset of
 // { j : OSA(query, t_j) <= k }, so the verifier-final match set is
 // *identical* to the dense sweep's across layouts, k in {1,2}, thread
-// counts, and incremental appends.  Also pinned here: the CSR
+// counts, and incremental appends.  Also pinned here: the tag-only
 // bit-packed postings store (round trip, order independence, bit-width
-// widening past 2^20 ids), generator selection (FBF_FORCE_GENERATOR),
+// widening past 2^20 ids, thread-count invariance, forced tag
+// collisions), generator selection (FBF_FORCE_GENERATOR),
 // and the soundness gates that keep a forced "block" from ever changing
 // answers.
 #include "core/block_index.hpp"
@@ -19,6 +20,7 @@
 #include <numeric>
 #include <optional>
 #include <span>
+#include <stop_token>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -46,64 +48,140 @@ using fbf::util::Rng;
 using fbf::testenv::ScopedForceGenerator;
 
 // ---------------------------------------------------------------------------
-// PackedPostings: the CSR bit-packed store.
+// PackedPostings: the tag-only bit-packed store.
 // ---------------------------------------------------------------------------
 
+/// One (hash, id) entry of a test input.
+struct Entry {
+  std::uint64_t hash;
+  std::uint32_t id;
+};
+
+/// Spreads a small integer over all 64 bits, as the generator's
+/// finalized key hashes are.
+constexpr std::uint64_t spread(std::uint64_t x) {
+  return (x + 1) * 0x9e3779b97f4a7c15ull;
+}
+
+/// Builds `p` over `entries` (ids < n_ids): the key source hands each id
+/// its hashes in input order, duplicates included.
+bool build_from(c::PackedPostings& p, std::uint32_t n_ids,
+                const std::vector<Entry>& entries, std::size_t threads = 1,
+                int tag_bits = c::PackedPostings::kTagBits) {
+  std::vector<std::vector<std::uint64_t>> by_id(n_ids);
+  for (const Entry& e : entries) {
+    by_id[e.id].push_back(e.hash);
+  }
+  return p.build(
+      n_ids, entries.size(),
+      [&](std::uint32_t id, std::vector<std::uint64_t>& out) {
+        out.insert(out.end(), by_id[id].begin(), by_id[id].end());
+        return true;
+      },
+      threads, tag_bits);
+}
+
+std::vector<std::uint32_t> find_ids(const c::PackedPostings& p,
+                                    std::uint64_t hash) {
+  std::vector<std::uint32_t> ids;
+  p.find(hash, ids);
+  return ids;
+}
+
 TEST(PackedPostings, RoundTripSortsAndDeduplicates) {
-  // Unsorted input with duplicates; the build must produce sorted unique
-  // keys, ascending ids per key, and exact entry recovery.
-  std::vector<c::PostingEntry> entries = {
-      {40, 7}, {10, 3}, {40, 1}, {10, 3}, {25, 0}, {40, 7}, {10, 9},
+  // Unsorted input with duplicates; the build keeps one entry per
+  // (hash, id), and a lookup returns the hash's ids in ascending order.
+  const std::vector<Entry> entries = {
+      {spread(40), 7}, {spread(10), 3}, {spread(40), 1}, {spread(10), 3},
+      {spread(25), 0}, {spread(40), 7}, {spread(10), 9},
   };
   c::PackedPostings p;
-  p.build({std::move(entries)});
-  ASSERT_EQ(p.key_count(), 3u);
+  ASSERT_TRUE(build_from(p, 10, entries));
   EXPECT_EQ(p.entry_count(), 5u);  // two duplicates dropped
-  EXPECT_EQ(p.key_at(0), 10u);
-  EXPECT_EQ(p.key_at(1), 25u);
-  EXPECT_EQ(p.key_at(2), 40u);
+  EXPECT_EQ(p.bits_per_id(), 4);
+  EXPECT_EQ(find_ids(p, spread(10)), (std::vector<std::uint32_t>{3, 9}));
+  EXPECT_EQ(find_ids(p, spread(25)), (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(find_ids(p, spread(40)), (std::vector<std::uint32_t>{1, 7}));
+  EXPECT_TRUE(find_ids(p, spread(11)).empty());
+  // Every position holds its bucket's entries in ascending id order.
+  for (std::size_t b = 0; b < p.bucket_count(); ++b) {
+    const auto r = p.bucket_at(b);
+    for (std::size_t pos = r.begin + 1; pos < r.end; ++pos) {
+      EXPECT_LE(p.id_at(pos - 1), p.id_at(pos));
+    }
+  }
+}
 
-  const auto r10 = p.find(10);
-  ASSERT_EQ(r10.end - r10.begin, 2u);
-  EXPECT_EQ(p.id_at(r10.begin), 3u);
-  EXPECT_EQ(p.id_at(r10.begin + 1), 9u);
-  const auto r25 = p.find(25);
-  ASSERT_EQ(r25.end - r25.begin, 1u);
-  EXPECT_EQ(p.id_at(r25.begin), 0u);
-  const auto r40 = p.find(40);
-  ASSERT_EQ(r40.end - r40.begin, 2u);
-  EXPECT_EQ(p.id_at(r40.begin), 1u);
-  EXPECT_EQ(p.id_at(r40.begin + 1), 7u);
-
-  const auto missing = p.find(11);
-  EXPECT_EQ(missing.begin, missing.end);
+/// Every observable of two stores is equal: counts, widths, each bucket
+/// range, and the tag and id at every position.
+void expect_same_postings(const c::PackedPostings& a,
+                          const c::PackedPostings& b,
+                          const std::string& label) {
+  ASSERT_EQ(a.entry_count(), b.entry_count()) << label;
+  ASSERT_EQ(a.bucket_count(), b.bucket_count()) << label;
+  ASSERT_EQ(a.bits_per_id(), b.bits_per_id()) << label;
+  ASSERT_EQ(a.tag_bits(), b.tag_bits()) << label;
+  for (std::size_t i = 0; i < a.bucket_count(); ++i) {
+    ASSERT_EQ(a.bucket_at(i).begin, b.bucket_at(i).begin) << label << " " << i;
+    ASSERT_EQ(a.bucket_at(i).end, b.bucket_at(i).end) << label << " " << i;
+  }
+  for (std::size_t pos = 0; pos < a.entry_count(); ++pos) {
+    ASSERT_EQ(a.tag_at(pos), b.tag_at(pos)) << label << " pos " << pos;
+    ASSERT_EQ(a.id_at(pos), b.id_at(pos)) << label << " pos " << pos;
+  }
 }
 
 TEST(PackedPostings, BuildIsInputOrderIndependent) {
+  // Which keys an id has decides what is stored, not the order or
+  // repetition in which the key source hands them over: every bucket
+  // holds the same (id, tag) entries with ids ascending.  Only one id's
+  // own entries inside one bucket follow the source's order.
   Rng rng(99);
-  std::vector<c::PostingEntry> entries;
+  std::vector<Entry> entries;
   for (int i = 0; i < 500; ++i) {
-    entries.push_back({rng.next() % 37, static_cast<std::uint32_t>(
-                                            rng.next() % 1000)});
+    entries.push_back({spread(rng.next() % 37),
+                       static_cast<std::uint32_t>(rng.next() % 1000)});
   }
-  std::vector<c::PostingEntry> shuffled = entries;
+  std::vector<Entry> shuffled = entries;
   for (std::size_t i = shuffled.size(); i > 1; --i) {
     std::swap(shuffled[i - 1], shuffled[rng.next() % i]);
   }
+  for (std::size_t i = 0; i < 100; ++i) {
+    shuffled.push_back(shuffled[i * 3]);
+  }
   c::PackedPostings a;
   c::PackedPostings b;
-  a.build({std::move(entries)});
-  b.build({std::move(shuffled)});
-  ASSERT_EQ(a.key_count(), b.key_count());
+  ASSERT_TRUE(build_from(a, 1000, entries));
+  // The same expected size, so both tables get the same bucket count.
+  std::vector<std::vector<std::uint64_t>> by_id(1000);
+  for (const Entry& e : shuffled) {
+    by_id[e.id].push_back(e.hash);
+  }
+  ASSERT_TRUE(b.build(1000, entries.size(),
+                      [&](std::uint32_t id, std::vector<std::uint64_t>& out) {
+                        out = by_id[id];
+                        return true;
+                      }));
   ASSERT_EQ(a.entry_count(), b.entry_count());
-  for (std::size_t i = 0; i < a.key_count(); ++i) {
-    ASSERT_EQ(a.key_at(i), b.key_at(i));
-    const auto ra = a.range_at(i);
-    const auto rb = b.range_at(i);
-    ASSERT_EQ(ra.end - ra.begin, rb.end - rb.begin);
-    for (std::size_t j = 0; j < ra.end - ra.begin; ++j) {
-      ASSERT_EQ(a.id_at(ra.begin + j), b.id_at(rb.begin + j));
+  ASSERT_EQ(a.bucket_count(), b.bucket_count());
+  for (std::size_t bucket = 0; bucket < a.bucket_count(); ++bucket) {
+    const auto ra = a.bucket_at(bucket);
+    const auto rb = b.bucket_at(bucket);
+    ASSERT_EQ(ra.begin, rb.begin);
+    ASSERT_EQ(ra.end, rb.end);
+    std::vector<std::pair<std::uint32_t, std::uint16_t>> in_a;
+    std::vector<std::pair<std::uint32_t, std::uint16_t>> in_b;
+    for (std::size_t pos = ra.begin; pos < ra.end; ++pos) {
+      in_a.emplace_back(a.id_at(pos), a.tag_at(pos));
+      in_b.emplace_back(b.id_at(pos), b.tag_at(pos));
+      if (pos > ra.begin) {
+        EXPECT_LE(a.id_at(pos - 1), a.id_at(pos));
+        EXPECT_LE(b.id_at(pos - 1), b.id_at(pos));
+      }
     }
+    std::sort(in_a.begin(), in_a.end());
+    std::sort(in_b.begin(), in_b.end());
+    ASSERT_EQ(in_a, in_b) << "bucket " << bucket;
   }
 }
 
@@ -114,36 +192,33 @@ TEST(PackedPostings, BitWidthWidensPastTwentyBitIds) {
   // round-trip exactly.
   constexpr std::uint32_t kBoundary = 1u << 20;
   {
-    std::vector<c::PostingEntry> entries = {{1, kBoundary - 1}, {1, 12345}};
     c::PackedPostings p;
-    p.build({std::move(entries)});
+    ASSERT_TRUE(build_from(p, kBoundary,
+                           {{spread(1), kBoundary - 1}, {spread(1), 12345}}));
     EXPECT_EQ(p.bits_per_id(), 20);
-    const auto r = p.find(1);
-    EXPECT_EQ(p.id_at(r.begin), 12345u);
-    EXPECT_EQ(p.id_at(r.begin + 1), kBoundary - 1);
+    EXPECT_EQ(find_ids(p, spread(1)),
+              (std::vector<std::uint32_t>{12345, kBoundary - 1}));
   }
   {
-    std::vector<c::PostingEntry> entries;
+    std::vector<Entry> entries;
     // Enough entries at 21 bits that packed positions straddle word
     // boundaries (64 is not a multiple of 21).
     for (std::uint32_t i = 0; i < 200; ++i) {
-      entries.push_back({i % 7, kBoundary + i});
+      entries.push_back({spread(i % 7), kBoundary + i});
     }
     c::PackedPostings p;
-    p.build({std::move(entries)});
+    ASSERT_TRUE(build_from(p, kBoundary + 200, entries));
     EXPECT_EQ(p.bits_per_id(), 21);
     for (std::uint64_t key = 0; key < 7; ++key) {
-      const auto r = p.find(key);
-      std::uint32_t prev = 0;
-      for (std::size_t pos = r.begin; pos < r.end; ++pos) {
-        const std::uint32_t id = p.id_at(pos);
-        EXPECT_GE(id, kBoundary);
-        EXPECT_LT(id, kBoundary + 200);
-        EXPECT_EQ((id - kBoundary) % 7, key);
-        if (pos > r.begin) {
-          EXPECT_GT(id, prev);
+      const std::vector<std::uint32_t> ids = find_ids(p, spread(key));
+      ASSERT_FALSE(ids.empty());
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_GE(ids[i], kBoundary);
+        EXPECT_LT(ids[i], kBoundary + 200);
+        EXPECT_EQ((ids[i] - kBoundary) % 7, key);
+        if (i > 0) {
+          EXPECT_GT(ids[i], ids[i - 1]);
         }
-        prev = id;
       }
     }
   }
@@ -151,117 +226,129 @@ TEST(PackedPostings, BitWidthWidensPastTwentyBitIds) {
 
 TEST(PackedPostings, EmptyAndSingleEntry) {
   c::PackedPostings p;
-  p.build({});
-  EXPECT_EQ(p.key_count(), 0u);
+  ASSERT_TRUE(build_from(p, 0, {}));
   EXPECT_EQ(p.entry_count(), 0u);
-  std::vector<c::PostingEntry> single = {{0, 0}};
-  p.build({std::move(single)});
+  EXPECT_TRUE(find_ids(p, spread(0)).empty());
+  ASSERT_TRUE(build_from(p, 1, {{spread(0), 0}}));
+  EXPECT_EQ(p.entry_count(), 1u);
   EXPECT_EQ(p.bits_per_id(), 1);
-  const auto r = p.find(0);
-  ASSERT_EQ(r.end - r.begin, 1u);
-  EXPECT_EQ(p.id_at(r.begin), 0u);
+  EXPECT_EQ(find_ids(p, spread(0)), (std::vector<std::uint32_t>{0}));
 }
 
-/// Every observable of two stores is equal: counts, id width, and each
-/// key_at / range_at / id_at position, and find() of every stored key.
-void expect_same_csr(const c::PackedPostings& a, const c::PackedPostings& b,
-                     const std::string& label) {
-  ASSERT_EQ(a.key_count(), b.key_count()) << label;
-  ASSERT_EQ(a.entry_count(), b.entry_count()) << label;
-  ASSERT_EQ(a.bits_per_id(), b.bits_per_id()) << label;
-  for (std::size_t i = 0; i < a.key_count(); ++i) {
-    ASSERT_EQ(a.key_at(i), b.key_at(i)) << label << " key " << i;
-    const auto ra = a.range_at(i);
-    const auto rb = b.range_at(i);
-    ASSERT_EQ(ra.begin, rb.begin) << label << " key " << i;
-    ASSERT_EQ(ra.end, rb.end) << label << " key " << i;
-    const auto found = b.find(b.key_at(i));
-    ASSERT_EQ(found.begin, rb.begin) << label << " find key " << i;
-    ASSERT_EQ(found.end, rb.end) << label << " find key " << i;
-  }
-  for (std::size_t pos = 0; pos < a.entry_count(); ++pos) {
-    ASSERT_EQ(a.id_at(pos), b.id_at(pos)) << label << " pos " << pos;
+TEST(PackedPostings, AbortedBuildLeavesTheStoreEmpty) {
+  c::PackedPostings p;
+  ASSERT_TRUE(build_from(p, 3, {{spread(1), 0}, {spread(2), 2}}));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    const bool built = p.build(
+        100, 100,
+        [](std::uint32_t id, std::vector<std::uint64_t>& out) {
+          out.push_back(spread(id));
+          return id < 50;
+        },
+        threads);
+    EXPECT_FALSE(built);
+    EXPECT_EQ(p.entry_count(), 0u);
+    EXPECT_TRUE(find_ids(p, spread(1)).empty());
   }
 }
 
-/// The store holds exactly `entries` sorted by (hash, id) and
-/// deduplicated, and find() misses hashes it does not hold.
-void expect_csr_of(const c::PackedPostings& p,
-                   std::vector<c::PostingEntry> entries, Rng& rng,
-                   const std::string& label) {
-  const auto less = [](const c::PostingEntry& a, const c::PostingEntry& b) {
-    return a.hash != b.hash ? a.hash < b.hash : a.id < b.id;
-  };
-  std::sort(entries.begin(), entries.end(), less);
-  entries.erase(std::unique(entries.begin(), entries.end(),
-                            [](const c::PostingEntry& a,
-                               const c::PostingEntry& b) {
-                              return a.hash == b.hash && a.id == b.id;
-                            }),
-                entries.end());
-  ASSERT_EQ(p.entry_count(), entries.size()) << label;
-  std::uint32_t max_id = 0;
-  std::size_t key = 0;
-  for (std::size_t pos = 0; pos < entries.size(); ++pos) {
-    if (pos > 0 && entries[pos].hash != entries[pos - 1].hash) {
-      ++key;
+/// The store holds exactly the distinct entries: bucket by bucket, the
+/// entries whose hash falls there in ascending id order, one id's in the
+/// order the key source handed them over (first occurrences; sorted by
+/// hash for lists longer than 16); each stored hash finds its ids; and
+/// any hash finds exactly the ids of its bucket that carry its tag.
+void expect_postings_of(const c::PackedPostings& p,
+                        std::vector<Entry> entries, Rng& rng,
+                        const std::string& label) {
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const Entry& a, const Entry& b) { return a.id < b.id; });
+  std::vector<Entry> distinct;
+  for (std::size_t i = 0; i < entries.size();) {
+    std::size_t j = i;
+    while (j < entries.size() && entries[j].id == entries[i].id) {
+      ++j;
     }
-    ASSERT_LT(key, p.key_count()) << label;
-    ASSERT_EQ(p.key_at(key), entries[pos].hash) << label << " pos " << pos;
-    const auto r = p.range_at(key);
+    std::vector<Entry> one(entries.begin() + static_cast<std::ptrdiff_t>(i),
+                           entries.begin() + static_cast<std::ptrdiff_t>(j));
+    if (one.size() > 16) {
+      std::sort(one.begin(), one.end(), [](const Entry& a, const Entry& b) {
+        return a.hash < b.hash;
+      });
+    }
+    for (const Entry& e : one) {
+      if (std::none_of(distinct.end() - static_cast<std::ptrdiff_t>(std::min(
+                                            distinct.size(), one.size())),
+                       distinct.end(), [&](const Entry& d) {
+                         return d.id == e.id && d.hash == e.hash;
+                       })) {
+        distinct.push_back(e);
+      }
+    }
+    i = j;
+  }
+  entries = std::move(distinct);
+  ASSERT_EQ(p.entry_count(), entries.size()) << label;
+  // Stable by bucket: the order inside each bucket, as the build places
+  // them.
+  std::stable_sort(entries.begin(), entries.end(),
+                   [&](const Entry& a, const Entry& b) {
+                     return p.bucket_of(a.hash) < p.bucket_of(b.hash);
+                   });
+  for (std::size_t pos = 0; pos < entries.size(); ++pos) {
+    const auto r = p.bucket_at(p.bucket_of(entries[pos].hash));
     ASSERT_TRUE(pos >= r.begin && pos < r.end) << label << " pos " << pos;
     ASSERT_EQ(p.id_at(pos), entries[pos].id) << label << " pos " << pos;
-    max_id = std::max(max_id, entries[pos].id);
+    ASSERT_EQ(p.tag_at(pos), p.tag_of(entries[pos].hash)) << label;
   }
-  ASSERT_EQ(p.key_count(), entries.empty() ? 0 : key + 1) << label;
-  EXPECT_EQ(p.bits_per_id(),
-            std::max(1, static_cast<int>(std::bit_width(max_id))))
-      << label;
+  for (std::size_t i = 0; i < entries.size(); i += 97) {
+    const std::vector<std::uint32_t> ids = find_ids(p, entries[i].hash);
+    ASSERT_TRUE(std::find(ids.begin(), ids.end(), entries[i].id) != ids.end())
+        << label << " lost entry " << i;
+  }
   for (int probe = 0; probe < 1000; ++probe) {
     const std::uint64_t h = rng.next();
-    const bool stored = std::binary_search(
-        entries.begin(), entries.end(), c::PostingEntry{h, 0},
-        [](const c::PostingEntry& a, const c::PostingEntry& b) {
-          return a.hash < b.hash;
-        });
-    if (!stored) {
-      const auto r = p.find(h);
-      ASSERT_EQ(r.begin, r.end) << label << " phantom hash " << h;
+    const auto r = p.bucket_at(p.bucket_of(h));
+    std::vector<std::uint32_t> expect;
+    for (std::size_t pos = r.begin; pos < r.end; ++pos) {
+      if (p.tag_at(pos) == p.tag_of(h)) {
+        expect.push_back(p.id_at(pos));
+      }
     }
+    ASSERT_EQ(find_ids(p, h), expect) << label << " hash " << h;
   }
 }
 
 TEST(PackedPostings, BuildIsThreadCountInvariant) {
-  // The partitioned build must produce the same CSR at every thread
-  // count, equal to the sorted-unique entry list.  The shapes stress the
-  // partition seams: 21-bit ids (64 is not a multiple of 21, so
-  // neighbouring partitions share packed words), every hash in one
-  // partition, one hot key holding 12k ids, and mostly empty partitions.
+  // The chunked two-pass build must produce the same layout at every
+  // thread count.  The shapes stress the chunk seams: 21-bit ids (64 is
+  // not a multiple of 21, so neighbouring chunks share packed words), one
+  // hot bucket holding every entry, one hot key holding 12k ids, and
+  // mostly empty buckets.
   Rng rng(2024);
   constexpr std::size_t kEntries = 60000;
   constexpr std::uint32_t kWideId = 1u << 20;
+  constexpr std::uint32_t kIds = kWideId + 200000;
   const auto random_id = [&] {
     return kWideId + static_cast<std::uint32_t>(rng.next() % 200000);
   };
   struct Shape {
     std::string name;
-    std::vector<c::PostingEntry> entries;
+    std::vector<Entry> entries;
   };
   std::vector<Shape> shapes(4);
   shapes[0].name = "uniform 21-bit ids";
-  shapes[1].name = "one partition";
+  shapes[1].name = "one bucket";
   shapes[2].name = "hot key";
-  shapes[3].name = "empty partitions";
+  shapes[3].name = "empty buckets";
   for (std::size_t i = 0; i < kEntries; ++i) {
     shapes[0].entries.push_back({rng.next(), random_id()});
-    // Top byte clear: every entry falls in the first partition.
-    shapes[1].entries.push_back({rng.next() >> 8, random_id()});
+    // Top 24 bits clear: every entry falls in the first bucket.
+    shapes[1].entries.push_back({rng.next() >> 24, random_id()});
     const std::uint64_t high = (rng.next() & 1) != 0 ? 0xfull << 60 : 0;
     shapes[3].entries.push_back({(rng.next() >> 4) | high, random_id()});
   }
   constexpr std::uint64_t kHotHash = 0x5eed5eed5eed5eedull;
   for (std::uint32_t i = 0; i < 12000; ++i) {
-    // Descending ids: the hot key's order must come from the sort.
     shapes[2].entries.push_back({kHotHash, kWideId + 12000 - i});
   }
   for (std::size_t i = 0; i < kEntries; ++i) {
@@ -271,27 +358,53 @@ TEST(PackedPostings, BuildIsThreadCountInvariant) {
     // Exact duplicates must collapse at every thread count too.
     const std::size_t original = shape.entries.size();
     for (std::size_t i = 0; i < original; i += 17) {
-      const c::PostingEntry copy = shape.entries[i];
+      const Entry copy = shape.entries[i];
       shape.entries.push_back(copy);
     }
     c::PackedPostings serial;
-    serial.build({shape.entries}, 1);
-    expect_csr_of(serial, shape.entries, rng, shape.name);
+    ASSERT_TRUE(build_from(serial, kIds, shape.entries, 1));
+    expect_postings_of(serial, shape.entries, rng, shape.name);
     for (const std::size_t threads :
          {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
-      // Uneven runs, one of them empty, as the key-generation chunks and
-      // the existing-entries run hand them over.
-      const auto at = [&](std::size_t sevenths) {
-        return shape.entries.begin() +
-               static_cast<std::ptrdiff_t>(shape.entries.size() * sevenths / 7);
-      };
-      std::vector<std::vector<c::PostingEntry>> runs = {
-          {at(0), at(1)}, {}, {at(1), at(4)}, {at(4), at(7)}};
       c::PackedPostings parallel;
-      parallel.build(std::move(runs), threads);
-      expect_same_csr(serial, parallel,
-                      shape.name + " threads=" + std::to_string(threads));
+      ASSERT_TRUE(build_from(parallel, kIds, shape.entries, threads));
+      expect_same_postings(serial, parallel,
+                           shape.name + " threads=" + std::to_string(threads));
     }
+  }
+}
+
+TEST(PackedPostings, NarrowTagsOnlyAddIds) {
+  // Forced collisions: with fewer tag bits more entries of a bucket share
+  // a tag, so a lookup returns more ids, never fewer.  At zero bits it
+  // returns the whole bucket.
+  Rng rng(7);
+  std::vector<Entry> entries;
+  for (std::uint32_t i = 0; i < 20000; ++i) {
+    entries.push_back({rng.next(), i / 3});
+  }
+  c::PackedPostings full;
+  ASSERT_TRUE(build_from(full, 20000, entries));
+  for (const int bits : {0, 1, 4}) {
+    c::PackedPostings narrow;
+    ASSERT_TRUE(build_from(narrow, 20000, entries, 2, bits));
+    ASSERT_EQ(narrow.bucket_count(), full.bucket_count());
+    std::size_t extra = 0;
+    for (std::size_t i = 0; i < entries.size(); i += 7) {
+      const std::vector<std::uint32_t> wide_ids =
+          find_ids(full, entries[i].hash);
+      const std::vector<std::uint32_t> narrow_ids =
+          find_ids(narrow, entries[i].hash);
+      ASSERT_TRUE(std::includes(narrow_ids.begin(), narrow_ids.end(),
+                                wide_ids.begin(), wide_ids.end()))
+          << "tag bits " << bits;
+      extra += narrow_ids.size() - wide_ids.size();
+      if (bits == 0) {
+        const auto r = narrow.bucket_at(narrow.bucket_of(entries[i].hash));
+        ASSERT_EQ(narrow_ids.size(), r.end - r.begin);
+      }
+    }
+    EXPECT_GT(extra, 0u) << "tag bits " << bits << " forced no collision";
   }
 }
 
@@ -424,19 +537,25 @@ TEST(BlockIndexGenerator, LongStringsAreUnconditionalCandidates) {
 TEST(BlockIndexGenerator, IncrementalAppendsMatchBulkBuild) {
   const auto dataset =
       dg::build_paired_dataset(dg::FieldKind::kLastName, 300, 47).value();
+  const std::span<const std::string> column(dataset.error);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const c::BlockIndexGenerator bulk(1, dataset.error, threads);
+    const c::BlockIndexGenerator bulk(1, column, threads);
     c::BlockIndexGenerator incremental(1);
     // First half in one bulk append, second half one record at a time —
     // the overflow tier takes the singles.
-    const std::size_t half = dataset.error.size() / 2;
-    incremental.append(
-        std::span<const std::string>(dataset.error).subspan(0, half),
-        threads);
-    for (std::size_t i = half; i < dataset.error.size(); ++i) {
-      incremental.append(dataset.error[i]);
+    const std::size_t half = column.size() / 2;
+    incremental.append(column.first(half), threads);
+    for (std::size_t i = half; i < column.size(); ++i) {
+      incremental.append(column.first(i + 1));
     }
     ASSERT_EQ(bulk.size(), incremental.size());
+    ASSERT_GT(incremental.stats().overflow_entries, 0u);
+    // The overflow tier matches full hashes, the base tags: before the
+    // fold both are sound supersets; after it they are the same index.
+    expect_sound_superset(incremental, column, dataset.clean, 1);
+    incremental.compact(column, threads);
+    expect_same_postings(bulk.postings(), incremental.postings(),
+                         "threads=" + std::to_string(threads));
     std::vector<std::uint32_t> a;
     std::vector<std::uint32_t> b;
     for (std::size_t i = 0; i < dataset.clean.size(); i += 3) {
@@ -450,9 +569,10 @@ TEST(BlockIndexGenerator, IncrementalAppendsMatchBulkBuild) {
 }
 
 TEST(BlockIndexGenerator, BulkAppendOntoBaseAndOverflowEqualsFreshBuild) {
-  // A bulk append folds the existing base and overflow entries into the
-  // same build as the new ones; the CSR must equal a fresh bulk build of
-  // every string, position for position, at every thread count.
+  // A bulk append rebuilds the base from the whole column — the strings
+  // of the base and the overflow tier included — and the result must
+  // equal a fresh bulk build of every string, position for position, at
+  // every thread count.
   const auto dataset =
       dg::build_paired_dataset(dg::FieldKind::kLastName, 7000, 59).value();
   const std::span<const std::string> all(dataset.error);
@@ -462,61 +582,122 @@ TEST(BlockIndexGenerator, BulkAppendOntoBaseAndOverflowEqualsFreshBuild) {
                                     std::size_t{3}, std::size_t{4},
                                     std::size_t{8}}) {
     c::BlockIndexGenerator gen(1);
-    gen.append(all.subspan(0, 3000), threads);
+    gen.append(all.first(3000), threads);
     for (std::size_t i = 3000; i < 3200; ++i) {
-      gen.append(all[i]);
+      gen.append(all.first(i + 1));
     }
     ASSERT_GT(gen.stats().overflow_entries, 0u);
-    gen.append(all.subspan(3200), threads);
+    gen.append(all, threads);
     EXPECT_EQ(gen.stats().overflow_entries, 0u);
     ASSERT_EQ(gen.size(), fresh.size());
-    expect_same_csr(fresh.postings(), gen.postings(),
-                    "threads=" + std::to_string(threads));
+    expect_same_postings(fresh.postings(), gen.postings(),
+                         "threads=" + std::to_string(threads));
   }
 }
 
 TEST(BlockIndexGenerator, CompactionPreservesGeneration) {
+  // Single appends stay in the overflow tier (exact hashes); compaction
+  // moves them into the tagged base, which may add tag-collision
+  // candidates but never drops one, and leaves the verified matches as
+  // they were.
   const auto dataset =
       dg::build_paired_dataset(dg::FieldKind::kLastName, 200, 53).value();
+  const std::span<const std::string> column(dataset.error);
   c::BlockIndexGenerator gen(1);
-  for (const std::string& s : dataset.error) {
-    gen.append(s);
+  for (std::size_t i = 0; i < column.size(); ++i) {
+    gen.append(column.first(i + 1));
   }
   std::vector<std::vector<std::uint32_t>> before(dataset.clean.size());
   for (std::size_t i = 0; i < dataset.clean.size(); ++i) {
     gen.generate(dataset.clean[i], before[i]);
   }
   const auto pre = gen.stats();
-  gen.compact();
+  ASSERT_GT(pre.overflow_entries, 0u);
+  gen.compact(column);
   const auto post = gen.stats();
   EXPECT_EQ(post.overflow_entries, 0u);
-  EXPECT_GE(post.compactions, pre.compactions);
-  EXPECT_GT(post.entries, 0u);
+  EXPECT_EQ(post.compactions, pre.compactions + 1);
+  EXPECT_EQ(post.entries, pre.overflow_entries);
   for (std::size_t i = 0; i < dataset.clean.size(); ++i) {
     std::vector<std::uint32_t> after;
     gen.generate(dataset.clean[i], after);
-    ASSERT_EQ(before[i], after) << "query i=" << i;
+    ASSERT_TRUE(std::includes(after.begin(), after.end(), before[i].begin(),
+                              before[i].end()))
+        << "query i=" << i;
+    for (const std::uint32_t j : after) {
+      if (pdl_within(dataset.clean[i], column[j], 1)) {
+        ASSERT_TRUE(std::binary_search(before[i].begin(), before[i].end(), j))
+            << "query i=" << i;
+      }
+    }
   }
   // Idempotent once the overflow is empty.
-  gen.compact();
+  gen.compact(column);
   EXPECT_EQ(gen.stats().compactions, post.compactions);
 }
 
 TEST(BlockIndexGenerator, AutomaticCompactionTriggersAndStaysSound) {
   // Enough single appends to outgrow the overflow tier and fold into the
-  // CSR base at least once mid-stream.
+  // base at least once mid-stream.
   const auto dataset =
       dg::build_paired_dataset(dg::FieldKind::kAddress, 900, 61).value();
+  const std::span<const std::string> column(dataset.error);
   c::BlockIndexGenerator gen(1);
-  for (const std::string& s : dataset.error) {
-    gen.append(s);
+  for (std::size_t i = 0; i < column.size(); ++i) {
+    gen.append(column.first(i + 1));
   }
   EXPECT_GT(gen.stats().compactions, 0u);
   std::vector<std::string> queries;
   for (std::size_t i = 0; i < dataset.clean.size(); i += 9) {
     queries.push_back(dataset.clean[i]);
   }
-  expect_sound_superset(gen, dataset.error, queries, 1);
+  expect_sound_superset(gen, column, queries, 1);
+}
+
+TEST(BlockIndexGenerator, NarrowTagsStaySound) {
+  // Forced collisions through the real key families: at 0-4 tag bits
+  // most base lookups return foreign ids, and generation must stay a
+  // superset of the full-tag index's and of the true matches.
+  for (const int k : {1, 2}) {
+    const auto dataset =
+        dg::build_paired_dataset(dg::FieldKind::kLastName, 400, 83).value();
+    const c::BlockIndexGenerator full(k, dataset.error);
+    for (const int bits : {0, 4}) {
+      const auto narrow =
+          c::BlockIndexGenerator::build(k, dataset.error, 2, {}, bits);
+      ASSERT_TRUE(narrow.has_value());
+      EXPECT_EQ(narrow->postings().tag_bits(), bits);
+      expect_sound_superset(*narrow, dataset.error, dataset.clean, k);
+      std::size_t extra = 0;
+      for (const std::string& q : dataset.clean) {
+        std::vector<std::uint32_t> a;
+        std::vector<std::uint32_t> b;
+        full.generate(q, a);
+        narrow->generate(q, b);
+        ASSERT_TRUE(std::includes(b.begin(), b.end(), a.begin(), a.end()))
+            << "k=" << k << " bits=" << bits << " '" << q << "'";
+        extra += b.size() - a.size();
+      }
+      EXPECT_GT(extra, 0u) << "k=" << k << " bits=" << bits;
+    }
+  }
+}
+
+TEST(BlockIndexGenerator, StoppedBuildReturnsNothing) {
+  const auto dataset =
+      dg::build_paired_dataset(dg::FieldKind::kLastName, 300, 89).value();
+  std::stop_source source;
+  source.request_stop();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    EXPECT_FALSE(c::BlockIndexGenerator::build(1, dataset.error, threads,
+                                               source.get_token())
+                     .has_value());
+  }
+  const auto built =
+      c::BlockIndexGenerator::build(1, dataset.error, 1, std::stop_token{});
+  ASSERT_TRUE(built.has_value());
+  expect_same_postings(c::BlockIndexGenerator(1, dataset.error).postings(),
+                       built->postings(), "unstopped");
 }
 
 TEST(BlockIndexGenerator, BatchedProbeEqualsPerQueryGenerate) {
@@ -542,10 +723,12 @@ TEST(BlockIndexGenerator, BatchedProbeEqualsPerQueryGenerate) {
   queries.insert(queries.begin() + 20, std::string(66, 'Q') + "R");
   queries.push_back(dataset.clean[130]);  // matches an overflow entry
   queries.push_back(dataset.clean[150]);
+  std::vector<std::string> column = stored;
+  column.insert(column.end(), appended.begin(), appended.end());
   for (const int k : {0, 1, 2}) {
     c::BlockIndexGenerator gen(k, stored);
-    for (const std::string& s : appended) {
-      gen.append(s);
+    for (std::size_t i = stored.size(); i < column.size(); ++i) {
+      gen.append(std::span<const std::string>(column).first(i + 1));
     }
     const c::BlockIndexStats st = gen.stats();
     ASSERT_GT(st.overflow_entries, 0u) << "k=" << k;

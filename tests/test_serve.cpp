@@ -17,12 +17,14 @@
 #include "core/corpus.hpp"
 #include "datagen/dataset.hpp"
 #include "linkage/person_gen.hpp"
+#include "metrics/pdl.hpp"
 #include "net/tcp.hpp"
 #include "serve/client.hpp"
 #include "serve/coalescer.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
 #include "storage/mem_object.hpp"
+#include "testenv.hpp"
 #include "util/rng.hpp"
 
 namespace c = fbf::core;
@@ -44,6 +46,26 @@ void expect_result_eq(const c::CorpusResult& got, const c::CorpusResult& want,
   EXPECT_EQ(got.counters.fbf_evaluated, want.counters.fbf_evaluated) << label;
   EXPECT_EQ(got.counters.fbf_pass, want.counters.fbf_pass) << label;
   EXPECT_EQ(got.counters.verify_calls, want.counters.verify_calls) << label;
+  EXPECT_EQ(got.generator, want.generator) << label;
+}
+
+constexpr c::GeneratorKind kGenerators[] = {c::GeneratorKind::kDense,
+                                            c::GeneratorKind::kBlockIndex};
+
+std::string generator_label(c::GeneratorKind kind) {
+  return std::string("generator=") + c::generator_name(kind);
+}
+
+/// Matches of `query` by brute-force pdl_within over `corpus`.
+std::vector<std::uint32_t> brute_force(std::span<const std::string> corpus,
+                                       const std::string& query, int k) {
+  std::vector<std::uint32_t> ids;
+  for (std::size_t j = 0; j < corpus.size(); ++j) {
+    if (fbf::metrics::pdl_within(query, corpus[j], k)) {
+      ids.push_back(static_cast<std::uint32_t>(j));
+    }
+  }
+  return ids;
 }
 
 d::PairedDataset make_dataset(std::size_t n, std::uint64_t seed) {
@@ -69,25 +91,34 @@ bool eventually(Pred done) {
 }  // namespace
 
 // --- MatchCorpus: query_batch == sequential query ----------------------
+//
+// Per generator: on the block-index route the comparison waits for the
+// background index, so batch and solo see the same published index.
 
 TEST(MatchCorpus, BatchedIdenticalToSequentialAcrossMethodsAndSizes) {
   const d::PairedDataset dataset = make_dataset(700, 11);
-  for (const c::Method method :
-       {c::Method::kFpdl, c::Method::kFbfOnly, c::Method::kLfpdl}) {
-    c::QueryOptions options;
-    options.method = method;
-    const c::MatchCorpus corpus(options, dataset.clean);
-    // Q spanning: lone query, partial block, full block, several blocks.
-    for (const std::size_t q : {std::size_t{1}, std::size_t{3},
-                                std::size_t{8}, std::size_t{21}}) {
-      const std::span<const std::string> queries(dataset.error.data(), q);
-      const std::vector<c::CorpusResult> batched = corpus.query_batch(queries);
-      ASSERT_EQ(batched.size(), q);
-      for (std::size_t i = 0; i < q; ++i) {
-        expect_result_eq(batched[i], corpus.query(queries[i]),
-                         "method=" + std::to_string(static_cast<int>(method)) +
-                             " q=" + std::to_string(q) +
-                             " i=" + std::to_string(i));
+  for (const c::GeneratorKind generator : kGenerators) {
+    for (const c::Method method :
+         {c::Method::kFpdl, c::Method::kFbfOnly, c::Method::kLfpdl}) {
+      c::QueryOptions options;
+      options.method = method;
+      options.exec.generator = generator;
+      const c::MatchCorpus corpus(options, dataset.clean);
+      corpus.wait_for_index();
+      // Q spanning: lone query, partial block, full block, several blocks.
+      for (const std::size_t q : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{8}, std::size_t{21}}) {
+        const std::span<const std::string> queries(dataset.error.data(), q);
+        const std::vector<c::CorpusResult> batched =
+            corpus.query_batch(queries);
+        ASSERT_EQ(batched.size(), q);
+        for (std::size_t i = 0; i < q; ++i) {
+          expect_result_eq(
+              batched[i], corpus.query(queries[i]),
+              generator_label(generator) +
+                  " method=" + std::to_string(static_cast<int>(method)) +
+                  " q=" + std::to_string(q) + " i=" + std::to_string(i));
+        }
       }
     }
   }
@@ -95,15 +126,20 @@ TEST(MatchCorpus, BatchedIdenticalToSequentialAcrossMethodsAndSizes) {
 
 TEST(MatchCorpus, BatchedIdenticalInPerPairFallbackMode) {
   const d::PairedDataset dataset = make_dataset(300, 12);
-  c::QueryOptions options;
-  options.alpha_words = 3;  // l = 3 alpha cannot pack: per-pair fallback
-  const c::MatchCorpus corpus(options, dataset.clean);
-  ASSERT_STREQ(corpus.kernel_name(), "pair-scalar");
-  const std::span<const std::string> queries(dataset.error.data(), 13);
-  const std::vector<c::CorpusResult> batched = corpus.query_batch(queries);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expect_result_eq(batched[i], corpus.query(queries[i]),
-                     "fallback i=" + std::to_string(i));
+  for (const c::GeneratorKind generator : kGenerators) {
+    c::QueryOptions options;
+    options.alpha_words = 3;  // l = 3 alpha cannot pack: per-pair fallback
+    options.exec.generator = generator;
+    const c::MatchCorpus corpus(options, dataset.clean);
+    corpus.wait_for_index();
+    ASSERT_STREQ(corpus.kernel_name(), "pair-scalar");
+    const std::span<const std::string> queries(dataset.error.data(), 13);
+    const std::vector<c::CorpusResult> batched = corpus.query_batch(queries);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      expect_result_eq(batched[i], corpus.query(queries[i]),
+                       generator_label(generator) +
+                           " fallback i=" + std::to_string(i));
+    }
   }
 }
 
@@ -113,24 +149,202 @@ TEST(MatchCorpus, BatchedIdenticalAcrossExecThreads) {
   // matches or counters — the parallel batch must equal the serial
   // corpus query for query, bit for bit.
   const d::PairedDataset dataset = make_dataset(600, 14);
-  c::QueryOptions serial;
-  const c::MatchCorpus reference(serial, dataset.clean);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    c::QueryOptions options;
-    options.exec.threads = threads;
-    const c::MatchCorpus corpus(options, dataset.clean);
-    for (const std::size_t q : {std::size_t{1}, std::size_t{5},
-                                std::size_t{8}, std::size_t{26}}) {
-      const std::span<const std::string> queries(dataset.error.data(), q);
-      const std::vector<c::CorpusResult> batched = corpus.query_batch(queries);
-      ASSERT_EQ(batched.size(), q);
-      for (std::size_t i = 0; i < q; ++i) {
-        expect_result_eq(batched[i], reference.query(queries[i]),
-                         "threads=" + std::to_string(threads) +
-                             " q=" + std::to_string(q) +
-                             " i=" + std::to_string(i));
+  for (const c::GeneratorKind generator : kGenerators) {
+    c::QueryOptions serial;
+    serial.exec.generator = generator;
+    const c::MatchCorpus reference(serial, dataset.clean);
+    reference.wait_for_index();
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+      c::QueryOptions options = serial;
+      options.exec.threads = threads;
+      const c::MatchCorpus corpus(options, dataset.clean);
+      corpus.wait_for_index();
+      for (const std::size_t q : {std::size_t{1}, std::size_t{5},
+                                  std::size_t{8}, std::size_t{26}}) {
+        const std::span<const std::string> queries(dataset.error.data(), q);
+        const std::vector<c::CorpusResult> batched =
+            corpus.query_batch(queries);
+        ASSERT_EQ(batched.size(), q);
+        for (std::size_t i = 0; i < q; ++i) {
+          expect_result_eq(batched[i], reference.query(queries[i]),
+                           generator_label(generator) +
+                               " threads=" + std::to_string(threads) +
+                               " q=" + std::to_string(q) +
+                               " i=" + std::to_string(i));
+        }
       }
     }
+  }
+}
+
+// --- MatchCorpus: the background block index ---------------------------
+
+/// A corpus on the block-index route unless FBF_FORCE_GENERATOR=dense
+/// pins it dense (the assertions below hold on both routes).
+c::QueryOptions block_options() {
+  c::QueryOptions options;
+  options.exec.generator = c::GeneratorKind::kBlockIndex;
+  return options;
+}
+
+TEST(MatchCorpusIndex, BatchEqualsSoloWithAnUnindexedTail) {
+  // The index covers whole 64-row groups: 700 rows leave a 60-row tail
+  // that every query sweeps densely after probing the index.
+  const d::PairedDataset dataset = make_dataset(700, 15);
+  const c::MatchCorpus corpus(block_options(), dataset.clean);
+  corpus.wait_for_index();
+  if (corpus.generator() == c::GeneratorKind::kBlockIndex) {
+    ASSERT_EQ(corpus.indexed_rows(), 640u);
+  }
+  // Queries whose true neighbours sit in the tail and in the prefix.
+  std::vector<std::string> queries(dataset.error.begin() + 650,
+                                   dataset.error.end());
+  queries.insert(queries.end(), dataset.error.begin(),
+                 dataset.error.begin() + 30);
+  const std::vector<c::CorpusResult> batched = corpus.query_batch(queries);
+  std::size_t tail_matches = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const c::CorpusResult solo = corpus.query(queries[i]);
+    expect_result_eq(batched[i], solo, "i=" + std::to_string(i));
+    EXPECT_EQ(solo.generator, corpus.generator());
+    EXPECT_EQ(solo.matches, brute_force(dataset.clean, queries[i], 1))
+        << "i=" << i;
+    tail_matches += static_cast<std::size_t>(std::count_if(
+        solo.matches.begin(), solo.matches.end(),
+        [](std::uint32_t id) { return id >= 640; }));
+  }
+  EXPECT_GT(tail_matches, 0u);
+}
+
+TEST(MatchCorpusIndex, MatchesEqualDenseBeforeAndAfterPublication) {
+  // Counters name the route, but match ids never depend on it: the
+  // first query runs before any publication (dense), later ones through
+  // the index, and both equal the dense corpus and brute force.
+  const d::PairedDataset dataset = make_dataset(900, 16);
+  c::QueryOptions dense_options;
+  dense_options.exec.generator = c::GeneratorKind::kDense;
+  const c::MatchCorpus dense(dense_options, dataset.clean);
+  const c::MatchCorpus corpus(block_options(), dataset.clean);
+  const std::span<const std::string> queries(dataset.error.data(), 40);
+  const c::CorpusResult first = corpus.query(queries[0]);
+  EXPECT_EQ(first.generator, c::GeneratorKind::kDense);
+  expect_result_eq(first, dense.query(queries[0]), "before publication");
+  const std::vector<c::CorpusResult> racing = corpus.query_batch(queries);
+  corpus.wait_for_index();
+  const std::vector<c::CorpusResult> after = corpus.query_batch(queries);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const c::CorpusResult want = dense.query(queries[i]);
+    EXPECT_EQ(racing[i].matches, want.matches) << "i=" << i;
+    EXPECT_EQ(after[i].matches, want.matches) << "i=" << i;
+    EXPECT_EQ(after[i].generator, corpus.generator()) << "i=" << i;
+    EXPECT_EQ(want.matches, brute_force(dataset.clean, queries[i], 1));
+    if (corpus.generator() == c::GeneratorKind::kBlockIndex) {
+      EXPECT_LT(after[i].counters.candidates_generated, dataset.clean.size())
+          << "i=" << i;
+    } else if (dense.generator() == c::GeneratorKind::kDense) {
+      expect_result_eq(after[i], want, "forced dense i=" + std::to_string(i));
+    }
+  }
+}
+
+TEST(MatchCorpusIndex, ForcedGeneratorsAgreeWithBruteForce) {
+  // FBF_FORCE_GENERATOR overrides the options both ways; the gates still
+  // apply after it, and the match ids never move.
+  const d::PairedDataset dataset = make_dataset(500, 17);
+  const std::span<const std::string> queries(dataset.error.data(), 24);
+  for (const char* forced : {"dense", "block"}) {
+    const fbf::testenv::ScopedForceGenerator force(forced);
+    for (const c::GeneratorKind requested : kGenerators) {
+      for (const c::Method method : {c::Method::kFpdl, c::Method::kFbfOnly}) {
+        c::QueryOptions options;
+        options.method = method;
+        options.exec.generator = requested;
+        const c::MatchCorpus corpus(options, dataset.clean);
+        const bool engaged = std::string_view(forced) == "block" &&
+                             method == c::Method::kFpdl;
+        EXPECT_EQ(corpus.generator(), engaged ? c::GeneratorKind::kBlockIndex
+                                              : c::GeneratorKind::kDense);
+        corpus.wait_for_index();
+        const std::vector<c::CorpusResult> results =
+            corpus.query_batch(queries);
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          EXPECT_EQ(results[i].generator, corpus.generator());
+          if (method == c::Method::kFpdl) {
+            EXPECT_EQ(results[i].matches,
+                      brute_force(dataset.clean, queries[i], 1))
+                << "forced=" << forced << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MatchCorpusIndex, AppendDuringABuildCancelsAndRestartsIt) {
+  // A query starts the build; appends cancel it (or find it done) and
+  // the next query starts another over the grown corpus.  The published
+  // index must then answer exactly as a fresh corpus's over the same
+  // strings — counters included, which pins the index layout.
+  const d::PairedDataset dataset = make_dataset(6000, 18);
+  const std::span<const std::string> all(dataset.clean);
+  c::MatchCorpus corpus(block_options(), all.first(4000));
+  const std::span<const std::string> queries(dataset.error.data(), 30);
+  for (const std::size_t upto : {std::size_t{5000}, std::size_t{5990}}) {
+    (void)corpus.query(queries[0]);  // starts a build
+    corpus.append(all.subspan(corpus.size(), upto - corpus.size()));
+    EXPECT_LT(corpus.indexed_rows(), corpus.size());
+  }
+  corpus.wait_for_index();
+  const c::MatchCorpus fresh(block_options(), all.first(5990));
+  fresh.wait_for_index();
+  if (corpus.generator() == c::GeneratorKind::kBlockIndex) {
+    EXPECT_EQ(corpus.indexed_rows(), 5952u);  // 93 whole 64-row groups
+  }
+  EXPECT_EQ(corpus.indexed_rows(), fresh.indexed_rows());
+  const std::vector<c::CorpusResult> got = corpus.query_batch(queries);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_result_eq(got[i], fresh.query(queries[i]),
+                     "i=" + std::to_string(i));
+  }
+}
+
+TEST(MatchCorpusIndex, AppendAfterPublicationKeepsThePrefixAndRebuilds) {
+  // Appended rows join the swept tail of the published index at once;
+  // the next query starts a build over the grown corpus, which then
+  // answers as a fresh corpus's index does.
+  const d::PairedDataset dataset = make_dataset(5000, 20);
+  const std::span<const std::string> all(dataset.clean);
+  c::MatchCorpus corpus(block_options(), all.first(4000));
+  corpus.wait_for_index();
+  const bool indexed = corpus.generator() == c::GeneratorKind::kBlockIndex;
+  EXPECT_EQ(corpus.indexed_rows(), indexed ? 3968u : 0u);
+  corpus.append(all.subspan(4000));
+  EXPECT_EQ(corpus.indexed_rows(), indexed ? 3968u : 0u);
+  const std::span<const std::string> queries(dataset.error.data() + 3990, 30);
+  for (const std::string& q : queries) {
+    EXPECT_EQ(corpus.query(q).matches, brute_force(all, q, 1)) << q;
+  }
+  corpus.wait_for_index();
+  EXPECT_EQ(corpus.indexed_rows(), indexed ? 4992u : 0u);
+  const c::MatchCorpus fresh(block_options(), all);
+  fresh.wait_for_index();
+  const std::vector<c::CorpusResult> got = corpus.query_batch(
+      std::vector<std::string>(queries.begin(), queries.end()));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_result_eq(got[i], fresh.query(queries[i]),
+                     "i=" + std::to_string(i));
+  }
+}
+
+TEST(MatchCorpusIndex, DestructionCancelsARunningBuild) {
+  // Each corpus dies while the build its first query started may still
+  // read its strings; the destructor must stop and join it first (the
+  // sanitizer legs check the memory and the thread).
+  const d::PairedDataset dataset = make_dataset(20000, 19);
+  for (int round = 0; round < 3; ++round) {
+    const c::MatchCorpus corpus(block_options(), dataset.clean);
+    EXPECT_EQ(corpus.query(dataset.error[0]).matches,
+              brute_force(dataset.clean, dataset.error[0], 1));
   }
 }
 
@@ -153,60 +367,65 @@ TEST(MatchCorpus, FindsInjectedErrorNeighbor) {
 
 TEST(Coalescer, ConcurrentSubmissionsMatchSoloQueries) {
   const d::PairedDataset dataset = make_dataset(500, 21);
-  const c::MatchCorpus corpus(c::QueryOptions{}, dataset.clean);
-  s::CoalescerOptions options;
-  options.max_inflight = 1024;
-  s::BatchCoalescer coalescer(
-      [&corpus](std::span<const std::string> queries) {
-        return corpus.query_batch(queries);
-      },
-      options);
+  for (const c::GeneratorKind generator : kGenerators) {
+    c::QueryOptions query_options;
+    query_options.exec.generator = generator;
+    const c::MatchCorpus corpus(query_options, dataset.clean);
+    corpus.wait_for_index();
+    s::CoalescerOptions options;
+    options.max_inflight = 1024;
+    s::BatchCoalescer coalescer(
+        [&corpus](std::span<const std::string> queries) {
+          return corpus.query_batch(queries);
+        },
+        options);
 
-  // Fuzzed arrival order: 6 threads x 24 queries with per-thread jitter.
-  constexpr std::size_t kThreads = 6;
-  constexpr std::size_t kPerThread = 24;
-  std::vector<std::thread> threads;
-  std::vector<std::string> failures(kThreads);
-  std::barrier start(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::mt19937 jitter(static_cast<unsigned>(t) * 7919u + 1u);
-      start.arrive_and_wait();
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        const std::string& query =
-            dataset.error[(t * kPerThread + i) % dataset.error.size()];
-        if (jitter() % 3 == 0) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(jitter() % 400));
+    // Fuzzed arrival order: 6 threads x 24 queries with per-thread jitter.
+    constexpr std::size_t kThreads = 6;
+    constexpr std::size_t kPerThread = 24;
+    std::vector<std::thread> threads;
+    std::vector<std::string> failures(kThreads);
+    std::barrier start(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::mt19937 jitter(static_cast<unsigned>(t) * 7919u + 1u);
+        start.arrive_and_wait();
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          const std::string& query =
+              dataset.error[(t * kPerThread + i) % dataset.error.size()];
+          if (jitter() % 3 == 0) {
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(jitter() % 400));
+          }
+          u::Result<c::CorpusResult> got = coalescer.submit(query);
+          if (!got.ok()) {
+            failures[t] = got.status().to_string();
+            return;
+          }
+          const c::CorpusResult want = corpus.query(query);
+          if (got->matches != want.matches ||
+              got->counters.candidates_generated !=
+                  want.counters.candidates_generated ||
+              got->counters.fbf_pass != want.counters.fbf_pass ||
+              got->counters.verify_calls != want.counters.verify_calls) {
+            failures[t] = "batched result diverged for query " + query;
+            return;
+          }
         }
-        u::Result<c::CorpusResult> got = coalescer.submit(query);
-        if (!got.ok()) {
-          failures[t] = got.status().to_string();
-          return;
-        }
-        const c::CorpusResult want = corpus.query(query);
-        if (got->matches != want.matches ||
-            got->counters.candidates_generated !=
-                want.counters.candidates_generated ||
-            got->counters.fbf_pass != want.counters.fbf_pass ||
-            got->counters.verify_calls != want.counters.verify_calls) {
-          failures[t] = "batched result diverged for query " + query;
-          return;
-        }
-      }
-    });
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    for (const std::string& failure : failures) {
+      EXPECT_TRUE(failure.empty()) << failure;
+    }
+    const s::CoalescerStats stats = coalescer.stats();
+    EXPECT_EQ(stats.queries, kThreads * kPerThread);
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_GE(stats.queries, stats.batches);  // never more batches than queries
+    EXPECT_LE(stats.max_batch, c::kMaxBlockQueries);
   }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  for (const std::string& failure : failures) {
-    EXPECT_TRUE(failure.empty()) << failure;
-  }
-  const s::CoalescerStats stats = coalescer.stats();
-  EXPECT_EQ(stats.queries, kThreads * kPerThread);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_GE(stats.queries, stats.batches);  // never more batches than queries
-  EXPECT_LE(stats.max_batch, c::kMaxBlockQueries);
 }
 
 TEST(Coalescer, OverloadFailsFastWithResourceExhausted) {
@@ -280,6 +499,7 @@ TEST(Coalescer, ArrivalsDuringARunningBatchFormTheNextBatch) {
   // a solo query and each traced once with the batch it rode.
   const d::PairedDataset dataset = make_dataset(400, 22);
   const c::MatchCorpus corpus(c::QueryOptions{}, dataset.clean);
+  corpus.wait_for_index();  // a no-op unless FBF_FORCE_GENERATOR=block
   constexpr std::size_t kFollowers = 5;
   constexpr std::uint64_t kTraceBase = 0x5EED00;
   std::latch first_running(1);
@@ -618,9 +838,12 @@ TEST(ServeProtocol, RequestAndReplyCodecsRoundTrip) {
   response.matches.push_back({7, 2, 0.5, "value"});
   response.counters.fbf_pass = 9;
   response.comparisons = 100;
+  response.generator = "block-index";
   const u::Result<fbf::MatchResponse> response_rt =
       s::decode_match_response(s::encode_match_response(response));
   ASSERT_TRUE(response_rt.ok());
+  EXPECT_EQ(response_rt->generator, "block-index");
+  EXPECT_EQ(response_rt->comparisons, 100u);
   EXPECT_EQ(s::match_response_fingerprint(*response_rt),
             s::match_response_fingerprint(response));
 

@@ -39,6 +39,9 @@ struct ServeFixture {
     EXPECT_TRUE(built.ok());
     dataset = std::move(built.value());
     service.index_strings(dataset.clean);
+    // Replies name the route and counters depend on it: compare against
+    // the published index, not a build racing the requests.
+    service.corpus().wait_for_index();
     u::Rng rng(seed + 1);
     clean = l::generate_people(60, rng);
     l::RecordErrorModel model;
@@ -72,6 +75,13 @@ TEST(ServeClient, InProcessAndTcpBackendsAnswerIdentically) {
     EXPECT_EQ(s::match_response_fingerprint(*a),
               s::match_response_fingerprint(*b))
         << "string query " << i;
+    // The served generator crosses both transports unchanged (the
+    // service default; FBF_FORCE_GENERATOR=dense pins it dense).
+    EXPECT_EQ(a->generator, b->generator) << "string query " << i;
+    EXPECT_EQ(a->generator,
+              c::generator_name(fixture.service.corpus().generator()))
+        << "string query " << i;
+    EXPECT_EQ(a->comparisons, a->counters.candidates_generated);
   }
   for (std::size_t i = 0; i < 12; ++i) {
     const u::Result<fbf::MatchResponse> a =
@@ -176,8 +186,11 @@ TEST(ServeClient, DeprecatedEntryPointsAndClientAgreeOnMatches) {
   const u::Result<fbf::MatchResponse> served = client.match_string(query, 0);
   ASSERT_TRUE(served.ok());
 
-  const c::MatchCorpus corpus(c::QueryOptions{}, fixture.dataset.clean);
+  const c::MatchCorpus corpus(fixture.service.corpus().options(),
+                              fixture.dataset.clean);
+  corpus.wait_for_index();
   const c::CorpusResult direct = corpus.query(query);
+  EXPECT_EQ(served->generator, c::generator_name(direct.generator));
   ASSERT_EQ(served->matches.size(), direct.matches.size());
   for (std::size_t i = 0; i < direct.matches.size(); ++i) {
     EXPECT_EQ(served->matches[i].id, direct.matches[i]);

@@ -11,6 +11,7 @@
 //    fault injection included.
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -404,6 +405,70 @@ TEST(TelemetryNeutrality, BlockJoinRecordsProbeTime) {
   run(c::GeneratorKind::kBlockIndex);
   t::set_enabled(true);
   EXPECT_EQ(probe().count, 1u);
+}
+
+TEST(TelemetryNeutrality, CorpusIndexRecordsReadyTimeAndIndexedRows) {
+  // corpus.index_ready_ms gains one sample per published background
+  // index (first demand -> publication), none on the dense route and
+  // none with telemetry off; corpus.indexed_rows reports the published
+  // prefix in every kMetrics snapshot.  Replies match the dense
+  // service's either way.
+  const TelemetryGuard guard;
+  const fbf::testenv::ScopedForceGenerator unpinned(nullptr);
+  auto built = d::build_paired_dataset(d::FieldKind::kLastName, 300, 41);
+  ASSERT_TRUE(built.ok());
+  const d::PairedDataset& dataset = built.value();
+  const auto ready_samples = [] {
+    const t::MetricsSnapshot snap = t::capture(t::Registry::global());
+    const t::HistogramStats* h = snap.histogram("corpus.index_ready_ms");
+    return h == nullptr ? std::uint64_t{0} : h->count;
+  };
+  const auto serve = [&](c::GeneratorKind generator) {
+    s::ServiceOptions options;
+    options.query.exec.generator = generator;
+    auto service = std::make_unique<s::MatchService>(
+        options, std::make_shared<fbf::storage::MemObjectBackend>());
+    service->index_strings(dataset.clean);
+    return service;
+  };
+  const auto matches = [&](s::MatchService& service) {
+    fbf::Client client = fbf::Client::in_process(service);
+    std::vector<std::vector<std::uint32_t>> ids;
+    for (std::size_t i = 0; i < 20; ++i) {
+      const u::Result<fbf::MatchResponse> reply =
+          client.match_string(dataset.error[i], 0);
+      EXPECT_TRUE(reply.ok());
+      ids.emplace_back();
+      for (const fbf::MatchResponse::Match& m : reply->matches) {
+        ids.back().push_back(m.id);
+      }
+    }
+    return ids;
+  };
+
+  EXPECT_EQ(s::ServiceOptions{}.query.exec.generator,
+            c::GeneratorKind::kBlockIndex);
+  const auto dense = serve(c::GeneratorKind::kDense);
+  const auto dense_ids = matches(*dense);
+  dense->corpus().wait_for_index();
+  EXPECT_EQ(dense->metrics_snapshot().gauge("corpus.indexed_rows"), 0);
+  EXPECT_EQ(ready_samples(), 0u);
+
+  const auto block = serve(c::GeneratorKind::kBlockIndex);
+  EXPECT_EQ(block->metrics_snapshot().gauge("corpus.indexed_rows"), 0);
+  EXPECT_EQ(matches(*block), dense_ids);  // demands the index
+  block->corpus().wait_for_index();
+  EXPECT_EQ(block->metrics_snapshot().gauge("corpus.indexed_rows"), 256);
+  EXPECT_EQ(ready_samples(), 1u);
+  EXPECT_EQ(matches(*block), dense_ids);  // through the index
+
+  t::set_enabled(false);
+  const auto quiet = serve(c::GeneratorKind::kBlockIndex);
+  EXPECT_EQ(matches(*quiet), dense_ids);
+  quiet->corpus().wait_for_index();
+  EXPECT_EQ(quiet->metrics_snapshot().gauge("corpus.indexed_rows"), 256);
+  t::set_enabled(true);
+  EXPECT_EQ(ready_samples(), 1u);
 }
 
 // --- tracing ------------------------------------------------------------
