@@ -1,10 +1,9 @@
 // Elastic cluster simulation (extension; DESIGN.md §12).
 //
-// bench_sharded_cloud measures the *static* scatter; this bench measures
-// the elastic membership layer on top of it: replica groups with quorum
-// writes, query failover, and live rebalance through the storage
-// manifest/base/delta chain — under scripted kills, membership changes
-// and injected faults.  Every scenario re-runs the same linkage workload
+// Measures the shard driver's elastic membership layer: replica groups
+// with quorum writes, query failover, and live rebalance through the
+// storage manifest/base/delta chain — under scripted kills, membership
+// changes and injected faults.  Every scenario re-runs the same linkage workload
 // and is gated on the acceptance property from the cluster tests:
 //
 //   decisions byte-identical to the static fault-free run
@@ -15,8 +14,8 @@
 // throughput/latency columns are only comparable while the equivalence
 // property holds.
 //
-// --transport=inprocess|tcp selects the delivery backend, exactly as in
-// bench_sharded_cloud; counters are transport-independent.
+// --transport=inprocess|tcp selects the delivery backend; counters are
+// transport-independent.
 #include <chrono>
 #include <iostream>
 #include <optional>
@@ -134,7 +133,7 @@ int main(int argc, char** argv) {
   }
   {
     Scenario s{"transient 30% net faults", base_config(), {}};
-    lk::ShardFaultPolicy policy;
+    cl::ShardFaultPolicy policy;
     policy.faults.seed = opts.config.seed;
     policy.faults.shard_fail_rate = 0.3;
     policy.retry.max_attempts = 6;

@@ -1,21 +1,25 @@
 // End-to-end pipeline on CSV files — the shape of a real deployment:
-// export two databases to disk, load them back, link them (optionally
-// sharded across simulated nodes), and write the matched pairs out.
+// export two databases to disk, load them back, link them sharded across
+// simulated nodes, and write the matched pairs out.
 //
 //   build/examples/csv_pipeline [--n 600] [--seed 42] [--shards 4]
-//                               [--scheme replicate|hash-ln|hash-sdx]
 //                               [--dir /tmp]
 //
 // Produces <dir>/fbf_clean.csv, <dir>/fbf_error.csv and
-// <dir>/fbf_matches.csv.
+// <dir>/fbf_matches.csv.  Exits nonzero when the sharded run's match or
+// true-positive totals differ from the single-pass link that writes the
+// match file.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <map>
+#include <numeric>
 #include <string>
 
+#include "cluster/elastic.hpp"
 #include "linkage/csv_io.hpp"
 #include "linkage/person_gen.hpp"
-#include "linkage/sharded.hpp"
 #include "linkage/standardize.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -25,18 +29,13 @@ int main(int argc, char** argv) {
   const fbf::util::CliArgs args(argc, argv);
   const auto n = static_cast<std::size_t>(args.get_int("n", 600));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const auto shards = static_cast<std::size_t>(args.get_int("shards", 4));
-  const std::string scheme_name = args.get_string("scheme", "replicate");
+  const auto shards = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, args.get_int("shards", 4)));
   const std::string dir = args.get_string("dir", "/tmp");
-
-  lk::PartitionScheme scheme = lk::PartitionScheme::kReplicateRight;
-  if (scheme_name == "hash-ln") {
-    scheme = lk::PartitionScheme::kHashLastName;
-  } else if (scheme_name == "hash-sdx") {
-    scheme = lk::PartitionScheme::kHashSoundexLastName;
-  } else if (scheme_name != "replicate") {
-    std::fprintf(stderr, "unknown scheme %s\n", scheme_name.c_str());
-    return 1;
+  const auto unknown = args.unknown_flags();
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown flag: --%s\n", unknown.front().c_str());
+    return 2;
   }
 
   // 1. Export: two "databases" on disk.
@@ -97,38 +96,59 @@ int main(int argc, char** argv) {
   std::printf("loaded and standardized %zu + %zu records\n", left.size(),
               right.size());
 
-  // 3. Link, sharded across simulated nodes.
-  lk::ShardedConfig config;
-  config.n_shards = shards;
-  config.scheme = scheme;
+  // 3. Link, sharded across simulated nodes: a static cluster is the
+  // elastic driver with one replica per partition and no membership
+  // events.  The right list is broadcast to every node, so the sharded
+  // totals must equal a single-pass link.
+  namespace cl = fbf::cluster;
+  cl::ElasticConfig config;
+  config.nodes.resize(shards);
+  std::iota(config.nodes.begin(), config.nodes.end(), cl::NodeId{0});
+  config.replication = 1;
   config.link.comparator =
       lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
-  config.link.collect_matches = true;
-  const auto result = lk::link_sharded(left, right, config);
-  std::printf("\nscheme=%s shards=%zu\n", lk::partition_scheme_name(scheme),
-              shards);
-  std::printf("%-6s %10s %10s %8s %10s\n", "shard", "left", "pairs",
-              "matches", "time ms");
-  for (std::size_t s = 0; s < result.shards.size(); ++s) {
-    const auto& shard = result.shards[s];
-    std::printf("%-6zu %10zu %10llu %8llu %10.1f\n", s, shard.left_count,
-                static_cast<unsigned long long>(shard.pairs),
-                static_cast<unsigned long long>(shard.matches),
-                shard.link_ms);
+  const auto result = cl::link_elastic(left, right, config);
+
+  struct NodeRow {
+    std::size_t partitions = 0;
+    std::size_t left = 0;
+    std::uint64_t pairs = 0;
+    std::uint64_t matches = 0;
+  };
+  std::map<cl::NodeId, NodeRow> by_node;
+  for (const auto& p : result.partitions) {
+    NodeRow& row = by_node[p.served_by];
+    ++row.partitions;
+    row.left += p.records;
+    row.pairs += p.pairs;
+    row.matches += p.matches;
+  }
+  std::printf("\nshards=%zu (%zu ring partitions)\n", shards,
+              result.partitions.size());
+  std::printf("%-6s %10s %10s %10s %8s %10s\n", "node", "partitions", "left",
+              "pairs", "matches", "time ms");
+  for (const auto& replica : result.replicas) {
+    const NodeRow& row = by_node[replica.node];
+    std::printf("%-6u %10zu %10zu %10llu %8llu %10.1f\n", replica.node,
+                row.partitions, row.left,
+                static_cast<unsigned long long>(row.pairs),
+                static_cast<unsigned long long>(row.matches),
+                replica.busy_ms);
   }
   std::printf("total: pairs=%llu matches=%llu true=%llu  makespan=%.1f ms "
-              "(sum %.1f ms, imbalance %.2f)\n",
+              "(sum %.1f ms)\n",
               static_cast<unsigned long long>(result.total_pairs),
               static_cast<unsigned long long>(result.total_matches),
               static_cast<unsigned long long>(result.total_true_positives),
-              result.makespan_ms, result.sum_ms, result.imbalance());
+              result.makespan_ms, result.sum_ms);
   std::printf("recall vs %zu true pairs: %.3f\n", n,
               static_cast<double>(result.total_true_positives) /
                   static_cast<double>(n));
 
-  // 4. Export the match pairs (ids only; shard-local pair lists were not
-  // collected per shard here, so re-run one lossless pass for the file).
+  // 4. Export the match pairs (ids only; partitions reply with counters,
+  // not pair lists, so one single-pass link produces the file).
   lk::LinkConfig flat = config.link;
+  flat.collect_matches = true;
   const auto stats = lk::link_exhaustive(left, right, flat);
   const std::string match_path = dir + "/fbf_matches.csv";
   std::ofstream match_out(match_path);
@@ -139,5 +159,17 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s (%zu pairs)\n", match_path.c_str(),
               stats.match_pairs.size());
+
+  if (result.total_matches != stats.matches ||
+      result.total_true_positives != stats.true_positives) {
+    std::fprintf(stderr,
+                 "sharded totals differ from the single pass: matches %llu "
+                 "vs %llu, true %llu vs %llu\n",
+                 static_cast<unsigned long long>(result.total_matches),
+                 static_cast<unsigned long long>(stats.matches),
+                 static_cast<unsigned long long>(result.total_true_positives),
+                 static_cast<unsigned long long>(stats.true_positives));
+    return 1;
+  }
   return 0;
 }

@@ -625,7 +625,9 @@ void ElasticRun::query_partition(Partition& p) {
   reply.records = p.record_count();
 
   const std::string payload = encode_replica_query({p.pid});
-  const int rounds = retry_.bounded_attempts();
+  // A partition no replica holds has nobody to retry: it is dropped at
+  // once instead of waiting out the backoff schedule.
+  const int rounds = p.holders.empty() ? 0 : retry_.bounded_attempts();
   for (int round = 1; round <= rounds && !reply.completed; ++round) {
     for (std::size_t hi = 0; hi < p.holders.size(); ++hi) {
       const NodeId node = p.holders[hi];

@@ -1,9 +1,11 @@
 // Elastic sharded linkage: replica groups, quorum writes, consistent-hash
 // partitioning and live rebalance under fault injection.
 //
-// linkage::link_sharded models a *static* cluster: fixed N, modulo
-// scatter, a failed shard's partition is dropped and reported.  This
-// layer models the cluster the ROADMAP's north star actually needs —
+// This is the repo's one shard driver.  A static cluster is the special
+// case replication = 1, nodes = {0..N-1} and an empty schedule: every
+// partition has one home, a failed node's partitions are dropped and
+// reported (dropped_partitions / dropped_pairs), and the run completes.
+// The general case models the cluster the ROADMAP's north star needs —
 // membership changes while a run is in flight, and node deaths must not
 // cost recall:
 //
@@ -37,9 +39,9 @@
 #include "cluster/rebalance.hpp"
 #include "cluster/ring.hpp"
 #include "linkage/engine.hpp"
-#include "linkage/sharded.hpp"
 #include "net/transport.hpp"
 #include "util/fault.hpp"
+#include "util/retry.hpp"
 
 namespace fbf::cluster {
 
@@ -75,6 +77,17 @@ struct ElasticSchedule {
   std::vector<ElasticEvent> events;
 };
 
+/// Fault injection plus the retry policy that answers it.  On the
+/// in-process transport backoff is *simulated*: the delay a real
+/// scheduler would sleep is added to ElasticResult::backoff_ms instead of
+/// slept, keeping runs fast and deterministic.  On a real-time transport
+/// (TCP) the same delays are slept for real.
+struct ShardFaultPolicy {
+  fbf::util::FaultConfig faults;
+  /// Bounded exponential backoff, shared with the transport layer.
+  fbf::util::RetryPolicy retry;
+};
+
 struct ElasticConfig {
   /// Initial ring membership.
   std::vector<NodeId> nodes = {0, 1, 2, 3};
@@ -93,14 +106,15 @@ struct ElasticConfig {
   linkage::LinkConfig link;  ///< comparator each replica runs
   /// Transport fault injection + the retry/backoff policy shared by
   /// replica writes, queries and migration calls.  nullopt = fault-free.
-  std::optional<linkage::ShardFaultPolicy> fault;
+  std::optional<ShardFaultPolicy> fault;
   /// Storage faults inside every node's object store (local service runs
   /// only; ignored when `transport` is supplied).
   fbf::util::FaultConfig storage_faults;
-  /// Delivery backend, as in ShardedConfig: nullptr = a private
-  /// InProcessTransport over a local ClusterService; point it at a
+  /// Delivery backend.  nullptr = a private InProcessTransport over a
+  /// local ClusterService (the deterministic reference); point it at a
   /// TcpTransport whose server hosts a ClusterService handler to run the
-  /// same protocol over real sockets.
+  /// same protocol over real sockets.  With an external transport, fault
+  /// injection belongs to that transport and its server.
   net::ShardTransport* transport = nullptr;
 };
 

@@ -1,13 +1,13 @@
 // Consistent-hash ring with seeded virtual nodes.
 //
-// The fixed-N modulo scatter in linkage::link_sharded re-partitions the
-// whole key space whenever N changes; a production cluster adds and loses
-// nodes routinely, so partitioning must be *incremental*: a membership
-// change may move only the keys whose arc actually changed hands (~1/N of
-// them), everything else stays put.  Classic consistent hashing does
-// exactly that.  Each node projects `vnodes_per_node` points onto a u64
-// ring; a key belongs to the first point clockwise from its hash, and its
-// replica set is the next R *distinct* nodes along the ring.
+// A fixed-N modulo scatter re-partitions the whole key space whenever N
+// changes; a production cluster adds and loses nodes routinely, so
+// partitioning must be *incremental*: a membership change may move only
+// the keys whose arc actually changed hands (~1/N of them), everything
+// else stays put.  Classic consistent hashing does exactly that.  Each
+// node projects `vnodes_per_node` points onto a u64 ring; a key belongs to
+// the first point clockwise from its hash, and its replica set is the
+// next R *distinct* nodes along the ring.
 //
 // Two properties matter for this repo's style of verification:
 //  * Determinism across processes: every point is a pure function of

@@ -333,13 +333,11 @@ Result<std::string> ClusterService::handle_query(NodeId node,
     }
     records = std::move(chain.value());
   }
-  // Link outside the store lock: the request is the broadcast-right link
-  // protocol verbatim, so reply bytes are identical to the sharded path.
+  // Link outside the store lock, through the shard link protocol.
   net::FrameContext ctx;
   ctx.type = net::FrameType::kLinkRequest;
   ctx.shard = node;
-  return link_service_.handle(ctx,
-                              linkage::encode_link_request(records, {}, true));
+  return link_service_.handle(ctx, linkage::encode_link_request(records));
 }
 
 Result<std::string> ClusterService::handle_fetch(NodeId node,

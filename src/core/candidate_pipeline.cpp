@@ -229,7 +229,7 @@ std::size_t CandidatePipeline::filter_batched(
   const std::uint64_t qw1 = q.w1;
   const std::size_t survivors = fbf::core::filter_block(
       &qw0, two_words ? &qw1 : nullptr, 1, p0, p1, width, 2 * config_.k,
-      packed_.max_tail_popcount(), config_.prune_planes, bitmap,
+      packed_.max_tail_popcount(), /*prune=*/true, bitmap,
       bitmap_words(width), kernel_);
 
   if (eligible == nullptr && !config_.use_length) {
@@ -280,7 +280,7 @@ std::size_t CandidatePipeline::filter_block(
     }
     const std::size_t raw = fbf::core::filter_block(
         q0, two_words ? q1 : nullptr, m, p0, p1, width, 2 * config_.k,
-        tail_bound, config_.prune_planes, bitmaps + base_q * bitmap_stride,
+        tail_bound, /*prune=*/true, bitmaps + base_q * bitmap_stride,
         bitmap_stride, kernel_);
     if (eligible == nullptr && !config_.use_length) {
       counters.candidates_generated += width * m;
@@ -337,7 +337,7 @@ std::size_t CandidatePipeline::filter_block(
     }
     fbf::core::filter_block(
         q0, two_words ? q1 : nullptr, m, p0, p1, width, 2 * config_.k,
-        tail_bound, config_.prune_planes, bitmaps + base_q * bitmap_stride,
+        tail_bound, /*prune=*/true, bitmaps + base_q * bitmap_stride,
         bitmap_stride, kernel_);
     for (std::size_t i = 0; i < m; ++i) {
       std::uint64_t* bitmap = bitmaps + (base_q + i) * bitmap_stride;
@@ -497,7 +497,7 @@ std::size_t CandidatePipeline::filter_ids(
     }
     fbf::core::filter_block(&qw0, two_words ? &qw1 : nullptr, 1, g0,
                             two_words ? g1 : nullptr, n, 2 * config_.k,
-                            packed_.max_tail_popcount(), config_.prune_planes,
+                            packed_.max_tail_popcount(), /*prune=*/true,
                             bitmap, bitmap_words(n), kernel_);
     for (std::size_t w = 0; w < bitmap_words(n); ++w) {
       const std::size_t lane_base = w * 64;

@@ -15,7 +15,7 @@
 //   verify(...)             -> pluggable DL / PDL / none verifier
 //
 // Consumers — the string join (core/match_join), the incremental
-// EntityStore, the linkage engine + sharded runner, and the signature
+// EntityStore, the linkage engine + cluster replicas, and the signature
 // index — all drain the same bitmaps with identical counters, so "which
 // filter ran" is no longer a per-call-site question.  The candidate store
 // is append-only and incremental: nightly batches extend the planes
@@ -61,11 +61,6 @@ struct PipelineConfig {
   Verifier verifier = Verifier::kPdl;
   fbf::util::PopcountKind popcount = fbf::util::PopcountKind::kHardware;
   bool force_per_pair = false;
-  /// Plane-level pruning inside the batched kernel (skip the plane-1 load
-  /// for candidate groups fully decided by plane 0).  Pure performance
-  /// switch: survivor bitmaps and counters are identical either way
-  /// (property-tested); exposed for the bench ablation.
-  bool prune_planes = true;
 };
 
 /// Per-stage counters, merged additively across tiles / chunks / shards.

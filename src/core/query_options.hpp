@@ -1,20 +1,19 @@
 // QueryOptions: the one request-level knob bundle (DESIGN.md §15).
 //
-// QueryOptions folds the per-call knobs (method, k, field layout,
-// popcount strategy) together with the execution policy
-// (`core::ExecPolicy`: threads, generator) into one value that the
-// daemon's wire protocol, the in-process client and the batch entry
-// points all speak, so a knob is added in one place and call sites cannot
-// disagree about defaults.  The method implies the cascade shape (length
-// filter / FBF / verifier) via the method.hpp helpers, so a QueryOptions
-// fully determines a PipelineConfig.
+// QueryOptions folds the per-call knobs (method, k, field layout)
+// together with the execution policy (`core::ExecPolicy`: threads,
+// generator) into one value that the daemon's wire protocol, the
+// in-process client and the batch entry points all speak, so a knob is
+// added in one place and call sites cannot disagree about defaults.  The
+// method implies the cascade shape (length filter / FBF / verifier) via
+// the method.hpp helpers, so a QueryOptions fully determines a
+// PipelineConfig.
 #pragma once
 
 #include "core/candidate_pipeline.hpp"
 #include "core/exec_policy.hpp"
 #include "core/method.hpp"
 #include "core/signature.hpp"
-#include "util/bitops.hpp"
 
 namespace fbf::core {
 
@@ -27,7 +26,6 @@ struct QueryOptions {
   int k = 1;
   FieldClass field_class = FieldClass::kAlpha;
   int alpha_words = kDefaultAlphaWords;
-  fbf::util::PopcountKind popcount = fbf::util::PopcountKind::kHardware;
   /// How the operation runs (threads, generator).
   ExecPolicy exec;
 };
@@ -44,7 +42,6 @@ struct QueryOptions {
   cfg.k = options.k;
   cfg.use_length = method_uses_length(options.method);
   cfg.verifier = method_verifier(options.method);
-  cfg.popcount = options.popcount;
   return cfg;
 }
 

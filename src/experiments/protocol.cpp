@@ -20,7 +20,6 @@ c::JoinConfig make_join_config(dg::FieldKind kind, c::Method method,
   join.sim_threshold = config.sim_threshold;
   join.field_class = dg::field_class_of(kind);
   join.alpha_words = config.alpha_words;
-  join.popcount = config.popcount;
   join.threads = config.threads;
   return join;
 }

@@ -30,7 +30,6 @@ struct ExperimentConfig {
   std::uint64_t seed = 42;
   std::size_t threads = 1;
   int alpha_words = fbf::core::kDefaultAlphaWords;
-  fbf::util::PopcountKind popcount = fbf::util::PopcountKind::kHardware;
   int edits = 1;  ///< injected edits per entry (paper: 1)
 };
 

@@ -31,10 +31,11 @@ struct LinkConfig {
 };
 
 /// Precomputed right-hand-side linkage state: field signatures plus the
-/// per-rule filter bank.  Build once, link many — the sharded runner's
-/// replicate-right scheme broadcasts one context to every shard instead
-/// of re-deriving filter state per shard.  `right` must outlive the
-/// context (records are referenced, not copied).
+/// per-rule filter bank.  Build once, link many — the cluster's shard
+/// link service builds one context over the broadcast right list and
+/// links every partition against it instead of re-deriving filter state
+/// per partition.  `right` must outlive the context (records are
+/// referenced, not copied).
 class LinkageContext {
  public:
   LinkageContext(std::span<const PersonRecord> right,

@@ -47,7 +47,6 @@ RecordFilterBank::RecordFilterBank(const ComparatorConfig& config,
       pcfg.k = rule.k;
       pcfg.use_length = false;  // score_pair has no length stage
       pcfg.verifier = rule_verifier(rule.strategy);
-      pcfg.popcount = options.popcount;
       state.pipe.emplace(pcfg);
       // Soundness gate per rule: the block index covers { OSA <= k },
       // not the FBF pass-set, so kFbfOnly (survivors score directly)

@@ -10,11 +10,10 @@
 //
 //   * FBF rules (FDL / FPDL / FBF) get a pipeline whose candidate side is
 //     the stored records' field signatures (packed planes on supported
-//     layouts, classic per-pair fallback for alpha l >= 3 or the popcount
-//     ablations) plus a stored-side non-empty bitmap — the comparator's
-//     "missing data awards no points" rule becomes the pipeline's
-//     eligibility mask, so skipped fields are charged to no counter,
-//     exactly like score_pair.
+//     layouts, classic per-pair fallback for alpha l >= 3) plus a
+//     stored-side non-empty bitmap — the comparator's "missing data
+//     awards no points" rule becomes the pipeline's eligibility mask, so
+//     skipped fields are charged to no counter, exactly like score_pair.
 //   * Non-FBF rules (exact / DL / PDL / Soundex) have no filter to batch
 //     and are evaluated per pair inside score_all.
 //
@@ -41,7 +40,6 @@
 namespace fbf::linkage {
 
 struct RecordFilterOptions {
-  fbf::util::PopcountKind popcount = fbf::util::PopcountKind::kHardware;
   /// Candidate generation per FBF rule (DESIGN.md §14).  kBlockIndex
   /// gives each verifying FBF rule a pigeonhole block / deletion-
   /// neighborhood index over its stored field column, probed per incoming

@@ -12,72 +12,36 @@ using fbf::util::Status;
 using fbf::util::wire::put;
 using fbf::util::wire::Reader;
 
-namespace {
-
-constexpr std::uint8_t kFlagBroadcastRight = 0x01;
-
-}  // namespace
-
-std::string encode_link_request(std::span<const PersonRecord> left,
-                                std::span<const PersonRecord> right,
-                                bool broadcast_right) {
+std::string encode_link_request(std::span<const PersonRecord> left) {
   std::string out;
-  const std::uint8_t flags = broadcast_right ? kFlagBroadcastRight : 0;
-  put<std::uint8_t>(out, flags);
   put<std::uint64_t>(out, left.size());
   for (const PersonRecord& r : left) {
     wire::put_record(out, r);
   }
-  put<std::uint64_t>(out, broadcast_right ? 0 : right.size());
-  if (!broadcast_right) {
-    for (const PersonRecord& r : right) {
-      wire::put_record(out, r);
-    }
-  }
   return out;
 }
 
-Result<LinkRequest> decode_link_request(std::string_view payload) {
+Result<std::vector<PersonRecord>> decode_link_request(
+    std::string_view payload) {
   Reader in{payload};
-  std::uint8_t flags = 0;
   std::uint64_t left_count = 0;
-  if (!in.get(flags) || !in.get(left_count)) {
+  if (!in.get(left_count)) {
     return Status::data_loss("link request: truncated header");
   }
-  if ((flags & ~kFlagBroadcastRight) != 0) {
-    return Status::data_loss("link request: unknown flags");
-  }
-  LinkRequest req;
-  req.broadcast_right = (flags & kFlagBroadcastRight) != 0;
-  req.left.reserve(static_cast<std::size_t>(
+  std::vector<PersonRecord> left;
+  left.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(left_count, payload.size())));
   for (std::uint64_t i = 0; i < left_count; ++i) {
     PersonRecord r;
     if (!wire::get_record(in, r)) {
       return Status::data_loss("link request: truncated left records");
     }
-    req.left.push_back(std::move(r));
-  }
-  std::uint64_t right_count = 0;
-  if (!in.get(right_count)) {
-    return Status::data_loss("link request: truncated right count");
-  }
-  if (req.broadcast_right && right_count != 0) {
-    return Status::data_loss("link request: broadcast with inline right");
-  }
-  req.right.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(right_count, payload.size())));
-  for (std::uint64_t i = 0; i < right_count; ++i) {
-    PersonRecord r;
-    if (!wire::get_record(in, r)) {
-      return Status::data_loss("link request: truncated right records");
-    }
-    req.right.push_back(std::move(r));
+    left.push_back(std::move(r));
   }
   if (!in.done()) {
     return Status::data_loss("link request: trailing bytes");
   }
-  return req;
+  return left;
 }
 
 std::string encode_shard_reply(const ShardReply& reply) {
@@ -103,15 +67,15 @@ ShardLinkService::ShardLinkService(LinkConfig config,
                                    std::span<const PersonRecord> right)
     : config_(std::move(config)), right_(right) {}
 
-const LinkageContext& ShardLinkService::broadcast_context() {
+const LinkageContext& ShardLinkService::right_context() {
   const std::scoped_lock lock(mu_);
-  if (!broadcast_.has_value()) {
+  if (!right_context_.has_value()) {
     // Full ExecPolicy so the per-shard context inherits the configured
     // candidate generator; a rebalance handoff tears the service down and
     // the replacement shard lazily rebuilds its index here.
-    broadcast_.emplace(right_, config_.comparator, config_.exec);
+    right_context_.emplace(right_, config_.comparator, config_.exec);
   }
-  return *broadcast_;
+  return *right_context_;
 }
 
 Result<std::string> ShardLinkService::handle(const net::FrameContext& ctx,
@@ -122,18 +86,12 @@ Result<std::string> ShardLinkService::handle(const net::FrameContext& ctx,
   if (ctx.type != net::FrameType::kLinkRequest) {
     return Status::invalid_argument("shard service: unexpected frame type");
   }
-  auto req = decode_link_request(payload);
-  if (!req.ok()) {
-    return req.status();
+  auto left = decode_link_request(payload);
+  if (!left.ok()) {
+    return left.status();
   }
-  LinkStats stats;
-  if (req.value().broadcast_right) {
-    // Broadcast path: link against the service's shared right-hand
-    // context (signatures + filter bank built once).
-    stats = link_exhaustive(req.value().left, broadcast_context(), config_);
-  } else {
-    stats = link_exhaustive(req.value().left, req.value().right, config_);
-  }
+  const LinkStats stats =
+      link_exhaustive(left.value(), right_context(), config_);
   ShardReply reply;
   reply.pairs = stats.candidate_pairs;
   reply.matches = stats.matches;

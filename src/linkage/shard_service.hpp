@@ -1,19 +1,14 @@
-// ShardLinkService: the server side of the shard link protocol.
+// ShardLinkService: the link engine behind every cluster replica query.
 //
-// link_sharded encodes each shard's partition slices into a kLinkRequest
-// payload and hands it to a ShardTransport; this service is the handler
-// on the other end — it decodes the slices, runs link_exhaustive with the
-// driver's LinkConfig, and encodes the resulting ShardStats subset as the
-// kLinkReply payload.  The same handler instance backs both transports
-// (InProcessTransport calls it in place; a ShardServer hosts it behind
-// real sockets), which is what makes the transport equivalence property
-// testable: identical bytes in, identical bytes out.
-//
-// Replicate-right runs do not ship the broadcast right list in every
-// request.  The request carries a broadcast flag instead, and the service
-// links against its own copy of the right list through a lazily built
-// LinkageContext (signatures + filter bank built once, shared by every
-// shard worker) — the wire-level analogue of the in-process broadcast.
+// A kLinkRequest payload carries one partition's left records; the
+// service links them against its own copy of the right list through a
+// lazily built LinkageContext (signatures + filter bank built once,
+// shared by every worker) — the right list is broadcast state, never
+// shipped per request.  The reply is the counters the driver merges
+// (kLinkReply).  cluster::ClusterService answers every replica query by
+// handing the partition's records to this handler as a kLinkRequest, so
+// whichever transport hosts the ClusterService, the same bytes reach the
+// same link engine — which is what makes transport equivalence testable.
 #pragma once
 
 #include <cstdint>
@@ -30,15 +25,8 @@
 
 namespace fbf::linkage {
 
-/// Decoded kLinkRequest payload.
-struct LinkRequest {
-  std::vector<PersonRecord> left;
-  std::vector<PersonRecord> right;  ///< empty when broadcast_right
-  bool broadcast_right = false;     ///< link against the service's right list
-};
-
-/// Subset of ShardStats that crosses the wire (the counters the driver
-/// merges; scheduling fields like attempts/backoff stay driver-side).
+/// The counters one partition's link crosses the wire with (scheduling
+/// fields like attempts and backoff stay driver-side).
 struct ShardReply {
   std::uint64_t pairs = 0;
   std::uint64_t matches = 0;
@@ -46,11 +34,11 @@ struct ShardReply {
   double link_ms = 0.0;
 };
 
+/// kLinkRequest payload: the left records of one partition.
 [[nodiscard]] std::string encode_link_request(
-    std::span<const PersonRecord> left, std::span<const PersonRecord> right,
-    bool broadcast_right);
-[[nodiscard]] fbf::util::Result<LinkRequest> decode_link_request(
-    std::string_view payload);
+    std::span<const PersonRecord> left);
+[[nodiscard]] fbf::util::Result<std::vector<PersonRecord>>
+decode_link_request(std::string_view payload);
 
 [[nodiscard]] std::string encode_shard_reply(const ShardReply& reply);
 [[nodiscard]] fbf::util::Result<ShardReply> decode_shard_reply(
@@ -58,9 +46,9 @@ struct ShardReply {
 
 class ShardLinkService {
  public:
-  /// `right` must outlive the service (broadcast requests link against
-  /// it).  The LinkConfig is the driver's — same comparator, same
-  /// ExecPolicy — so results match a local run exactly.
+  /// `right` must outlive the service (every request links against it).
+  /// The LinkConfig is the driver's — same comparator, same ExecPolicy —
+  /// so results match a local run exactly.
   ShardLinkService(LinkConfig config, std::span<const PersonRecord> right);
 
   /// Processes one request payload (kPing -> empty pong payload,
@@ -76,12 +64,12 @@ class ShardLinkService {
   }
 
  private:
-  const LinkageContext& broadcast_context();
+  const LinkageContext& right_context();
 
   LinkConfig config_;
   std::span<const PersonRecord> right_;
-  std::mutex mu_;  ///< guards lazy broadcast_ build (workers race to it)
-  std::optional<LinkageContext> broadcast_;
+  std::mutex mu_;  ///< guards the lazy right_context_ build (workers race)
+  std::optional<LinkageContext> right_context_;
 };
 
 }  // namespace fbf::linkage

@@ -211,7 +211,7 @@ struct DurabilityPolicy {
   }
 };
 
-/// Degradation accounting, ShardedResult-style: a durable store keeps
+/// Degradation accounting, ElasticResult-style: a durable store keeps
 /// serving through backend trouble, and this is what the trouble cost.
 struct DurabilityStats {
   std::uint64_t checkpoints = 0;          ///< successful (base or delta)

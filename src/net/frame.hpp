@@ -43,14 +43,14 @@ inline constexpr std::size_t kFrameHeaderBytes = 28;
 inline constexpr std::size_t kMaxFrameExtensionBytes = 64;
 /// Extension tag: u64 telemetry trace id (value length 8).
 inline constexpr std::uint8_t kFrameExtTraceId = 0x01;
-/// A link request ships two partition slices of demographic records; even
+/// A link request ships one partition of demographic records; even
 /// paper-scale runs are a few MB.  Anything above this bound is a corrupt
 /// or hostile length field, not a real message.
 inline constexpr std::uint32_t kMaxFramePayloadBytes = 1u << 26;
 
 enum class FrameType : std::uint16_t {
-  kLinkRequest = 1,  ///< partition slices to link (client -> server)
-  kLinkReply = 2,    ///< encoded ShardStats (server -> client)
+  kLinkRequest = 1,  ///< one partition's records to link (client -> server)
+  kLinkReply = 2,    ///< encoded ShardReply (server -> client)
   kError = 3,        ///< status code + message (server -> client)
   kPing = 4,         ///< liveness probe (client -> server)
   kPong = 5,         ///< liveness answer (server -> client)

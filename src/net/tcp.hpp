@@ -1,4 +1,4 @@
-// Real loopback sockets for the sharded linkage: a shard server hosting N
+// Real loopback sockets for the shard driver: a shard server hosting N
 // logical shard workers behind one event loop, and a TcpTransport client
 // that speaks the frame protocol with per-request deadlines.
 //

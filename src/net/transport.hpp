@@ -1,6 +1,6 @@
-// ShardTransport: how the sharded linkage driver reaches a shard worker.
+// ShardTransport: how the shard driver reaches a shard worker.
 //
-// The driver (linkage::link_sharded) owns partitioning, retry/backoff and
+// The driver (cluster::link_elastic) owns partitioning, retry/backoff and
 // degradation accounting; the transport owns *delivery*: hand a request
 // payload to the worker for (shard, attempt), return the reply payload or
 // a Status describing why the attempt failed.  Two implementations:
@@ -14,7 +14,7 @@
 //    garbled frame).
 //
 // Both route the same encoded payloads through the same handler, so a
-// run's counters (matches, retries, dropped shards) are transport-
+// run's counters (matches, retries, dropped partitions) are transport-
 // independent — the equivalence property tests assert exactly that.
 #pragma once
 

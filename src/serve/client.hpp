@@ -12,7 +12,7 @@
 // kDataLoss, kDeadlineExceeded-shaped timeouts) retry up to
 // max_attempts with the attempt number incremented, so injected
 // per-(shard, attempt) faults clear on the retry exactly like the
-// sharded driver's loop.  Application verdicts never retry:
+// elastic shard driver's loop.  Application verdicts never retry:
 // kInvalidArgument is a broken request, and kResourceExhausted
 // (kOverloaded on the wire) surfaces immediately — backing off is the
 // caller's decision, not something to hide inside a blind retry.

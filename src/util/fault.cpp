@@ -40,13 +40,6 @@ bool FaultInjector::would_fail(std::size_t shard, int attempt) const noexcept {
                            config_.shard_fail_rate);
 }
 
-bool FaultInjector::would_straggle(std::size_t shard,
-                                   int attempt) const noexcept {
-  return config_.shard_straggle_rate > 0.0 &&
-         draw("shard-straggle", shard, static_cast<std::uint64_t>(attempt)) <
-             config_.shard_straggle_rate;
-}
-
 NetFaultKind FaultInjector::net_fault_kind(std::size_t shard,
                                            int attempt) const noexcept {
   const std::uint64_t r =
@@ -61,14 +54,6 @@ bool FaultInjector::shard_attempt_fails(std::size_t shard, int attempt) {
     ++counters_.shard_failures;
   }
   return fails;
-}
-
-bool FaultInjector::shard_attempt_straggles(std::size_t shard, int attempt) {
-  const bool straggles = would_straggle(shard, attempt);
-  if (straggles) {
-    ++counters_.stragglers;
-  }
-  return straggles;
 }
 
 std::optional<std::size_t> FaultInjector::corrupt_bytes(

@@ -1,13 +1,13 @@
 // Deterministic fault injection for the simulated distributed layer.
 //
 // Real nightly runs die in ways the happy path never exercises: a node
-// drops out mid-join, a straggler triples the makespan, a snapshot write
-// loses a byte, a journal append is cut short by the very crash it was
-// guarding against.  FaultInjector turns those into reproducible events:
-// every decision is a pure function of (seed, site, shard, attempt), so a
-// failing run replays bit-for-bit under a debugger, tests can assert
-// exact outcomes, and the decision for shard 3 / attempt 2 does not
-// depend on how many other faults were drawn before it.
+// drops out mid-join, a snapshot write loses a byte, a journal append is
+// cut short by the very crash it was guarding against.  FaultInjector
+// turns those into reproducible events: every decision is a pure function
+// of (seed, site, shard, attempt), so a failing run replays bit-for-bit
+// under a debugger, tests can assert exact outcomes, and the decision for
+// shard 3 / attempt 2 does not depend on how many other faults were drawn
+// before it.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +21,6 @@ namespace fbf::util {
 struct FaultConfig {
   std::uint64_t seed = 0;
   double shard_fail_rate = 0.0;      ///< P(one shard attempt fails)
-  double shard_straggle_rate = 0.0;  ///< P(one shard attempt runs slow)
-  double straggle_factor = 4.0;      ///< simulated slowdown multiplier
   double snapshot_corrupt_rate = 0.0;  ///< P(a snapshot write flips a byte)
   double journal_truncate_rate = 0.0;  ///< P(a journal append is cut short)
   int fail_shard = -1;  ///< this shard index fails EVERY attempt (permanent)
@@ -40,7 +38,6 @@ struct FaultConfig {
 /// Tallies of what was actually injected (for reports and assertions).
 struct FaultCounters {
   std::uint64_t shard_failures = 0;
-  std::uint64_t stragglers = 0;
   std::uint64_t bytes_corrupted = 0;
   std::uint64_t truncations = 0;
   std::uint64_t put_failures = 0;
@@ -76,10 +73,6 @@ class FaultInjector {
   /// evaluate it from their own injector instance and always agree.
   [[nodiscard]] bool would_fail(std::size_t shard, int attempt) const noexcept;
 
-  /// Pure decision: would the given (shard, attempt) run slow?
-  [[nodiscard]] bool would_straggle(std::size_t shard,
-                                    int attempt) const noexcept;
-
   /// Which socket failure a failing (shard, attempt) manifests as.
   /// Pure draw over the four kinds, keyed like would_fail().
   [[nodiscard]] NetFaultKind net_fault_kind(std::size_t shard,
@@ -87,13 +80,6 @@ class FaultInjector {
 
   /// would_fail() plus the shard_failures tally.
   [[nodiscard]] bool shard_attempt_fails(std::size_t shard, int attempt);
-
-  /// would_straggle() plus the stragglers tally.
-  [[nodiscard]] bool shard_attempt_straggles(std::size_t shard, int attempt);
-
-  [[nodiscard]] double straggle_factor() const noexcept {
-    return config_.straggle_factor;
-  }
 
   /// Maybe flips one bit of one byte of `bytes`; returns the corrupted
   /// offset when a corruption fired.  `sequence` is the caller's logical

@@ -1,9 +1,10 @@
 // Bounded exponential-backoff retry policy.
 //
-// One policy type shared by every layer that retries: the sharded linkage
-// driver (ShardFaultPolicy), the socket transport (TcpTransport connect
-// establishment) and the elastic cluster's replica writes/queries consume
-// the same knobs instead of carrying private copies.  The policy is pure
+// One policy type shared by every layer that retries: the elastic shard
+// driver's replica writes, queries and migration calls
+// (cluster::ShardFaultPolicy) and the socket transport (TcpTransport
+// connect establishment) consume the same knobs instead of carrying
+// private copies.  The policy is pure
 // arithmetic — whether a delay is actually slept (sockets) or recorded in
 // a simulated wall-clock (in-process shards) is the caller's business.
 //

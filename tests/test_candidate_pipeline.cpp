@@ -11,17 +11,19 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cluster/elastic.hpp"
+#include "cluster/ring.hpp"
 #include "core/exec_policy.hpp"
 #include "datagen/dataset.hpp"
 #include "linkage/engine.hpp"
 #include "linkage/incremental.hpp"
 #include "linkage/person_gen.hpp"
-#include "linkage/sharded.hpp"
 #include "metrics/soundex.hpp"
 #include "testenv.hpp"
 #include "util/rng.hpp"
@@ -29,6 +31,7 @@
 namespace {
 
 namespace c = fbf::core;
+namespace cl = fbf::cluster;
 namespace dg = fbf::datagen;
 namespace lk = fbf::linkage;
 using fbf::util::Rng;
@@ -211,45 +214,6 @@ TEST(PipelineFilter, FilterBlockEqualsSequentialFilters) {
         }
       }
     }
-  }
-}
-
-TEST(PipelineFilter, PrunePlanesAblationIsIdentical) {
-  // prune_planes is a pure performance switch: bitmaps, counters and
-  // survivor totals must be byte-identical with pruning on or off, on
-  // the layout where pruning actually does something (two planes).
-  const auto dataset =
-      dg::build_paired_dataset(dg::FieldKind::kAddress, 220, 93).value();
-  for (const int k : {1, 2}) {
-    c::PipelineConfig cfg;
-    cfg.field_class = c::FieldClass::kAlphanumeric;
-    cfg.k = k;
-    const c::CandidatePipeline pruned(cfg, dataset.error);
-    c::PipelineConfig noprune_cfg = cfg;
-    noprune_cfg.prune_planes = false;
-    const c::CandidatePipeline unpruned(noprune_cfg, dataset.error);
-    ASSERT_TRUE(pruned.batched());
-
-    const std::size_t n = dataset.error.size();
-    const std::size_t words = c::CandidatePipeline::bitmap_words(n);
-    std::vector<c::CandidatePipeline::Query> qp;
-    std::vector<c::CandidatePipeline::Query> qu;
-    for (std::size_t i = 0; i < 8; ++i) {
-      qp.push_back(pruned.make_query(dataset.clean[i]));
-      qu.push_back(unpruned.make_query(dataset.clean[i]));
-    }
-    std::vector<std::uint64_t> bm_p(qp.size() * words);
-    std::vector<std::uint64_t> bm_u(qu.size() * words);
-    c::PipelineCounters pc_p;
-    c::PipelineCounters pc_u;
-    const std::size_t sp =
-        pruned.filter_block(qp, 0, n, nullptr, bm_p.data(), words, pc_p);
-    const std::size_t su =
-        unpruned.filter_block(qu, 0, n, nullptr, bm_u.data(), words, pc_u);
-    EXPECT_EQ(sp, su) << "k=" << k;
-    EXPECT_EQ(bm_p, bm_u) << "k=" << k;
-    EXPECT_EQ(pc_p.fbf_evaluated, pc_u.fbf_evaluated);
-    EXPECT_EQ(pc_p.fbf_pass, pc_u.fbf_pass);
   }
 }
 
@@ -476,7 +440,7 @@ TEST(EntityStoreEquivalence, RestoredStoreKeepsEquivalence) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: the linkage engine and the sharded runner, against
+// Layer 3: the linkage engine and the shard driver, against
 // link_candidates (per-pair score_pair) over the same pair space.
 // ---------------------------------------------------------------------------
 
@@ -526,68 +490,77 @@ TEST(EngineEquivalence, ExhaustivePipelineMatchesScalar) {
   expect_link_equivalence(fallback, 4, 209);
 }
 
-/// Shard s's candidate pairs under `scheme`, in original record indices:
-/// replicate-right slices left round-robin against all of right; the hash
-/// schemes pair records whose last-name key hashes to the same shard.
-std::vector<lk::CandidatePair> shard_pairs(
-    std::span<const lk::PersonRecord> left,
-    std::span<const lk::PersonRecord> right, lk::PartitionScheme scheme,
-    std::size_t n_shards, std::size_t shard) {
-  const auto shard_of = [&](const lk::PersonRecord& r) {
-    const std::string key = scheme == lk::PartitionScheme::kHashLastName
-                                ? r.last_name
-                                : fbf::metrics::soundex(r.last_name);
-    return fbf::util::fnv1a64(key) % n_shards;
-  };
-  std::vector<lk::CandidatePair> pairs;
-  for (std::size_t i = 0; i < left.size(); ++i) {
-    for (std::size_t j = 0; j < right.size(); ++j) {
-      const bool local = scheme == lk::PartitionScheme::kReplicateRight
-                             ? i % n_shards == shard
-                             : shard_of(left[i]) == shard &&
-                                   shard_of(right[j]) == shard;
-      if (local) {
+/// Ring key of one record under `affinity`, recomputed independently of
+/// the elastic driver's placement code.
+std::uint64_t affinity_hash(const lk::PersonRecord& r, cl::AffinityKey affinity,
+                            std::uint64_t seed) {
+  switch (affinity) {
+    case cl::AffinityKey::kRecordId:
+      return cl::HashRing::key_hash(r.id, seed);
+    case cl::AffinityKey::kLastName:
+      return cl::HashRing::key_hash(r.last_name, seed);
+    case cl::AffinityKey::kSoundexLastName:
+      return cl::HashRing::key_hash(fbf::metrics::soundex(r.last_name), seed);
+  }
+  return 0;
+}
+
+TEST(ShardedEquivalence, AllSchemesMatchScalarPath) {
+  // A static cluster (R=1, four nodes, no events) under every affinity
+  // key: each partition's counters must equal link_candidates over that
+  // partition's left records x the whole right list.
+  Rng rng(88);
+  const auto left = lk::generate_people(150, rng);
+  const auto right = lk::make_error_records(left, {}, rng);
+  for (const auto affinity :
+       {cl::AffinityKey::kRecordId, cl::AffinityKey::kLastName,
+        cl::AffinityKey::kSoundexLastName}) {
+    cl::ElasticConfig config;
+    config.nodes = {0, 1, 2, 3};
+    config.replication = 1;
+    config.ring.seed = 19;
+    config.ring.vnodes_per_node = 4;
+    config.affinity = affinity;
+    config.link.comparator =
+        lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
+    const auto a = cl::link_elastic(left, right, config);
+
+    cl::HashRing ring(config.ring);
+    for (const cl::NodeId node : config.nodes) {
+      ASSERT_TRUE(ring.add_node(node).ok());
+    }
+    std::map<std::uint64_t, std::vector<lk::CandidatePair>> pairs_by_pid;
+    for (std::size_t i = 0; i < left.size(); ++i) {
+      const std::uint64_t pid = ring.partition_of(
+          affinity_hash(left[i], affinity, config.ring.seed));
+      auto& pairs = pairs_by_pid[pid];
+      for (std::size_t j = 0; j < right.size(); ++j) {
         pairs.emplace_back(static_cast<std::uint32_t>(i),
                            static_cast<std::uint32_t>(j));
       }
     }
-  }
-  return pairs;
-}
-
-TEST(ShardedEquivalence, AllSchemesMatchScalarPath) {
-  Rng rng(88);
-  const auto left = lk::generate_people(150, rng);
-  const auto right = lk::make_error_records(left, {}, rng);
-  for (const auto scheme :
-       {lk::PartitionScheme::kReplicateRight, lk::PartitionScheme::kHashLastName,
-        lk::PartitionScheme::kHashSoundexLastName}) {
-    lk::ShardedConfig config;
-    config.n_shards = 4;
-    config.scheme = scheme;
-    config.link.comparator =
-        lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
-
-    const auto a = lk::link_sharded(left, right, config);
-    ASSERT_EQ(a.shards.size(), config.n_shards);
+    const char* name = cl::affinity_key_name(affinity);
+    ASSERT_EQ(a.partitions.size(), pairs_by_pid.size()) << name;
     std::uint64_t pairs = 0;
     std::uint64_t matches = 0;
     std::uint64_t true_positives = 0;
-    for (std::size_t s = 0; s < a.shards.size(); ++s) {
-      const auto b = lk::link_candidates(
-          left, right, shard_pairs(left, right, scheme, config.n_shards, s),
-          config.link);
-      EXPECT_EQ(a.shards[s].pairs, b.candidate_pairs) << "shard " << s;
-      EXPECT_EQ(a.shards[s].matches, b.matches) << "shard " << s;
-      EXPECT_EQ(a.shards[s].true_positives, b.true_positives)
-          << "shard " << s;
+    for (const auto& p : a.partitions) {
+      ASSERT_TRUE(pairs_by_pid.contains(p.pid)) << name << " pid " << p.pid;
+      ASSERT_TRUE(p.completed) << name << " pid " << p.pid;
+      EXPECT_EQ(p.served_by, ring.owner(p.pid)) << name << " pid " << p.pid;
+      const auto b =
+          lk::link_candidates(left, right, pairs_by_pid[p.pid], config.link);
+      EXPECT_EQ(p.records * right.size(), b.candidate_pairs) << name;
+      EXPECT_EQ(p.pairs, b.candidate_pairs) << name << " pid " << p.pid;
+      EXPECT_EQ(p.matches, b.matches) << name << " pid " << p.pid;
+      EXPECT_EQ(p.true_positives, b.true_positives) << name << " pid " << p.pid;
       pairs += b.candidate_pairs;
       matches += b.matches;
       true_positives += b.true_positives;
     }
-    EXPECT_EQ(a.total_pairs, pairs);
-    EXPECT_EQ(a.total_matches, matches);
-    EXPECT_EQ(a.total_true_positives, true_positives);
+    EXPECT_EQ(a.total_pairs, pairs) << name;
+    EXPECT_EQ(a.total_matches, matches) << name;
+    EXPECT_EQ(a.total_true_positives, true_positives) << name;
   }
 }
 

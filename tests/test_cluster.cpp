@@ -262,7 +262,7 @@ TEST(Elastic, TransientNetFaultsKeepDecisions) {
   const Fixture fx(48);
   auto config = make_config();
   const auto reference = cl::link_elastic(fx.clean, fx.error, config);
-  lk::ShardFaultPolicy policy;
+  cl::ShardFaultPolicy policy;
   policy.faults.seed = 77;
   policy.faults.shard_fail_rate = 0.3;
   policy.retry.max_attempts = 6;
@@ -415,7 +415,7 @@ TEST(Elastic, TcpSurvivesKillAndRebalanceLikeInProcess) {
   // Keep real-time backoff sleeps tiny: the kill forces real retries.
   net::TcpTransport transport(client_opts);
   config.transport = &transport;
-  lk::ShardFaultPolicy policy;  // no injected faults, just small backoff
+  cl::ShardFaultPolicy policy;  // no injected faults, just small backoff
   policy.retry.backoff_base_ms = 0.25;
   config.fault = policy;
   const auto tcp = cl::link_elastic(fx.clean, fx.error, config, schedule);

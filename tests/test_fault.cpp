@@ -15,7 +15,6 @@ TEST(FaultInjector, DefaultConfigInjectsNothing) {
   for (std::size_t shard = 0; shard < 16; ++shard) {
     for (int attempt = 1; attempt <= 8; ++attempt) {
       EXPECT_FALSE(injector.shard_attempt_fails(shard, attempt));
-      EXPECT_FALSE(injector.shard_attempt_straggles(shard, attempt));
     }
   }
   EXPECT_FALSE(injector.corrupt_bytes(bytes, "snap", 0).has_value());
@@ -28,15 +27,12 @@ TEST(FaultInjector, DecisionsAreDeterministicAcrossInstances) {
   FaultConfig config;
   config.seed = 99;
   config.shard_fail_rate = 0.5;
-  config.shard_straggle_rate = 0.3;
   FaultInjector a(config);
   FaultInjector b(config);
   for (std::size_t shard = 0; shard < 32; ++shard) {
     for (int attempt = 1; attempt <= 4; ++attempt) {
       EXPECT_EQ(a.shard_attempt_fails(shard, attempt),
                 b.shard_attempt_fails(shard, attempt));
-      EXPECT_EQ(a.shard_attempt_straggles(shard, attempt),
-                b.shard_attempt_straggles(shard, attempt));
     }
   }
 }
@@ -104,15 +100,12 @@ TEST(FaultInjector, PureDecisionsMatchCountingOnes) {
   FaultConfig config;
   config.seed = 55;
   config.shard_fail_rate = 0.5;
-  config.shard_straggle_rate = 0.5;
   const FaultInjector pure(config);
   FaultInjector counting(config);
   for (std::size_t shard = 0; shard < 6; ++shard) {
     for (int attempt = 1; attempt <= 6; ++attempt) {
       EXPECT_EQ(pure.would_fail(shard, attempt),
                 counting.shard_attempt_fails(shard, attempt));
-      EXPECT_EQ(pure.would_straggle(shard, attempt),
-                counting.shard_attempt_straggles(shard, attempt));
     }
   }
 }
@@ -120,14 +113,11 @@ TEST(FaultInjector, PureDecisionsMatchCountingOnes) {
 TEST(FaultInjector, RateOneAlwaysFiresRateZeroNever) {
   FaultConfig always;
   always.shard_fail_rate = 1.0;
-  always.shard_straggle_rate = 1.0;
   FaultInjector on(always);
   for (std::size_t shard = 0; shard < 8; ++shard) {
     EXPECT_TRUE(on.shard_attempt_fails(shard, 1));
-    EXPECT_TRUE(on.shard_attempt_straggles(shard, 1));
   }
   EXPECT_EQ(on.counters().shard_failures, 8u);
-  EXPECT_EQ(on.counters().stragglers, 8u);
 }
 
 TEST(FaultInjector, PermanentShardFailsEveryAttempt) {

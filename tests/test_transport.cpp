@@ -1,9 +1,10 @@
 // Transport-layer tests: the shard link protocol codecs, the in-process
 // reference transport, the real TCP path (server event loop + frame
 // protocol + deadlines), each injected fault kind manifesting as a real
-// socket failure, and the headline property — link_sharded produces
-// identical counters over InProcessTransport and TcpTransport for the
-// same fault seed.
+// socket failure, and the headline property — the shard driver
+// (cluster::link_elastic, here as a static R=1 cluster) produces identical
+// counters over InProcessTransport and TcpTransport for the same fault
+// seed.
 #include "net/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -12,15 +13,17 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/elastic.hpp"
+#include "cluster/service.hpp"
 #include "linkage/person_gen.hpp"
 #include "linkage/shard_service.hpp"
-#include "linkage/sharded.hpp"
 #include "net/tcp.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
+namespace cl = fbf::cluster;
 namespace lk = fbf::linkage;
 namespace net = fbf::net;
 namespace u = fbf::util;
@@ -36,37 +39,45 @@ net::ShardHandler echo_handler() {
 TEST(ShardProtocol, LinkRequestRoundTrips) {
   u::Rng rng(11);
   const auto left = lk::generate_people(7, rng);
-  const auto right = lk::generate_people(5, rng);
-  const std::string payload = lk::encode_link_request(left, right, false);
+  const std::string payload = lk::encode_link_request(left);
   const auto decoded = lk::decode_link_request(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  ASSERT_EQ(decoded.value().left.size(), left.size());
-  ASSERT_EQ(decoded.value().right.size(), right.size());
-  EXPECT_FALSE(decoded.value().broadcast_right);
+  ASSERT_EQ(decoded.value().size(), left.size());
   for (std::size_t i = 0; i < left.size(); ++i) {
-    EXPECT_EQ(decoded.value().left[i].last_name, left[i].last_name);
-    EXPECT_EQ(decoded.value().left[i].id, left[i].id);
+    EXPECT_EQ(decoded.value()[i].last_name, left[i].last_name);
+    EXPECT_EQ(decoded.value()[i].id, left[i].id);
   }
 }
 
 TEST(ShardProtocol, BroadcastRequestShipsNoRightRecords) {
+  // The right list is the service's broadcast state: the same request
+  // bytes link against whatever right list the service holds, so the
+  // request size cannot depend on it.
   u::Rng rng(12);
   const auto left = lk::generate_people(4, rng);
-  const auto right = lk::generate_people(300, rng);
-  const std::string broadcast = lk::encode_link_request(left, right, true);
-  const std::string inline_right = lk::encode_link_request(left, right, false);
-  EXPECT_LT(broadcast.size(), inline_right.size() / 4)
-      << "broadcast flag should replace the right list, not ship it";
-  const auto decoded = lk::decode_link_request(broadcast);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded.value().broadcast_right);
-  EXPECT_TRUE(decoded.value().right.empty());
+  const auto small_right = lk::generate_people(5, rng);
+  const auto large_right = lk::generate_people(300, rng);
+  const std::string request = lk::encode_link_request(left);
+  lk::LinkConfig link;
+  link.comparator = lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
+  net::FrameContext ctx;
+  ctx.type = net::FrameType::kLinkRequest;
+  for (const auto* right : {&small_right, &large_right}) {
+    lk::ShardLinkService service(link, *right);
+    const auto raw = service.handle(ctx, request);
+    ASSERT_TRUE(raw.ok()) << raw.status().to_string();
+    const auto reply = lk::decode_shard_reply(raw.value());
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply.value().pairs, left.size() * right->size());
+  }
+  EXPECT_LT(request.size(), lk::encode_link_request(large_right).size() / 4)
+      << "a request carries the left partition only";
 }
 
 TEST(ShardProtocol, TruncatedRequestIsRejected) {
   u::Rng rng(13);
   const auto left = lk::generate_people(3, rng);
-  const std::string payload = lk::encode_link_request(left, {}, true);
+  const std::string payload = lk::encode_link_request(left);
   for (const std::size_t len : {payload.size() - 1, payload.size() / 2,
                                 std::size_t{0}}) {
     const auto decoded =
@@ -348,13 +359,16 @@ void expect_transport_equivalence(const EquivalenceCase& c) {
   const auto left = lk::generate_people(60, rng);
   const auto right = lk::make_error_records(left, {}, rng);
 
-  lk::ShardedConfig config;
-  config.n_shards = 4;
-  config.scheme = lk::PartitionScheme::kReplicateRight;
+  // A static cluster: four nodes, one replica per partition, no events.
+  cl::ElasticConfig config;
+  config.nodes = {0, 1, 2, 3};
+  config.replication = 1;
+  config.ring.seed = 7;
+  config.ring.vnodes_per_node = 4;
   config.link.comparator =
       lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
   if (c.with_fault_policy) {
-    lk::ShardFaultPolicy policy;
+    cl::ShardFaultPolicy policy;
     policy.faults = c.faults;
     policy.retry.max_attempts = 3;
     policy.retry.backoff_base_ms = 0.25;  // real sleeps on TCP: keep tiny
@@ -362,10 +376,10 @@ void expect_transport_equivalence(const EquivalenceCase& c) {
   }
 
   // Reference run: driver-owned in-process transport.
-  const auto in_process = lk::link_sharded(left, right, config);
+  const auto in_process = cl::link_elastic(left, right, config);
 
   // Socket run: same seed, real frames, real failures.
-  lk::ShardLinkService service(config.link, right);
+  cl::ClusterService service(config.link, right);
   net::ShardServerOptions server_opts;
   server_opts.faults = c.faults;
   server_opts.injected_delay_ms = 300.0;
@@ -376,28 +390,29 @@ void expect_transport_equivalence(const EquivalenceCase& c) {
   client_opts.deadline_ms = 120.0;
   net::TcpTransport transport(client_opts);
   config.transport = &transport;
-  const auto tcp = lk::link_sharded(left, right, config);
+  const auto tcp = cl::link_elastic(left, right, config);
 
+  EXPECT_EQ(tcp.decision_fingerprint(), in_process.decision_fingerprint())
+      << c.name;
   EXPECT_EQ(tcp.total_pairs, in_process.total_pairs) << c.name;
   EXPECT_EQ(tcp.total_matches, in_process.total_matches) << c.name;
   EXPECT_EQ(tcp.total_true_positives, in_process.total_true_positives)
       << c.name;
   EXPECT_EQ(tcp.retries, in_process.retries) << c.name;
-  EXPECT_EQ(tcp.failed_shards, in_process.failed_shards) << c.name;
+  EXPECT_EQ(tcp.write_acks, in_process.write_acks) << c.name;
+  EXPECT_EQ(tcp.dropped_partitions, in_process.dropped_partitions) << c.name;
   EXPECT_EQ(tcp.dropped_pairs, in_process.dropped_pairs) << c.name;
-  EXPECT_EQ(tcp.dropped_shard_ids, in_process.dropped_shard_ids) << c.name;
-  ASSERT_EQ(tcp.shards.size(), in_process.shards.size()) << c.name;
-  for (std::size_t s = 0; s < tcp.shards.size(); ++s) {
-    EXPECT_EQ(tcp.shards[s].attempts, in_process.shards[s].attempts)
-        << c.name << " shard " << s;
-    EXPECT_EQ(tcp.shards[s].completed, in_process.shards[s].completed)
-        << c.name << " shard " << s;
-    EXPECT_EQ(tcp.shards[s].straggled, in_process.shards[s].straggled)
-        << c.name << " shard " << s;
-    EXPECT_EQ(tcp.shards[s].matches, in_process.shards[s].matches)
-        << c.name << " shard " << s;
-    EXPECT_DOUBLE_EQ(tcp.shards[s].backoff_ms, in_process.shards[s].backoff_ms)
-        << c.name << " shard " << s;
+  EXPECT_DOUBLE_EQ(tcp.backoff_ms, in_process.backoff_ms) << c.name;
+  ASSERT_EQ(tcp.replicas.size(), in_process.replicas.size()) << c.name;
+  for (std::size_t i = 0; i < tcp.replicas.size(); ++i) {
+    const auto& a = tcp.replicas[i];
+    const auto& b = in_process.replicas[i];
+    EXPECT_EQ(a.node, b.node) << c.name;
+    EXPECT_EQ(a.write_attempts, b.write_attempts) << c.name << " node " << a.node;
+    EXPECT_EQ(a.write_failures, b.write_failures) << c.name << " node " << a.node;
+    EXPECT_EQ(a.query_attempts, b.query_attempts) << c.name << " node " << a.node;
+    EXPECT_EQ(a.query_failures, b.query_failures) << c.name << " node " << a.node;
+    EXPECT_EQ(a.queries_served, b.queries_served) << c.name << " node " << a.node;
   }
 }
 
@@ -413,53 +428,10 @@ TEST(TransportEquivalence, TransientFaults) {
 }
 
 TEST(TransportEquivalence, PermanentShardFailure) {
-  EquivalenceCase c{"dead shard", {}, true};
+  EquivalenceCase c{"dead node", {}, true};
   c.faults.seed = 405;
   c.faults.fail_shard = 2;
   expect_transport_equivalence(c);
-}
-
-TEST(TransportEquivalence, Stragglers) {
-  EquivalenceCase c{"stragglers", {}, true};
-  c.faults.seed = 406;
-  c.faults.shard_straggle_rate = 0.5;
-  expect_transport_equivalence(c);
-}
-
-TEST(TransportEquivalence, HashPartitioningWithFaults) {
-  u::Rng rng(52);
-  const auto left = lk::generate_people(80, rng);
-  const auto right = lk::make_error_records(left, {}, rng);
-  lk::ShardedConfig config;
-  config.n_shards = 3;
-  config.scheme = lk::PartitionScheme::kHashLastName;
-  config.link.comparator =
-      lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
-  lk::ShardFaultPolicy policy;
-  policy.faults.seed = 9;
-  policy.faults.shard_fail_rate = 0.3;
-  policy.retry.max_attempts = 2;
-  policy.retry.backoff_base_ms = 0.25;
-  config.fault = policy;
-  const auto in_process = lk::link_sharded(left, right, config);
-
-  lk::ShardLinkService service(config.link, right);
-  net::ShardServerOptions server_opts;
-  server_opts.faults = policy.faults;
-  server_opts.injected_delay_ms = 300.0;
-  net::ShardServer server(service.handler(), server_opts);
-  net::TcpTransportOptions client_opts;
-  client_opts.port = server.port();
-  client_opts.faults = policy.faults;
-  client_opts.deadline_ms = 120.0;
-  net::TcpTransport transport(client_opts);
-  config.transport = &transport;
-  const auto tcp = lk::link_sharded(left, right, config);
-
-  EXPECT_EQ(tcp.total_matches, in_process.total_matches);
-  EXPECT_EQ(tcp.total_true_positives, in_process.total_true_positives);
-  EXPECT_EQ(tcp.retries, in_process.retries);
-  EXPECT_EQ(tcp.failed_shards, in_process.failed_shards);
 }
 
 }  // namespace
