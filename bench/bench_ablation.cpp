@@ -1,6 +1,6 @@
 // Ablations for the design choices DESIGN.md calls out:
-//  1. popcount strategy inside FindDiffBits (Wegner vs POPCNT vs LUT) at
-//     the full-join level;
+//  1. popcount strategy inside FindDiffBits (Wegner vs POPCNT vs LUT)
+//     over an FBF-only pair scan;
 //  2. alphabetic signature width l = 1, 2, 4 — filter selectivity vs
 //     signature cost on last names;
 //  3. threshold k = 1..3 — how fast the FBF advantage erodes as the
@@ -15,11 +15,8 @@
 #include "bench_common.hpp"
 #include "core/find_diff_bits.hpp"
 #include "core/match_join.hpp"
-#include "core/signature64.hpp"
 #include "linkage/engine.hpp"
 #include "linkage/person_gen.hpp"
-#include "metrics/pdl.hpp"
-#include "metrics/qgram.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -46,22 +43,42 @@ double timed_join(const dg::PairedDataset& dataset, c::JoinConfig join,
 }
 
 void ablate_popcount(const fbf::bench::BenchOptions& opts) {
-  std::printf("-- popcount strategy (FBF-only join, SSN) --\n");
+  // Alg. 6's FindDiffBits in isolation: an FBF-only SSN scan over
+  // prebuilt signatures, one loop per popcount strategy.  The join's
+  // batched tile kernel is not involved, so the rows time the strategy.
+  std::printf("-- popcount strategy (FBF-only scan, SSN) --\n");
   const auto dataset =
       dg::build_paired_dataset(dg::FieldKind::kSsn, opts.config.n,
                                opts.config.seed).value();
-  u::Table table({"strategy", "Time ms"});
+  std::vector<c::Signature> left;
+  std::vector<c::Signature> right;
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    left.push_back(
+        c::make_signature(dataset.clean[i], c::FieldClass::kNumeric));
+    right.push_back(
+        c::make_signature(dataset.error[i], c::FieldClass::kNumeric));
+  }
+  const int bound = 2 * opts.config.k;
+  u::Table table({"strategy", "fbf pass", "Time ms"});
   const std::pair<const char*, u::PopcountKind> kinds[] = {
       {"Wegner (Alg.6)", u::PopcountKind::kWegner},
       {"POPCNT", u::PopcountKind::kHardware},
       {"byte LUT", u::PopcountKind::kLut}};
   for (const auto& [name, kind] : kinds) {
-    auto join = ex::make_join_config(dg::FieldKind::kSsn, c::Method::kFbfOnly,
-                                     opts.config);
-    join.popcount = kind;
-    table.add_row({name, u::fixed(timed_join(dataset, join,
-                                             opts.config.repeats),
-                                  1)});
+    std::vector<double> times;
+    std::uint64_t passed = 0;
+    for (int rep = 0; rep < opts.config.repeats; ++rep) {
+      const u::Stopwatch timer;
+      passed = 0;
+      for (const c::Signature& m : left) {
+        for (const c::Signature& n : right) {
+          passed += c::find_diff_bits(m, n, kind) <= bound ? 1u : 0u;
+        }
+      }
+      times.push_back(timer.elapsed_ms());
+    }
+    table.add_row({name, u::with_commas(static_cast<std::int64_t>(passed)),
+                   u::fixed(u::trimmed_mean_drop_minmax(times), 1)});
   }
   table.render(std::cout);
   std::printf("\n");
@@ -171,102 +188,6 @@ void ablate_blocking(const fbf::bench::BenchOptions& opts) {
               "exhaustive FPDL keeps FN at the comparator's floor)\n");
 }
 
-void ablate_filter_family(const fbf::bench::BenchOptions& opts) {
-  // FBF vs the classic q-gram count filter vs the 64-bit one-word variant
-  // as a PDL pre-filter on last names: filter build time, selectivity,
-  // verify calls and total time.  All three are DL-safe (no false
-  // negatives); they differ in cost model.
-  std::printf("-- filter family: FBF(32x2) vs signature64 vs q-gram (LN, "
-              "FPDL-style pipeline) --\n");
-  const auto dataset = dg::build_paired_dataset(
-      dg::FieldKind::kLastName, opts.config.n, opts.config.seed).value();
-  const int k = opts.config.k;
-  const std::size_t n = dataset.size();
-  u::Table table({"filter", "build ms", "pass", "verify", "matches",
-                  "total ms"});
-
-  const auto verify_count_row = [&](const char* name, auto build,
-                                    auto pass) {
-    const fbf::util::Stopwatch build_timer;
-    auto [left, right] = build();
-    const double build_ms = build_timer.elapsed_ms();
-    const fbf::util::Stopwatch join_timer;
-    std::uint64_t passed = 0;
-    std::uint64_t verify_calls = 0;
-    std::uint64_t matches = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (!pass(left, right, i, j)) {
-          continue;
-        }
-        ++passed;
-        ++verify_calls;
-        if (fbf::metrics::pdl_within(dataset.clean[i], dataset.error[j],
-                                     k)) {
-          ++matches;
-        }
-      }
-    }
-    const double total_ms = join_timer.elapsed_ms();
-    table.add_row({name, u::fixed(build_ms, 2),
-                   u::with_commas(static_cast<std::int64_t>(passed)),
-                   u::with_commas(static_cast<std::int64_t>(verify_calls)),
-                   u::with_commas(static_cast<std::int64_t>(matches)),
-                   u::fixed(total_ms, 1)});
-  };
-
-  verify_count_row(
-      "FBF 32x2",
-      [&] {
-        std::vector<c::Signature> left;
-        std::vector<c::Signature> right;
-        for (std::size_t i = 0; i < n; ++i) {
-          left.push_back(
-              c::make_signature(dataset.clean[i], c::FieldClass::kAlpha, 2));
-          right.push_back(
-              c::make_signature(dataset.error[i], c::FieldClass::kAlpha, 2));
-        }
-        return std::pair(std::move(left), std::move(right));
-      },
-      [&](const auto& left, const auto& right, std::size_t i,
-          std::size_t j) { return c::fbf_pass(left[i], right[j], k); });
-
-  verify_count_row(
-      "signature64",
-      [&] {
-        std::vector<std::uint64_t> left;
-        std::vector<std::uint64_t> right;
-        for (std::size_t i = 0; i < n; ++i) {
-          left.push_back(c::make_signature64(dataset.clean[i]));
-          right.push_back(c::make_signature64(dataset.error[i]));
-        }
-        return std::pair(std::move(left), std::move(right));
-      },
-      [&](const auto& left, const auto& right, std::size_t i,
-          std::size_t j) { return c::fbf_pass64(left[i], right[j], k); });
-
-  verify_count_row(
-      "q-gram q=2 (DL-safe)",
-      [&] {
-        std::vector<fbf::metrics::QgramProfile> left;
-        std::vector<fbf::metrics::QgramProfile> right;
-        for (std::size_t i = 0; i < n; ++i) {
-          left.emplace_back(dataset.clean[i], 2);
-          right.emplace_back(dataset.error[i], 2);
-        }
-        return std::pair(std::move(left), std::move(right));
-      },
-      [&](const auto& left, const auto& right, std::size_t i,
-          std::size_t j) {
-        return fbf::metrics::qgram_filter_pass_dl(
-            left[i], dataset.clean[i].size(), right[j],
-            dataset.error[j].size(), k);
-      });
-
-  table.render(std::cout);
-  std::printf("\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -275,7 +196,6 @@ int main(int argc, char** argv) {
   ablate_popcount(opts);
   ablate_alpha_words(opts);
   ablate_threshold(opts);
-  ablate_filter_family(opts);
   ablate_threads(opts);
   ablate_blocking(opts);
   return 0;

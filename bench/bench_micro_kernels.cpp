@@ -25,8 +25,6 @@
 #include "core/match_join.hpp"
 #include "telemetry/telemetry.hpp"
 #include "core/packed_signature_store.hpp"
-#include "core/signature64.hpp"
-#include "core/signature_store.hpp"
 #include "datagen/dataset.hpp"
 #include "metrics/damerau.hpp"
 #include "metrics/hamming.hpp"
@@ -35,7 +33,6 @@
 #include "metrics/myers.hpp"
 #include "metrics/pdl.hpp"
 #include "metrics/phonetic.hpp"
-#include "metrics/qgram.hpp"
 #include "metrics/soundex.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
@@ -223,67 +220,14 @@ void BM_Nysiis_LastName(benchmark::State& state) {
 }
 BENCHMARK(BM_Nysiis_LastName);
 
-void BM_QgramProfileBuild(benchmark::State& state) {
-  const auto& w = StringWorkload::get(dg::FieldKind::kLastName);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m::QgramProfile(w.clean[i], 2));
-    i = (i + 1) & 1023;
-  }
-}
-BENCHMARK(BM_QgramProfileBuild);
-
-void BM_QgramCompare(benchmark::State& state) {
-  const auto& w = StringWorkload::get(dg::FieldKind::kLastName);
-  std::vector<m::QgramProfile> left;
-  std::vector<m::QgramProfile> right;
-  for (std::size_t i = 0; i < 1024; ++i) {
-    left.emplace_back(w.clean[i], 2);
-    right.emplace_back(w.error[i], 2);
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(left[i].common_grams(right[(i + 1) & 1023]));
-    i = (i + 1) & 1023;
-  }
-}
-BENCHMARK(BM_QgramCompare);
-
-void BM_GenSignature64(benchmark::State& state) {
-  const auto& w = StringWorkload::get(dg::FieldKind::kLastName);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(c::make_signature64(w.clean[i]));
-    i = (i + 1) & 1023;
-  }
-}
-BENCHMARK(BM_GenSignature64);
-
-void BM_FilterSignature64(benchmark::State& state) {
-  const auto& w = StringWorkload::get(dg::FieldKind::kLastName);
-  std::vector<std::uint64_t> left;
-  std::vector<std::uint64_t> right;
-  for (std::size_t i = 0; i < 1024; ++i) {
-    left.push_back(c::make_signature64(w.clean[i]));
-    right.push_back(c::make_signature64(w.error[i]));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        c::find_diff_bits64(left[i], right[(i + 1) & 1023]));
-    i = (i + 1) & 1023;
-  }
-}
-BENCHMARK(BM_FilterSignature64);
-
-/// Paper-scale (n = 5000) candidate list in both layouts: the classic
-/// array-of-structs store (per-pair scan baseline) and the packed SoA
-/// planes (batched kernel).  One "iteration" filters one query signature
+/// Paper-scale (n = 5000) candidate list in both layouts: an array of
+/// classic signatures (per-pair scan baseline) and the packed SoA planes
+/// (batched kernel).  One "iteration" filters one query signature
 /// against the whole list, so items-per-second is pairs/s.
 struct ScanWorkload {
   std::vector<std::string> queries;
-  c::SignatureStore aos;
-  c::SignatureStore aos_queries;
+  std::vector<c::Signature> aos;
+  std::vector<c::Signature> aos_queries;
   c::PackedSignatureStore packed;
   c::PackedSignatureStore packed_queries;
 
@@ -310,8 +254,10 @@ struct ScanWorkload {
     const auto dataset = dg::build_paired_dataset(kind, kN, 13).value();
     ScanWorkload w;
     w.queries = dataset.clean;
-    w.aos = c::SignatureStore(dataset.error, cls);
-    w.aos_queries = c::SignatureStore(dataset.clean, cls);
+    for (std::size_t i = 0; i < kN; ++i) {
+      w.aos.push_back(c::make_signature(dataset.error[i], cls));
+      w.aos_queries.push_back(c::make_signature(dataset.clean[i], cls));
+    }
     w.packed = c::PackedSignatureStore(dataset.error, cls);
     w.packed_queries = c::PackedSignatureStore(dataset.clean, cls);
     return w;
@@ -319,7 +265,7 @@ struct ScanWorkload {
 };
 
 /// Baseline: one query against all 5000 candidates through the per-pair
-/// FindDiffBits (AoS store, per-call PopcountKind dispatch) — the shape
+/// FindDiffBits (AoS signatures, per-call PopcountKind dispatch) — the shape
 /// of the old match_strings hot loop.
 void BM_ScanPerPair(benchmark::State& state, c::FieldClass cls) {
   const auto& w = ScanWorkload::get(dg::FieldKind::kLastName, cls);

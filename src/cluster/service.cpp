@@ -180,7 +180,8 @@ Result<PartitionManifest> decode_manifest(std::string_view blob) {
 ClusterService::ClusterService(linkage::LinkConfig link,
                                std::span<const linkage::PersonRecord> right,
                                ClusterServiceOptions options)
-    : link_service_(std::move(link), right),
+    : link_(std::move(link)),
+      right_(right),
       injector_(options.storage_faults),
       store_(&injector_) {}
 
@@ -333,11 +334,25 @@ Result<std::string> ClusterService::handle_query(NodeId node,
     }
     records = std::move(chain.value());
   }
-  // Link outside the store lock, through the shard link protocol.
-  net::FrameContext ctx;
-  ctx.type = net::FrameType::kLinkRequest;
-  ctx.shard = node;
-  return link_service_.handle(ctx, linkage::encode_link_request(records));
+  // Link outside the store lock.
+  const linkage::LinkStats stats =
+      linkage::link_exhaustive(records, right_context(), link_);
+  linkage::ShardReply reply;
+  reply.pairs = stats.candidate_pairs;
+  reply.matches = stats.matches;
+  reply.true_positives = stats.true_positives;
+  reply.link_ms = stats.link_ms;
+  return linkage::encode_shard_reply(reply);
+}
+
+const linkage::LinkageContext& ClusterService::right_context() {
+  const std::scoped_lock lock(context_mu_);
+  if (!right_context_.has_value()) {
+    // Full ExecPolicy so the context inherits the configured candidate
+    // generator.
+    right_context_.emplace(right_, link_.comparator, link_.exec);
+  }
+  return *right_context_;
 }
 
 Result<std::string> ClusterService::handle_fetch(NodeId node,

@@ -163,7 +163,14 @@ class ClusterService {
   [[nodiscard]] fbf::util::Result<std::vector<linkage::PersonRecord>>
   load_chain(NodeId node, std::uint64_t pid);
 
-  linkage::ShardLinkService link_service_;  ///< broadcast-right link engine
+  /// The broadcast right's LinkageContext (signatures + filter bank),
+  /// built by the first replica query and shared by every later one.
+  const linkage::LinkageContext& right_context();
+
+  linkage::LinkConfig link_;
+  std::span<const linkage::PersonRecord> right_;
+  std::mutex context_mu_;  ///< guards the lazy right_context_ build
+  std::optional<linkage::LinkageContext> right_context_;
   fbf::util::FaultInjector injector_;
   storage::MemObjectBackend store_;
   std::mutex mu_;  ///< serializes chain read-modify-write across workers

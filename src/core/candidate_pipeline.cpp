@@ -90,21 +90,12 @@ class LadderMirror {
   PipelineCounters before_;
 };
 
-[[nodiscard]] bool batched_capable(const PipelineConfig& config) noexcept {
-  // The batched kernel computes the hardware popcount, so it stands in for
-  // the default strategy and the explicit kBatched request only; the
-  // Wegner / LUT popcount ablations must run their own per-pair loops.
-  return !config.force_per_pair &&
-         (config.popcount == fbf::util::PopcountKind::kHardware ||
-          config.popcount == fbf::util::PopcountKind::kBatched) &&
-         PackedSignatureStore::supported(config.field_class,
-                                         config.alpha_words);
-}
-
 }  // namespace
 
 CandidatePipeline::CandidatePipeline(const PipelineConfig& config)
-    : config_(config), batched_(batched_capable(config)) {
+    : config_(config),
+      batched_(PackedSignatureStore::supported(config.field_class,
+                                               config.alpha_words)) {
   if (batched_) {
     kernel_ = best_kernel();
     packed_ = PackedSignatureStore(config.field_class, config.alpha_words);
@@ -423,8 +414,7 @@ std::size_t CandidatePipeline::filter_per_pair(
       ++counters.length_pass;
     }
     ++counters.fbf_evaluated;
-    if (find_diff_bits(q.sig, classic_[j], config_.popcount) >
-        2 * config_.k) {
+    if (!fbf_pass(q.sig, classic_[j], config_.k)) {
       continue;
     }
     ++counters.fbf_pass;
@@ -451,8 +441,7 @@ std::size_t CandidatePipeline::filter_ids(
         ++counters.length_pass;
       }
       ++counters.fbf_evaluated;
-      if (find_diff_bits(q.sig, classic_[id], config_.popcount) >
-          2 * config_.k) {
+      if (!fbf_pass(q.sig, classic_[id], config_.k)) {
         continue;
       }
       ++counters.fbf_pass;

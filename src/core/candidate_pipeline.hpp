@@ -46,21 +46,18 @@
 #include "core/method.hpp"
 #include "core/packed_signature_store.hpp"
 #include "core/signature.hpp"
-#include "util/bitops.hpp"
 
 namespace fbf::core {
 
-/// Cascade configuration.  `force_per_pair` pins the classic per-pair
-/// scan even on packed-capable layouts (equivalence baselines and the
-/// Wegner/LUT popcount ablations, which must measure their own loops).
+/// Cascade configuration.  The layout (field_class, alpha_words) alone
+/// picks the filter path: packed planes where PackedSignatureStore
+/// supports it, the per-pair scan otherwise.
 struct PipelineConfig {
   FieldClass field_class = FieldClass::kAlpha;
   int alpha_words = kDefaultAlphaWords;
   int k = 1;                 ///< edit threshold; FBF passes at <= 2k diff bits
   bool use_length = false;   ///< run the length filter before FBF
   Verifier verifier = Verifier::kPdl;
-  fbf::util::PopcountKind popcount = fbf::util::PopcountKind::kHardware;
-  bool force_per_pair = false;
 };
 
 /// Per-stage counters, merged additively across tiles / chunks / shards.
@@ -101,8 +98,7 @@ class CandidatePipeline {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// True when filtering runs through the batched tile kernel over packed
-  /// planes; false = transparent per-pair fallback (alpha l >= 3, popcount
-  /// ablations, or force_per_pair).
+  /// planes; false = transparent per-pair fallback (alpha l >= 3).
   [[nodiscard]] bool batched() const noexcept { return batched_; }
   /// Filter kernel variant: tile_kernel_label(kind) in batched mode
   /// ("tile-scalar64", "tile-avx2", "tile-avx512", "tile-neon"), else
@@ -212,16 +208,6 @@ class CandidatePipeline {
   /// methods report survivors as matches).
   [[nodiscard]] bool verify(std::string_view a, std::string_view b,
                             PipelineCounters& counters) const;
-
-  /// Per-pair filter predicate for callers outside a batched sweep
-  /// (candidate-pair lists, agreement models).  Identical predicate to
-  /// the batched kernel: |sig_a XOR sig_b| <= 2k.
-  [[nodiscard]] static bool pair_pass(
-      const Signature& a, const Signature& b, int k,
-      fbf::util::PopcountKind kind =
-          fbf::util::PopcountKind::kHardware) noexcept {
-    return find_diff_bits(a, b, kind) <= 2 * k;
-  }
 
   /// Drains a survivor bitmap in ascending lane order.
   template <typename Fn>

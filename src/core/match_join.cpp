@@ -16,7 +16,6 @@
 #include "metrics/pdl.hpp"
 #include "metrics/soundex.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/affinity.hpp"
 #include "util/prefetch.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -53,45 +52,12 @@ inline bool evaluate_pair(std::string_view s, std::string_view t, int k,
 /// integer sums, so totals are deterministic for any thread count.
 template <typename MakeTileFn>
 void run_tile_space(std::size_t n_left, std::size_t n_right,
-                    std::size_t threads, bool affinity, JoinStats& stats,
+                    std::size_t threads, JoinStats& stats,
                     const MakeTileFn& make_tile_fn) {
   const std::size_t col_tiles = (n_right + kTileCols - 1) / kTileCols;
-  const std::size_t row_tiles = (n_left + kTileRows - 1) / kTileRows;
   const std::size_t n_tiles = join_tile_count(n_left, n_right);
   stats.tiles = n_tiles;
   if (n_tiles == 0) {
-    return;
-  }
-  // Affinity schedule: worker w is pinned to CPU w and owns tile rows
-  // r % n_workers == w, so one core streams a row's plane data end to
-  // end.  Needs >= 2 workers — parallel_chunks runs a single chunk
-  // inline on the caller, and pinning the caller would leak affinity
-  // past the join.  Counters stay deterministic: chunk stats are merged
-  // in worker order and counters are integer sums, so both schedules
-  // produce identical totals (and match_pairs are sorted afterwards).
-  const std::size_t n_workers =
-      std::max<std::size_t>(1, std::min(threads, row_tiles));
-  if (affinity && n_workers >= 2) {
-    stats.affinity_schedule = true;
-    std::vector<JoinStats> chunk_stats(n_workers);
-    fbf::util::parallel_chunks(
-        n_workers, n_workers,
-        [&](std::size_t chunk, std::size_t worker, std::size_t) {
-          JoinStats& local = chunk_stats[chunk];
-          fbf::util::pin_current_thread(worker);
-          auto tile_fn = make_tile_fn();
-          for (std::size_t r = worker; r < row_tiles; r += n_workers) {
-            const std::size_t i0 = r * kTileRows;
-            const std::size_t i1 = std::min(i0 + kTileRows, n_left);
-            for (std::size_t c = 0; c < col_tiles; ++c) {
-              const std::size_t j0 = c * kTileCols;
-              tile_fn(i0, i1, j0, std::min(j0 + kTileCols, n_right), local);
-            }
-          }
-        });
-    for (const JoinStats& local : chunk_stats) {
-      stats.merge_counts(local);
-    }
     return;
   }
   std::vector<JoinStats> chunk_stats(
@@ -116,9 +82,9 @@ void run_tile_space(std::size_t n_left, std::size_t n_right,
 /// Generic path: per-pair kernel looped over a tile.
 template <typename MakeKernel>
 void run_pair_tiles(std::size_t n_left, std::size_t n_right,
-                    std::size_t threads, bool affinity, bool collect,
-                    JoinStats& stats, const MakeKernel& make_kernel) {
-  run_tile_space(n_left, n_right, threads, affinity, stats, [&] {
+                    std::size_t threads, bool collect, JoinStats& stats,
+                    const MakeKernel& make_kernel) {
+  run_tile_space(n_left, n_right, threads, stats, [&] {
     return [kernel = make_kernel(), collect](
                std::size_t i0, std::size_t i1, std::size_t j0,
                std::size_t j1, JoinStats& local) {
@@ -198,9 +164,7 @@ void run_pipeline_tile(const CandidatePipeline& pipe_left,
 /// stats merge in block order, so counters and the (already ascending)
 /// match pairs are identical for any thread count and claim order — and,
 /// by the generator soundness contract, identical to the dense tile
-/// sweep's.  The affinity schedule follows run_tile_space's rule: with
-/// >= 2 workers, worker w is pinned to CPU w; a single worker runs inline
-/// on the caller, which is never pinned.
+/// sweep's.
 ///
 /// The probe is a chain of dependent cache misses, so a block's rows go
 /// through it in groups of BlockIndexGenerator::kProbeGroup: one batched
@@ -213,8 +177,7 @@ void run_indexed_join(const BlockIndexGenerator& gen,
                       const CandidatePipeline& pipe_right,
                       std::span<const std::string> left,
                       std::span<const std::string> right,
-                      std::size_t threads, bool affinity, bool collect,
-                      JoinStats& stats) {
+                      std::size_t threads, bool collect, JoinStats& stats) {
   constexpr std::size_t kGroup = BlockIndexGenerator::kProbeGroup;
   // 256 rows: ~800 blocks at 200k rows keep the last claims short, and
   // each block's merge is one append.
@@ -223,15 +186,10 @@ void run_indexed_join(const BlockIndexGenerator& gen,
   const std::size_t n_workers =
       std::max<std::size_t>(1, std::min(threads, n_blocks));
   stats.tiles = n_blocks;
-  const bool pin = affinity && n_workers >= 2;
-  stats.affinity_schedule = pin;
   std::vector<JoinStats> block_stats(n_blocks);
   std::atomic<std::size_t> next_block{0};
   fbf::util::parallel_chunks(
-      n_workers, n_workers, [&](std::size_t worker, std::size_t, std::size_t) {
-        if (pin) {
-          fbf::util::pin_current_thread(worker);
-        }
+      n_workers, n_workers, [&](std::size_t, std::size_t, std::size_t) {
         std::string_view queries[kGroup];
         std::vector<std::uint32_t> ids[kGroup];
         std::vector<std::uint32_t> survivors;
@@ -321,7 +279,7 @@ JoinStats match_strings(std::span<const std::string> left,
 
   // Precomputation phase (the Gen row): FBF methods build both sides'
   // pipelines (packed planes or classic signatures — the pipeline picks
-  // per layout and popcount strategy); Soundex pre-encodes both lists.
+  // per layout); Soundex pre-encodes both lists.
   std::optional<CandidatePipeline> pipe_left;
   std::optional<CandidatePipeline> pipe_right;
   std::optional<BlockIndexGenerator> block_gen;
@@ -334,8 +292,6 @@ JoinStats match_strings(std::span<const std::string> left,
     pcfg.k = k;
     pcfg.use_length = uses_length;
     pcfg.verifier = verifier;
-    pcfg.popcount = config.popcount;
-    pcfg.force_per_pair = !config.packed;
     pipe_left.emplace(pcfg, left, config.threads);
     pipe_right.emplace(pcfg, right, config.threads);
     stats.signature_gen_ms = pipe_left->build_ms() + pipe_right->build_ms();
@@ -374,12 +330,8 @@ JoinStats match_strings(std::span<const std::string> left,
   }
 
   const fbf::util::Stopwatch join_timer;
-  const bool affinity =
-      config.affinity == TileAffinity::kOn ||
-      (config.affinity == TileAffinity::kAuto &&
-       fbf::util::numa_node_count() > 1);
   const auto run = [&](const auto& make_kernel) {
-    run_pair_tiles(left.size(), right.size(), config.threads, affinity,
+    run_pair_tiles(left.size(), right.size(), config.threads,
                    config.collect_matches, stats, make_kernel);
   };
 
@@ -425,7 +377,7 @@ JoinStats match_strings(std::span<const std::string> left,
         if (block_gen) {
           const fbf::util::Stopwatch probe_timer;
           run_indexed_join(*block_gen, *pipe_left, *pipe_right, left, right,
-                           config.threads, affinity, collect, stats);
+                           config.threads, collect, stats);
           if (fbf::telemetry::enabled()) {
             static fbf::telemetry::Histogram& probe =
                 fbf::telemetry::Registry::global().histogram(
@@ -434,8 +386,8 @@ JoinStats match_strings(std::span<const std::string> left,
           }
           break;
         }
-        run_tile_space(left.size(), right.size(), config.threads, affinity,
-                       stats, [&] {
+        run_tile_space(left.size(), right.size(), config.threads, stats,
+                       [&] {
                          return [&, collect](std::size_t i0, std::size_t i1,
                                              std::size_t j0, std::size_t j1,
                                              JoinStats& local) {

@@ -11,9 +11,9 @@
 // methods on layouts the packed SoA store supports (numeric, alpha l<=2,
 // alphanumeric l<=2) the filter runs as a batched tile kernel over packed
 // 64-bit signature planes (core/fbf_kernel.hpp) with survivors drained
-// into verification from a bitmap; wider layouts and the Wegner/LUT
-// popcount ablations transparently fall back to the classic per-pair
-// scan.  Both paths produce identical counters and match sets
+// into verification from a bitmap; wider alpha layouts transparently fall
+// back to the classic per-pair scan.  The layout alone picks the path,
+// and both produce the counters and match set of the per-pair ladder
 // (property-tested).
 #pragma once
 
@@ -26,24 +26,8 @@
 #include "core/exec_policy.hpp"
 #include "core/method.hpp"
 #include "core/signature.hpp"
-#include "util/bitops.hpp"
 
 namespace fbf::core {
-
-/// Worker/tile-ownership policy for the parallel join (DESIGN.md §13).
-/// The default schedule hands contiguous tile-id ranges to a shared
-/// worker pool; the affinity schedule instead pins each worker to a CPU
-/// and makes it *own* tile rows (row r → worker r % n_workers), so a
-/// row's plane data streams through one core's cache — and stays in one
-/// NUMA domain — for the whole join.  On the block-index route the
-/// pinned worker w owns the w-th contiguous chunk of left rows.  Counters
-/// and match sets are byte-identical under either schedule (integer sums
-/// + sorted pairs).
-enum class TileAffinity {
-  kAuto,  ///< affinity schedule only when the machine has > 1 NUMA node
-  kOff,   ///< always the shared-queue schedule
-  kOn,    ///< force pinning + row ownership (tests / benches)
-};
 
 /// Join configuration.  Defaults reproduce the paper's headline setup:
 /// FPDL at k = 1 on alphabetic strings with the 2-word signature.
@@ -53,16 +37,8 @@ struct JoinConfig {
   double sim_threshold = 0.8;    ///< Jaro / Jaro–Winkler acceptance
   FieldClass field_class = FieldClass::kAlpha;
   int alpha_words = kDefaultAlphaWords;
-  fbf::util::PopcountKind popcount = fbf::util::PopcountKind::kHardware;
   std::size_t threads = 1;
   bool collect_matches = false;  ///< record matching (i, j) pairs
-  /// Use the packed SoA planes + batched tile kernel when the layout
-  /// supports it (default).  false forces the classic per-pair scan —
-  /// the baseline for benches and equivalence tests.
-  bool packed = true;
-  /// Tile-ownership schedule; kAuto is a graceful no-op on single-node
-  /// machines (the shared queue is better there — no pinning overhead).
-  TileAffinity affinity = TileAffinity::kAuto;
   /// Candidate generation strategy for FBF methods (DESIGN.md §14).
   /// kBlockIndex builds a pigeonhole block / deletion-neighborhood index
   /// over the right side and probes it per left row instead of sweeping
@@ -108,7 +84,6 @@ struct JoinStats {
   std::uint64_t tiles = 0;             ///< parallel work units scheduled
   const char* kernel = "pair-scalar";  ///< filter kernel variant used
   const char* generator = "dense";     ///< candidate generator that ran
-  bool affinity_schedule = false;      ///< row-ownership schedule ran
   /// Matching (i, j) pairs when collect_matches is set.  Ordering
   /// guarantee: sorted ascending by (i, j) after the parallel merge, so
   /// the output is byte-identical for any thread count and tile shape.

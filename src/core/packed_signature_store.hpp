@@ -1,8 +1,8 @@
 // Packed structure-of-arrays signature planes for the batched filter
 // kernel (DESIGN.md §8).
 //
-// The classic SignatureStore is an array of structs: each Signature holds
-// up to five 32-bit words plus a size byte (24 bytes), so a filter sweep
+// An array of classic Signatures is an array of structs: each holds up
+// to five 32-bit words plus a size byte (24 bytes), so a filter sweep
 // strides through memory touching mostly padding, and every FindDiffBits
 // call loops over a runtime word count.  The packed store transposes the
 // layout: signatures become 64-bit *words* stored in contiguous, 64-byte-

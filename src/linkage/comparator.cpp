@@ -1,6 +1,6 @@
 #include "linkage/comparator.hpp"
 
-#include "core/candidate_pipeline.hpp"
+#include "core/find_diff_bits.hpp"
 #include "metrics/damerau.hpp"
 #include "metrics/pdl.hpp"
 #include "metrics/soundex.hpp"
@@ -110,8 +110,7 @@ double score_pair(const PersonRecord& a, const PersonRecord& b,
         const auto idx = static_cast<std::size_t>(rule.field);
         ++counters.candidates_generated;
         ++counters.fbf_evaluations;
-        if (!c::CandidatePipeline::pair_pass(sa->sigs[idx], sb->sigs[idx],
-                                             rule.k)) {
+        if (!c::fbf_pass(sa->sigs[idx], sb->sigs[idx], rule.k)) {
           matched = false;
           break;
         }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/candidate_pipeline.hpp"
+#include "core/find_diff_bits.hpp"
 #include "metrics/damerau.hpp"
 #include "metrics/pdl.hpp"
 #include "metrics/soundex.hpp"
@@ -34,8 +34,7 @@ bool fields_agree(const std::string& va, const std::string& vb,
     case FieldStrategy::kFdl:
     case FieldStrategy::kFpdl:
       if (sig_a != nullptr && sig_b != nullptr &&
-          !fbf::core::CandidatePipeline::pair_pass(*sig_a, *sig_b,
-                                                   config.k)) {
+          !fbf::core::fbf_pass(*sig_a, *sig_b, config.k)) {
         return false;
       }
       return config.strategy == FieldStrategy::kFdl
@@ -43,8 +42,7 @@ bool fields_agree(const std::string& va, const std::string& vb,
                  : fbf::metrics::pdl_within(va, vb, config.k);
     case FieldStrategy::kFbfOnly:
       return sig_a == nullptr || sig_b == nullptr ||
-             fbf::core::CandidatePipeline::pair_pass(*sig_a, *sig_b,
-                                                     config.k);
+             fbf::core::fbf_pass(*sig_a, *sig_b, config.k);
     case FieldStrategy::kSoundex:
       return fbf::metrics::soundex_match(va, vb);
   }

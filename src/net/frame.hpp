@@ -43,13 +43,13 @@ inline constexpr std::size_t kFrameHeaderBytes = 28;
 inline constexpr std::size_t kMaxFrameExtensionBytes = 64;
 /// Extension tag: u64 telemetry trace id (value length 8).
 inline constexpr std::uint8_t kFrameExtTraceId = 0x01;
-/// A link request ships one partition of demographic records; even
+/// A replica write ships one partition of demographic records; even
 /// paper-scale runs are a few MB.  Anything above this bound is a corrupt
 /// or hostile length field, not a real message.
 inline constexpr std::uint32_t kMaxFramePayloadBytes = 1u << 26;
 
 enum class FrameType : std::uint16_t {
-  kLinkRequest = 1,  ///< one partition's records to link (client -> server)
+  kLinkRequest = 1,  ///< retired partition link request; value kept
   kLinkReply = 2,    ///< encoded ShardReply (server -> client)
   kError = 3,        ///< status code + message (server -> client)
   kPing = 4,         ///< liveness probe (client -> server)

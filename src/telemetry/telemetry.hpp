@@ -10,8 +10,8 @@
 // Three primitives, chosen for the hot path they instrument:
 //
 //  * Counter — monotonic u64, sharded across cache-line-padded per-thread
-//    slots so concurrent `add`s from the affinity-scheduled join workers
-//    never bounce one line; `value()` sums the slots.
+//    slots so concurrent `add`s from the parallel join workers never
+//    bounce one line; `value()` sums the slots.
 //  * Gauge — a plain atomic i64 for set-at-snapshot values (corpus size,
 //    parked quarantine rows).
 //  * Histogram — log-bucketed (8 sub-buckets per octave) latency

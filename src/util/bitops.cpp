@@ -21,7 +21,6 @@ int xor_diff_bits(std::span<const std::uint32_t> m,
       }
       break;
     case PopcountKind::kHardware:
-    case PopcountKind::kBatched:  // per-pair call sites: same as hardware
       for (std::size_t i = 0; i < m.size(); ++i) {
         total += popcount_hw(m[i] ^ n[i]);
       }
@@ -35,7 +34,6 @@ const char* popcount_kind_name(PopcountKind kind) noexcept {
     case PopcountKind::kWegner: return "wegner";
     case PopcountKind::kHardware: return "hardware";
     case PopcountKind::kLut: return "lut";
-    case PopcountKind::kBatched: return "batched";
   }
   return "?";
 }

@@ -81,21 +81,17 @@ enum class PopcountKind {
   kWegner,    ///< Alg. 6 as published (clear-lowest-bit loop)
   kHardware,  ///< std::popcount / POPCNT
   kLut,       ///< byte lookup table
-  kBatched,   ///< batched tile kernel over packed u64 planes (SoA); falls
-              ///< back to kHardware wherever only a single pair is compared
 };
 
 /// Human-readable strategy name (bench/JSON output).
 [[nodiscard]] const char* popcount_kind_name(PopcountKind kind) noexcept;
 
-/// Dispatches one 32-bit population count according to `kind`.  kBatched
-/// has no meaning for a single word and resolves to the hardware count.
+/// Dispatches one 32-bit population count according to `kind`.
 [[nodiscard]] constexpr int popcount(std::uint32_t x, PopcountKind kind) noexcept {
   switch (kind) {
     case PopcountKind::kWegner: return popcount_wegner(x);
     case PopcountKind::kLut: return popcount_lut(x);
     case PopcountKind::kHardware:
-    case PopcountKind::kBatched:
       break;
   }
   return popcount_hw(x);

@@ -71,14 +71,12 @@ TEST_P(PopcountAgreement, SingleBitWords) {
 INSTANTIATE_TEST_SUITE_P(AllStrategies, PopcountAgreement,
                          ::testing::Values(PopcountKind::kWegner,
                                            PopcountKind::kHardware,
-                                           PopcountKind::kLut,
-                                           PopcountKind::kBatched),
+                                           PopcountKind::kLut),
                          [](const auto& param_info) {
                            switch (param_info.param) {
                              case PopcountKind::kWegner: return "Wegner";
                              case PopcountKind::kHardware: return "Hardware";
                              case PopcountKind::kLut: return "Lut";
-                             case PopcountKind::kBatched: return "Batched";
                            }
                            return "Unknown";
                          });
@@ -88,8 +86,6 @@ TEST(Bitops, PopcountKindNames) {
   EXPECT_STREQ(fbf::util::popcount_kind_name(PopcountKind::kHardware),
                "hardware");
   EXPECT_STREQ(fbf::util::popcount_kind_name(PopcountKind::kLut), "lut");
-  EXPECT_STREQ(fbf::util::popcount_kind_name(PopcountKind::kBatched),
-               "batched");
 }
 
 TEST(Bitops, Popcount64Variants) {

@@ -911,8 +911,7 @@ TEST(GeneratorEquivalence, MatchJoinBlockEqualsDense) {
 TEST(GeneratorEquivalence, BlockJoinIsScheduleInvariant) {
   // Workers claim blocks of left rows in whatever order they get to
   // them; counters and the sorted match pairs must not depend on that —
-  // across thread counts, the affinity schedule, and enough rows for
-  // many blocks per worker.
+  // across thread counts, with enough rows for many blocks per worker.
   const ScopedForceGenerator clear_env(nullptr);
   const auto dataset =
       dg::build_paired_dataset(dg::FieldKind::kLastName, 5000, 223).value();
@@ -925,28 +924,20 @@ TEST(GeneratorEquivalence, BlockJoinIsScheduleInvariant) {
   ASSERT_GT(serial.tiles, 8u);
   for (const std::size_t threads :
        {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
-    for (const c::TileAffinity affinity :
-         {c::TileAffinity::kOff, c::TileAffinity::kOn}) {
-      cfg.threads = threads;
-      cfg.affinity = affinity;
-      const auto run = c::match_strings(dataset.clean, dataset.error, cfg);
-      const std::string label = "threads=" + std::to_string(threads) +
-                                (affinity == c::TileAffinity::kOn
-                                     ? " affinity"
-                                     : "");
-      EXPECT_EQ(run.candidates_generated, serial.candidates_generated)
-          << label;
-      EXPECT_EQ(run.length_pass, serial.length_pass) << label;
-      EXPECT_EQ(run.fbf_evaluated, serial.fbf_evaluated) << label;
-      EXPECT_EQ(run.fbf_pass, serial.fbf_pass) << label;
-      EXPECT_EQ(run.verify_calls, serial.verify_calls) << label;
-      EXPECT_EQ(run.matches, serial.matches) << label;
-      EXPECT_EQ(run.diagonal_matches, serial.diagonal_matches) << label;
-      ASSERT_EQ(run.match_pairs, serial.match_pairs) << label;
-    }
+    cfg.threads = threads;
+    const auto run = c::match_strings(dataset.clean, dataset.error, cfg);
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_EQ(run.candidates_generated, serial.candidates_generated)
+        << label;
+    EXPECT_EQ(run.length_pass, serial.length_pass) << label;
+    EXPECT_EQ(run.fbf_evaluated, serial.fbf_evaluated) << label;
+    EXPECT_EQ(run.fbf_pass, serial.fbf_pass) << label;
+    EXPECT_EQ(run.verify_calls, serial.verify_calls) << label;
+    EXPECT_EQ(run.matches, serial.matches) << label;
+    EXPECT_EQ(run.diagonal_matches, serial.diagonal_matches) << label;
+    ASSERT_EQ(run.match_pairs, serial.match_pairs) << label;
   }
   cfg.threads = 3;
-  cfg.affinity = c::TileAffinity::kOff;
   cfg.generator = c::GeneratorKind::kDense;
   EXPECT_EQ(c::match_strings(dataset.clean, dataset.error, cfg).match_pairs,
             serial.match_pairs);

@@ -1,6 +1,6 @@
 // Property tests for the CandidatePipeline (DESIGN.md §9): every
 // consumer routed through the pipeline must be *indistinguishable* from
-// the per-pair reference (the forced per-pair filter scan, score_pair,
+// the per-pair reference (a test-local filter ladder, score_pair,
 // link_candidates) — identical decisions AND identical ladder counters —
 // across packed layouts (numeric, alpha l <= 2), the alpha l >= 3
 // per-pair fallback, k in {1,2,3}, and thread counts.  These are the tests that let the batched kernel replace the
@@ -24,6 +24,7 @@
 #include "linkage/engine.hpp"
 #include "linkage/incremental.hpp"
 #include "linkage/person_gen.hpp"
+#include "metrics/length_filter.hpp"
 #include "metrics/soundex.hpp"
 #include "testenv.hpp"
 #include "util/rng.hpp"
@@ -37,9 +38,11 @@ namespace lk = fbf::linkage;
 using fbf::util::Rng;
 
 // ---------------------------------------------------------------------------
-// Layer 1: the filter stage itself.  Batched tile sweep vs the forced
-// per-pair scan must produce bit-identical survivor bitmaps and identical
-// counters for every layout / k / gate combination.
+// Layer 1: the filter stage itself.  The pipeline's filter must produce
+// the survivor bitmap and counters of an independent per-pair ladder
+// (eligibility, length filter, find_diff_bits over make_signature) for
+// every layout / k / gate combination — packed layouts through the tile
+// kernel, alpha l >= 3 through the per-pair fallback.
 // ---------------------------------------------------------------------------
 
 struct LayoutCase {
@@ -56,12 +59,13 @@ void expect_filter_equivalence(const LayoutCase& layout, int k,
   cfg.alpha_words = layout.alpha_words;
   cfg.k = k;
   cfg.use_length = use_length;
-  const c::CandidatePipeline batched(cfg, dataset.error);
-  c::PipelineConfig scalar_cfg = cfg;
-  scalar_cfg.force_per_pair = true;
-  const c::CandidatePipeline scalar(scalar_cfg, dataset.error);
-  ASSERT_TRUE(batched.batched());
-  ASSERT_FALSE(scalar.batched());
+  const c::CandidatePipeline pipe(cfg, dataset.error);
+  ASSERT_EQ(pipe.batched(),
+            c::PackedSignatureStore::supported(layout.cls, layout.alpha_words));
+  std::vector<c::Signature> sigs;
+  for (const std::string& s : dataset.error) {
+    sigs.push_back(c::make_signature(s, layout.cls, layout.alpha_words));
+  }
 
   const std::size_t n = dataset.error.size();
   const std::size_t words = c::CandidatePipeline::bitmap_words(n);
@@ -70,29 +74,50 @@ void expect_filter_equivalence(const LayoutCase& layout, int k,
     // Deterministic ragged mask; distinct per word so boundaries differ.
     eligible[w] = 0x9e3779b97f4a7c15ull * (w + 1) | 1ull;
   }
-  std::vector<std::uint64_t> bm_batched(words);
-  std::vector<std::uint64_t> bm_scalar(words);
-  c::PipelineCounters pc_batched;
-  c::PipelineCounters pc_scalar;
+  std::vector<std::uint64_t> bm_pipe(words);
+  std::vector<std::uint64_t> bm_ref(words);
+  c::PipelineCounters pc_pipe;
+  c::PipelineCounters pc_ref;
   for (std::size_t i = 0; i < dataset.size(); i += 3) {
-    const auto qb = batched.make_query(dataset.clean[i]);
-    const auto qs = scalar.make_query(dataset.clean[i]);
+    const std::string& query = dataset.clean[i];
     const std::uint64_t* mask = with_eligible ? eligible.data() : nullptr;
-    const std::size_t sb =
-        batched.filter(qb, 0, n, mask, bm_batched.data(), pc_batched);
-    const std::size_t ss =
-        scalar.filter(qs, 0, n, mask, bm_scalar.data(), pc_scalar);
-    ASSERT_EQ(sb, ss) << "i=" << i;
+    const std::size_t got = pipe.filter(pipe.make_query(query), 0, n, mask,
+                                        bm_pipe.data(), pc_pipe);
+    const c::Signature q_sig =
+        c::make_signature(query, layout.cls, layout.alpha_words);
+    std::fill(bm_ref.begin(), bm_ref.end(), 0);
+    std::size_t expect = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (with_eligible && (eligible[j / 64] >> (j % 64) & 1) == 0) {
+        continue;
+      }
+      ++pc_ref.candidates_generated;
+      if (use_length) {
+        if (!fbf::metrics::length_filter_pass(query, dataset.error[j], k)) {
+          continue;
+        }
+        ++pc_ref.length_pass;
+      }
+      ++pc_ref.fbf_evaluated;
+      if (c::find_diff_bits(q_sig, sigs[j]) > 2 * k) {
+        continue;
+      }
+      ++pc_ref.fbf_pass;
+      bm_ref[j / 64] |= std::uint64_t{1} << (j % 64);
+      ++expect;
+    }
+    ASSERT_EQ(got, expect) << "i=" << i;
     for (std::size_t w = 0; w < words; ++w) {
-      ASSERT_EQ(bm_batched[w], bm_scalar[w])
-          << dg::field_kind_name(layout.kind) << " k=" << k
-          << " len=" << use_length << " elig=" << with_eligible
+      ASSERT_EQ(bm_pipe[w], bm_ref[w])
+          << dg::field_kind_name(layout.kind) << " l=" << layout.alpha_words
+          << " k=" << k << " len=" << use_length << " elig=" << with_eligible
           << " i=" << i << " word " << w;
     }
   }
-  EXPECT_EQ(pc_batched.length_pass, pc_scalar.length_pass);
-  EXPECT_EQ(pc_batched.fbf_evaluated, pc_scalar.fbf_evaluated);
-  EXPECT_EQ(pc_batched.fbf_pass, pc_scalar.fbf_pass);
+  EXPECT_EQ(pc_pipe.candidates_generated, pc_ref.candidates_generated);
+  EXPECT_EQ(pc_pipe.length_pass, pc_ref.length_pass);
+  EXPECT_EQ(pc_pipe.fbf_evaluated, pc_ref.fbf_evaluated);
+  EXPECT_EQ(pc_pipe.fbf_pass, pc_ref.fbf_pass);
 }
 
 TEST(PipelineFilter, BatchedMatchesPerPairAcrossLayoutsAndK) {
@@ -101,6 +126,8 @@ TEST(PipelineFilter, BatchedMatchesPerPairAcrossLayoutsAndK) {
       {dg::FieldKind::kLastName, c::FieldClass::kAlpha, 1},
       {dg::FieldKind::kLastName, c::FieldClass::kAlpha, 2},
       {dg::FieldKind::kAddress, c::FieldClass::kAlphanumeric, 2},
+      // alpha l = 3 cannot pack: the per-pair fallback.
+      {dg::FieldKind::kLastName, c::FieldClass::kAlpha, 3},
   };
   for (const auto& layout : layouts) {
     for (const int k : {1, 2, 3}) {
@@ -138,7 +165,7 @@ TEST(PipelineFilter, AlphaThreeWordsFallsBackTransparently) {
     for (std::size_t j = 0; j < n; ++j) {
       const auto sig_j =
           c::make_signature(dataset.error[j], c::FieldClass::kAlpha, 3);
-      const bool expect = c::CandidatePipeline::pair_pass(q.sig, sig_j, 1);
+      const bool expect = c::fbf_pass(q.sig, sig_j, 1);
       const bool got = (bitmap[j / 64] >> (j % 64) & 1) != 0;
       ASSERT_EQ(got, expect) << "i=" << i << " j=" << j;
     }

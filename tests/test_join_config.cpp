@@ -1,6 +1,6 @@
 // Configuration-sweep tests for the join engine: every knob that must
-// not change the match set (popcount strategy, signature width, thread
-// count) and every knob that must (k, method).
+// not change the match set (signature width) and every knob that must
+// (k, method).
 #include <gtest/gtest.h>
 
 #include "core/match_join.hpp"
@@ -24,28 +24,6 @@ c::JoinConfig fpdl_config() {
   config.field_class = c::FieldClass::kAlpha;
   return config;
 }
-
-class PopcountSweep
-    : public ::testing::TestWithParam<fbf::util::PopcountKind> {};
-
-TEST_P(PopcountSweep, StrategyNeverChangesAnyCounter) {
-  auto config = fpdl_config();
-  config.popcount = fbf::util::PopcountKind::kHardware;
-  const auto baseline =
-      c::match_strings(ln_dataset().clean, ln_dataset().error, config);
-  config.popcount = GetParam();
-  const auto stats =
-      c::match_strings(ln_dataset().clean, ln_dataset().error, config);
-  EXPECT_EQ(stats.matches, baseline.matches);
-  EXPECT_EQ(stats.fbf_pass, baseline.fbf_pass);
-  EXPECT_EQ(stats.verify_calls, baseline.verify_calls);
-  EXPECT_EQ(stats.diagonal_matches, baseline.diagonal_matches);
-}
-
-INSTANTIATE_TEST_SUITE_P(Kinds, PopcountSweep,
-                         ::testing::Values(fbf::util::PopcountKind::kWegner,
-                                           fbf::util::PopcountKind::kHardware,
-                                           fbf::util::PopcountKind::kLut));
 
 TEST(AlphaWordsSweep, MatchSetInvariantFilterSelectivityMonotone) {
   // More signature words = sharper filter (fewer pass) but identical

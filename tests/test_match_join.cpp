@@ -6,10 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "core/find_diff_bits.hpp"
 #include "datagen/dataset.hpp"
 #include "experiments/protocol.hpp"
+#include "metrics/damerau.hpp"
+#include "metrics/length_filter.hpp"
+#include "metrics/pdl.hpp"
 #include "testenv.hpp"
-#include "util/affinity.hpp"
 #include "util/bitops.hpp"
 
 namespace {
@@ -19,6 +22,7 @@ using fbf::core::JoinConfig;
 using fbf::core::JoinStats;
 using fbf::core::match_strings;
 using fbf::core::Method;
+using fbf::util::PopcountKind;
 
 std::vector<std::string> small_clean() {
   return {"SMITH", "JONES", "TAYLOR", "BROWN", "WILSON"};
@@ -199,6 +203,7 @@ INSTANTIATE_TEST_SUITE_P(
 void expect_same_stats(const JoinStats& a, const JoinStats& b,
                        const std::string& label) {
   EXPECT_EQ(a.pairs, b.pairs) << label;
+  EXPECT_EQ(a.candidates_generated, b.candidates_generated) << label;
   EXPECT_EQ(a.length_pass, b.length_pass) << label;
   EXPECT_EQ(a.fbf_evaluated, b.fbf_evaluated) << label;
   EXPECT_EQ(a.fbf_pass, b.fbf_pass) << label;
@@ -208,12 +213,72 @@ void expect_same_stats(const JoinStats& a, const JoinStats& b,
   EXPECT_EQ(a.match_pairs, b.match_pairs) << label;
 }
 
-// The tentpole property: the packed SoA + batched-kernel tiled join must
-// produce IDENTICAL counters and match sets to the classic per-pair scan
-// for every field class, threshold, popcount/kernel strategy and thread
-// count.  The scan with packed=false is the reference.
+/// Independent per-pair ladder for the FBF methods (paper Algorithm 7,
+/// one pair at a time): the length filter when the method has one, then
+/// find_diff_bits over make_signature with the given popcount strategy,
+/// then the method's verifier.  The join must reproduce its counters and
+/// match pairs whichever filter kernel the layout selects.
+JoinStats reference_ladder(const std::vector<std::string>& left,
+                           const std::vector<std::string>& right,
+                           const JoinConfig& config, PopcountKind kind) {
+  const auto sigs = [&](const std::vector<std::string>& side) {
+    std::vector<fbf::core::Signature> out;
+    for (const std::string& s : side) {
+      out.push_back(fbf::core::make_signature(s, config.field_class,
+                                              config.alpha_words));
+    }
+    return out;
+  };
+  const auto left_sigs = sigs(left);
+  const auto right_sigs = sigs(right);
+  const int k = config.k;
+  JoinStats stats;
+  stats.pairs = static_cast<std::uint64_t>(left.size()) * right.size();
+  for (std::uint32_t i = 0; i < left.size(); ++i) {
+    for (std::uint32_t j = 0; j < right.size(); ++j) {
+      ++stats.candidates_generated;
+      if (fbf::core::method_uses_length(config.method)) {
+        if (!fbf::metrics::length_filter_pass(left[i], right[j], k)) {
+          continue;
+        }
+        ++stats.length_pass;
+      }
+      ++stats.fbf_evaluated;
+      if (fbf::core::find_diff_bits(left_sigs[i], right_sigs[j], kind) >
+          2 * k) {
+        continue;
+      }
+      ++stats.fbf_pass;
+      bool match = true;
+      switch (fbf::core::method_verifier(config.method)) {
+        case fbf::core::Verifier::kNone:
+          break;
+        case fbf::core::Verifier::kDl:
+          ++stats.verify_calls;
+          match = fbf::metrics::dl_within(left[i], right[j], k);
+          break;
+        case fbf::core::Verifier::kPdl:
+          ++stats.verify_calls;
+          match = fbf::metrics::pdl_within(left[i], right[j], k);
+          break;
+      }
+      if (match) {
+        ++stats.matches;
+        stats.diagonal_matches += i == j ? 1 : 0;
+        stats.match_pairs.emplace_back(i, j);
+      }
+    }
+  }
+  return stats;
+}
+
+// The tentpole property: the FBF join — packed SoA planes + batched tile
+// kernel on every supported layout — must produce IDENTICAL counters and
+// match sets to the per-pair ladder for every field class, threshold,
+// popcount strategy and thread count.  Dense generation is pinned: the
+// ladder charges every pair.
 TEST(PackedTiledJoin, IdenticalToScalarScanEverywhere) {
-  using fbf::util::PopcountKind;
+  const fbf::testenv::ScopedForceGenerator clear_env(nullptr);
   const struct {
     fbf::datagen::FieldKind kind;
     std::size_t n;
@@ -228,30 +293,26 @@ TEST(PackedTiledJoin, IdenticalToScalarScanEverywhere) {
       for (const int k : {1, 2, 3}) {
         fbf::experiments::ExperimentConfig exp;
         exp.k = k;
-        auto reference_join =
-            fbf::experiments::make_join_config(d.kind, method, exp);
-        reference_join.collect_matches = true;
-        reference_join.packed = false;
-        const auto reference =
-            match_strings(dataset.clean, dataset.error, reference_join);
+        auto join = fbf::experiments::make_join_config(d.kind, method, exp);
+        join.collect_matches = true;
         for (const PopcountKind popcount :
              {PopcountKind::kWegner, PopcountKind::kHardware,
-              PopcountKind::kLut, PopcountKind::kBatched}) {
+              PopcountKind::kLut}) {
+          const auto reference =
+              reference_ladder(dataset.clean, dataset.error, join, popcount);
           for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
                                             std::size_t{7}}) {
-            auto join = reference_join;
-            join.packed = true;
-            join.popcount = popcount;
             join.threads = threads;
             const auto stats =
                 match_strings(dataset.clean, dataset.error, join);
-            expect_same_stats(
-                reference, stats,
+            const std::string label =
                 std::string(fbf::datagen::field_kind_name(d.kind)) + "/" +
-                    fbf::core::method_name(method) + " k=" +
-                    std::to_string(k) + " pc=" +
-                    fbf::util::popcount_kind_name(popcount) + " t=" +
-                    std::to_string(threads));
+                fbf::core::method_name(method) + " k=" + std::to_string(k) +
+                " pc=" + fbf::util::popcount_kind_name(popcount) +
+                " t=" + std::to_string(threads);
+            EXPECT_TRUE(std::string(stats.kernel).starts_with("tile-"))
+                << label << ": " << stats.kernel;
+            expect_same_stats(reference, stats, label);
           }
         }
       }
@@ -259,30 +320,34 @@ TEST(PackedTiledJoin, IdenticalToScalarScanEverywhere) {
   }
 }
 
-// Unsupported layouts (alpha l > 2 overflows the 64-bit plane) must fall
-// back to the per-pair scan transparently — same results, scan kernel.
+// The layout alone picks the path: alpha l > 2 overflows the 64-bit
+// plane, so those joins run the per-pair scan ("pair-scalar") while the
+// supported l = 2 layout runs a tile kernel — and both equal the ladder.
 TEST(PackedTiledJoin, WideAlphaFallsBackToScan) {
+  const fbf::testenv::ScopedForceGenerator clear_env(nullptr);
   const auto dataset = fbf::datagen::build_paired_dataset(
       fbf::datagen::FieldKind::kLastName, 150, 55).value();
-  for (const int alpha_words : {3, 4}) {
-    JoinConfig reference = base_config(Method::kFpdl);
-    reference.alpha_words = alpha_words;
-    reference.collect_matches = true;
-    reference.packed = false;
-    const auto ref_stats =
-        match_strings(dataset.clean, dataset.error, reference);
-    JoinConfig join = reference;
-    join.packed = true;  // requested but unsupported -> scan fallback
-    const auto stats = match_strings(dataset.clean, dataset.error, join);
-    expect_same_stats(ref_stats, stats,
-                      "alpha_words=" + std::to_string(alpha_words));
-    EXPECT_STREQ(stats.kernel, "pair-scalar");
+  for (const int alpha_words : {2, 3, 4}) {
+    JoinConfig join = base_config(Method::kFpdl);
+    join.alpha_words = alpha_words;
+    join.collect_matches = true;
+    const auto reference = reference_ladder(dataset.clean, dataset.error,
+                                            join, PopcountKind::kHardware);
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
+      join.threads = threads;
+      const auto stats = match_strings(dataset.clean, dataset.error, join);
+      const std::string label = "alpha_words=" + std::to_string(alpha_words) +
+                                " t=" + std::to_string(threads);
+      expect_same_stats(reference, stats, label);
+      if (alpha_words > 2) {
+        EXPECT_STREQ(stats.kernel, "pair-scalar") << label;
+      } else {
+        EXPECT_TRUE(std::string(stats.kernel).starts_with("tile-"))
+            << label << ": " << stats.kernel;
+      }
+    }
   }
-  // Supported layout reports a tile kernel by contrast.
-  JoinConfig packed = base_config(Method::kFpdl);
-  const auto stats = match_strings(dataset.clean, dataset.error, packed);
-  EXPECT_TRUE(std::string(stats.kernel).starts_with("tile-"))
-      << stats.kernel;
 }
 
 // Regression for the pre-tiling scheduler: chunking by rows of S capped
@@ -331,101 +396,6 @@ TEST(PackedTiledJoin, MatchPairsSortedAndThreadInvariant) {
           << fbf::core::method_name(method) << " threads=" << threads;
     }
   }
-}
-
-// The affinity (row-ownership) schedule must be a pure scheduling change:
-// same counters, same sorted match set as the shared-queue schedule, for
-// every thread count, on both the packed-tile and per-pair scan paths.
-TEST(AffinityJoin, OnOffSchedulesAreByteIdentical) {
-  using fbf::core::TileAffinity;
-  const struct {
-    fbf::datagen::FieldKind kind;
-    Method method;
-  } cases[] = {{fbf::datagen::FieldKind::kLastName, Method::kFpdl},
-               {fbf::datagen::FieldKind::kSsn, Method::kLfpdl},
-               {fbf::datagen::FieldKind::kAddress, Method::kFbfOnly}};
-  for (const auto& c : cases) {
-    const auto dataset =
-        fbf::datagen::build_paired_dataset(c.kind, 400, 17).value();
-    fbf::experiments::ExperimentConfig exp;
-    exp.k = 1;
-    auto off = fbf::experiments::make_join_config(c.kind, c.method, exp);
-    off.collect_matches = true;
-    off.affinity = TileAffinity::kOff;
-    for (const bool packed : {true, false}) {
-      off.packed = packed;
-      off.threads = 1;
-      const auto reference = match_strings(dataset.clean, dataset.error, off);
-      EXPECT_FALSE(reference.affinity_schedule);
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        auto on = off;
-        on.affinity = TileAffinity::kOn;
-        on.threads = threads;
-        const auto stats = match_strings(dataset.clean, dataset.error, on);
-        expect_same_stats(
-            reference, stats,
-            std::string(fbf::datagen::field_kind_name(c.kind)) + "/" +
-                fbf::core::method_name(c.method) +
-                (packed ? " packed" : " scan") + " t=" +
-                std::to_string(threads));
-      }
-    }
-  }
-}
-
-// stats.affinity_schedule reports exactly when the row-ownership schedule
-// ran: kOn with >= 2 effective workers.  A single worker would pin the
-// caller thread (parallel_chunks runs one chunk inline), so kOn at
-// threads=1 must stay off; kOff always stays off; kAuto engages only on
-// multi-NUMA machines, so on a single-node box it equals kOff.
-TEST(AffinityJoin, ScheduleFlagReflectsPolicy) {
-  using fbf::core::TileAffinity;
-  const auto dataset = fbf::datagen::build_paired_dataset(
-      fbf::datagen::FieldKind::kLastName, 600, 29).value();
-  JoinConfig config = base_config(Method::kFpdl);
-  config.threads = 4;
-
-  config.affinity = TileAffinity::kOn;
-  EXPECT_TRUE(
-      match_strings(dataset.clean, dataset.error, config).affinity_schedule);
-
-  config.threads = 1;
-  EXPECT_FALSE(
-      match_strings(dataset.clean, dataset.error, config).affinity_schedule)
-      << "single worker must not pin the caller thread";
-
-  config.threads = 4;
-  config.affinity = TileAffinity::kOff;
-  EXPECT_FALSE(
-      match_strings(dataset.clean, dataset.error, config).affinity_schedule);
-
-  config.affinity = TileAffinity::kAuto;
-  const auto auto_stats = match_strings(dataset.clean, dataset.error, config);
-  EXPECT_EQ(auto_stats.affinity_schedule,
-            fbf::util::numa_node_count() > 1);
-}
-
-// Skewed shapes (fewer tile rows than threads) cap the worker count at
-// the row-tile count; the schedule must still cover every tile exactly
-// once and keep counters identical.
-TEST(AffinityJoin, SkewedShapesStayCorrect) {
-  using fbf::core::TileAffinity;
-  const auto dataset = fbf::datagen::build_paired_dataset(
-      fbf::datagen::FieldKind::kSsn, 2000, 41).value();
-  // 3 probes -> a single tile row; 2000 columns -> 8 col tiles.
-  const std::vector<std::string> probes = {
-      dataset.clean[0], dataset.clean[1], dataset.clean[2]};
-  JoinConfig config = base_config(Method::kFbfOnly);
-  config.field_class = FieldClass::kNumeric;
-  config.collect_matches = true;
-  config.threads = 4;
-  config.affinity = TileAffinity::kOff;
-  const auto reference = match_strings(probes, dataset.error, config);
-  config.affinity = TileAffinity::kOn;
-  const auto stats = match_strings(probes, dataset.error, config);
-  expect_same_stats(reference, stats, "skewed affinity join");
-  EXPECT_EQ(stats.pairs, 3u * 2000u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Transport-layer tests: the shard link protocol codecs, the in-process
+// Transport-layer tests: the shard reply codec, the in-process
 // reference transport, the real TCP path (server event loop + frame
 // protocol + deadlines), each injected fault kind manifesting as a real
 // socket failure, and the headline property — the shard driver
@@ -34,59 +34,7 @@ net::ShardHandler echo_handler() {
   };
 }
 
-// --- link protocol codecs ----------------------------------------------
-
-TEST(ShardProtocol, LinkRequestRoundTrips) {
-  u::Rng rng(11);
-  const auto left = lk::generate_people(7, rng);
-  const std::string payload = lk::encode_link_request(left);
-  const auto decoded = lk::decode_link_request(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  ASSERT_EQ(decoded.value().size(), left.size());
-  for (std::size_t i = 0; i < left.size(); ++i) {
-    EXPECT_EQ(decoded.value()[i].last_name, left[i].last_name);
-    EXPECT_EQ(decoded.value()[i].id, left[i].id);
-  }
-}
-
-TEST(ShardProtocol, BroadcastRequestShipsNoRightRecords) {
-  // The right list is the service's broadcast state: the same request
-  // bytes link against whatever right list the service holds, so the
-  // request size cannot depend on it.
-  u::Rng rng(12);
-  const auto left = lk::generate_people(4, rng);
-  const auto small_right = lk::generate_people(5, rng);
-  const auto large_right = lk::generate_people(300, rng);
-  const std::string request = lk::encode_link_request(left);
-  lk::LinkConfig link;
-  link.comparator = lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
-  net::FrameContext ctx;
-  ctx.type = net::FrameType::kLinkRequest;
-  for (const auto* right : {&small_right, &large_right}) {
-    lk::ShardLinkService service(link, *right);
-    const auto raw = service.handle(ctx, request);
-    ASSERT_TRUE(raw.ok()) << raw.status().to_string();
-    const auto reply = lk::decode_shard_reply(raw.value());
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply.value().pairs, left.size() * right->size());
-  }
-  EXPECT_LT(request.size(), lk::encode_link_request(large_right).size() / 4)
-      << "a request carries the left partition only";
-}
-
-TEST(ShardProtocol, TruncatedRequestIsRejected) {
-  u::Rng rng(13);
-  const auto left = lk::generate_people(3, rng);
-  const std::string payload = lk::encode_link_request(left);
-  for (const std::size_t len : {payload.size() - 1, payload.size() / 2,
-                                std::size_t{0}}) {
-    const auto decoded =
-        lk::decode_link_request(std::string_view(payload).substr(0, len));
-    EXPECT_FALSE(decoded.ok()) << "prefix of " << len << " bytes";
-  }
-  const auto trailing = lk::decode_link_request(payload + "x");
-  EXPECT_FALSE(trailing.ok());
-}
+// --- shard reply codec ----------------------------------------------
 
 TEST(ShardProtocol, ShardReplyRoundTrips) {
   lk::ShardReply reply;
