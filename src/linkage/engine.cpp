@@ -123,9 +123,7 @@ LinkageContext::LinkageContext(std::span<const PersonRecord> right,
           }
         });
   }
-  for (std::size_t i = 0; i < right.size(); ++i) {
-    bank_.append(right[i], uses_fbf ? &signatures_[i] : nullptr);
-  }
+  bank_.append(right, signatures_, threads);
   gen_ms_ = timer.elapsed_ms();
 }
 
@@ -194,10 +192,10 @@ LinkStats link_exhaustive(std::span<const PersonRecord> left,
         for (std::size_t i = begin; i < end; ++i) {
           right_ctx.bank().score_all(left[i],
                                      uses_fbf ? &left_sigs[i] : nullptr,
-                                     right, right.size(), scratch,
-                                     out.counters);
-          for (std::size_t j = 0; j < right.size(); ++j) {
-            if (scratch.scores[j] >= config.comparator.match_threshold) {
+                                     right.size(), scratch, out.counters);
+          for (std::size_t s = 0; s < scratch.ids.size(); ++s) {
+            if (scratch.scores[s] >= config.comparator.match_threshold) {
+              const std::uint32_t j = scratch.ids[s];
               ++out.matches;
               if (left[i].id == right[j].id) {
                 ++out.true_positives;
@@ -205,8 +203,7 @@ LinkStats link_exhaustive(std::span<const PersonRecord> left,
                 ++out.false_positives;
               }
               if (config.collect_matches) {
-                out.match_pairs.emplace_back(static_cast<std::uint32_t>(i),
-                                             static_cast<std::uint32_t>(j));
+                out.match_pairs.emplace_back(static_cast<std::uint32_t>(i), j);
               }
             }
           }

@@ -43,10 +43,10 @@ class LinkageContext {
                  std::size_t threads = 1);
 
   /// Builds with the full execution policy: the bank inherits
-  /// `exec.generator`, so kBlockIndex contexts index each verifying FBF
-  /// rule's stored column at build time (probed per incoming record at
-  /// link time).  The two-argument-plus-threads constructor above keeps
-  /// the dense default.
+  /// `exec.generator`, so kBlockIndex contexts index the comparator's
+  /// weight cover at build time (RecordFilterBank; probed per incoming
+  /// record at link time).  The two-argument-plus-threads constructor
+  /// above keeps the dense default.
   LinkageContext(std::span<const PersonRecord> right,
                  const ComparatorConfig& comparator,
                  const core::ExecPolicy& exec);

@@ -19,9 +19,7 @@ EntityStore::EntityStore(ComparatorConfig comparator,
 void EntityStore::rebuild_bank() {
   bank_ = RecordFilterBank(
       comparator_, RecordFilterOptions{.generator = options_.exec.generator});
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    bank_.append(records_[i], uses_fbf_ ? &signatures_[i] : nullptr);
-  }
+  bank_.append(records_, signatures_, options_.exec.threads);
 }
 
 IngestStats EntityStore::ingest(std::span<const PersonRecord> batch) {
@@ -58,14 +56,14 @@ IngestStats EntityStore::ingest(std::span<const PersonRecord> batch) {
         CompareCounters& counters = chunk_counters[chunk];
         for (std::size_t b = begin; b < end; ++b) {
           bank_.score_all(batch[b], uses_fbf_ ? &batch_sigs[b] : nullptr,
-                          records_, store_size_at_start, scratch, counters);
+                          store_size_at_start, scratch, counters);
           Decision& d = decisions[b];
           d.index = store_size_at_start;  // sentinel: none
-          for (std::size_t s = 0; s < store_size_at_start; ++s) {
-            const double score = scratch.scores[s];
+          for (std::size_t i = 0; i < scratch.ids.size(); ++i) {
+            const double score = scratch.scores[i];
             if (score >= comparator_.match_threshold && score > d.score) {
               d.score = score;
-              d.index = s;
+              d.index = scratch.ids[i];
             }
           }
         }
@@ -93,8 +91,14 @@ IngestStats EntityStore::ingest(std::span<const PersonRecord> batch) {
     if (uses_fbf_) {
       signatures_.push_back(batch_sigs[b]);
     }
-    bank_.append(records_.back(), uses_fbf_ ? &signatures_.back() : nullptr);
   }
+  // One bank append per batch: a cover rule's index takes the whole
+  // batch into its overflow tier (or one compaction) at once.
+  const std::span<const RecordSignatures> new_sigs =
+      uses_fbf_ ? std::span(signatures_).subspan(store_size_at_start)
+                : std::span<const RecordSignatures>{};
+  bank_.append(std::span(records_).subspan(store_size_at_start), new_sigs,
+               options_.exec.threads);
   stats.match_ms = match_timer.elapsed_ms();
   return stats;
 }
@@ -113,12 +117,11 @@ EntityStore::ProbeResult EntityStore::probe(const PersonRecord& query,
   }
   const RecordSignatures* sigs = query_sigs ? &*query_sigs : nullptr;
   RecordFilterBank::Scratch scratch;
-  bank_.score_all(query, sigs, records_, store_size, scratch,
-                  result.counters);
-  for (std::size_t s = 0; s < store_size; ++s) {
-    if (scratch.scores[s] >= comparator_.match_threshold) {
-      result.matches.push_back({static_cast<std::uint32_t>(s),
-                                entity_ids_[s], scratch.scores[s]});
+  bank_.score_all(query, sigs, store_size, scratch, result.counters);
+  for (std::size_t i = 0; i < scratch.ids.size(); ++i) {
+    if (scratch.scores[i] >= comparator_.match_threshold) {
+      const std::uint32_t s = scratch.ids[i];
+      result.matches.push_back({s, entity_ids_[s], scratch.scores[i]});
     }
   }
   std::stable_sort(result.matches.begin(), result.matches.end(),

@@ -27,7 +27,9 @@ namespace fbf::linkage {
 /// Statistics for one ingested batch.
 struct IngestStats {
   std::uint64_t batch_size = 0;
-  std::uint64_t comparisons = 0;     ///< record-vs-store evaluations
+  /// Record pairs in scope (batch size x pre-batch store size), on every
+  /// route; the counters below fall on the cover route.
+  std::uint64_t comparisons = 0;
   /// Field pairs admitted into FBF-rule cascades by the generate stage
   /// (see CompareCounters::candidates_generated).
   std::uint64_t candidates_generated = 0;
@@ -41,9 +43,12 @@ struct IngestStats {
 
 /// EntityStore tuning knobs.  Batch records score independently against
 /// the pre-batch store, so ingest fans them across exec.threads pool
-/// workers; decisions and counters are byte-identical for any policy
-/// (entity ids are assigned sequentially afterwards) and to a
-/// record-at-a-time score_pair loop (the equivalence property tests).
+/// workers; decisions are byte-identical for any policy (entity ids are
+/// assigned sequentially afterwards) and to a record-at-a-time score_pair
+/// loop (the equivalence property tests).  exec.generator = kBlockIndex
+/// scores only the records a weight cover of block indexes surfaces
+/// (RecordFilterBank); the comparisons count keeps meaning "stored
+/// records in scope", and the dense route's counters equal score_pair's.
 struct EntityStoreOptions {
   core::ExecPolicy exec;
 
@@ -81,11 +86,12 @@ class EntityStore {
   struct ProbeResult {
     std::vector<ProbeMatch> matches;
     CompareCounters counters;
-    std::uint64_t comparisons = 0;  ///< record-vs-store evaluations
+    std::uint64_t comparisons = 0;  ///< stored records in scope
   };
 
-  /// Read-only point lookup: scores `query` against every stored record
-  /// exactly as ingest() would (through the filter bank) but commits
+  /// Read-only point lookup: scores `query` against the stored records
+  /// exactly as ingest() would (through the filter bank; on the cover
+  /// route only the records that can reach the threshold) but commits
   /// nothing — the request path the online daemon and the in-process
   /// client share.  `max_matches` truncates the reply after sorting; 0
   /// means unbounded.
@@ -126,6 +132,12 @@ class EntityStore {
   }
 
   [[nodiscard]] bool uses_fbf() const noexcept { return uses_fbf_; }
+
+  /// The candidate generator ingest() and probe() run: kBlockIndex when
+  /// the filter bank serves the weight cover, kDense otherwise.
+  [[nodiscard]] core::GeneratorKind generator() const noexcept {
+    return bank_.generator();
+  }
 
   /// Replaces the store contents wholesale (snapshot recovery).
   /// `signatures` may be empty, in which case they are recomputed when the

@@ -1,6 +1,8 @@
 #include "linkage/record_filter.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "metrics/damerau.hpp"
 #include "metrics/pdl.hpp"
@@ -31,11 +33,55 @@ namespace m = fbf::metrics;
 
 }  // namespace
 
+std::optional<std::vector<std::size_t>> cover_rules(
+    const ComparatorConfig& config) {
+  // Soundness gate per rule: the block index covers { OSA <= k }, not the
+  // FBF pass-set, so kFbfOnly (survivors score directly) cannot be
+  // indexed; neither can an unsupported k.
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < config.rules.size(); ++i) {
+    const FieldRule& rule = config.rules[i];
+    if (rule_verifier(rule.strategy) != c::Verifier::kNone &&
+        rule.weight > 0.0 && c::BlockIndexGenerator::supported(rule.k)) {
+      order.push_back(i);
+    }
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return config.rules[a].weight > config.rules[b].weight;
+                   });
+  std::vector<bool> indexed(config.rules.size(), false);
+  // Summed in config order, the order score_all adds weights in, so the
+  // bound holds for the rounded doubles too: adding positive weights in a
+  // fixed order is monotone, and negative weights only lower a score.
+  const auto unindexed_weight = [&] {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < config.rules.size(); ++i) {
+      if (!indexed[i] && config.rules[i].weight > 0.0) {
+        sum += config.rules[i].weight;
+      }
+    }
+    return sum;
+  };
+  std::size_t next = 0;
+  while (!(unindexed_weight() < config.match_threshold)) {
+    if (next == order.size()) {
+      return std::nullopt;
+    }
+    indexed[order[next++]] = true;
+  }
+  std::vector<std::size_t> cover;
+  for (std::size_t i = 0; i < indexed.size(); ++i) {
+    if (indexed[i]) {
+      cover.push_back(i);
+    }
+  }
+  return cover;
+}
+
 RecordFilterBank::RecordFilterBank(const ComparatorConfig& config,
                                    RecordFilterOptions options)
     : config_(config) {
-  const bool want_block = c::select_generator(options.generator) ==
-                          c::GeneratorKind::kBlockIndex;
   rules_.reserve(config_.rules.size());
   for (const FieldRule& rule : config_.rules) {
     RuleState state;
@@ -48,44 +94,61 @@ RecordFilterBank::RecordFilterBank(const ComparatorConfig& config,
       pcfg.use_length = false;  // score_pair has no length stage
       pcfg.verifier = rule_verifier(rule.strategy);
       state.pipe.emplace(pcfg);
-      // Soundness gate per rule: the block index covers { OSA <= k },
-      // not the FBF pass-set, so kFbfOnly (survivors score directly)
-      // must stay dense; so must unsupported k.
-      if (want_block && pcfg.verifier != c::Verifier::kNone &&
-          c::BlockIndexGenerator::supported(rule.k)) {
-        state.gen.emplace(rule.k);
-      }
     }
     rules_.push_back(std::move(state));
   }
+  if (c::select_generator(options.generator) ==
+      c::GeneratorKind::kBlockIndex) {
+    cover_ = cover_rules(config_);
+    if (cover_.has_value()) {
+      for (const std::size_t r : *cover_) {
+        rules_[r].gen.emplace(rules_[r].rule.k);
+      }
+    }
+  }
 }
 
-void RecordFilterBank::append(const PersonRecord& r,
-                              const RecordSignatures* sigs) {
-  const std::size_t bit = size_ % 64;
-  for (RuleState& state : rules_) {
-    const std::string& value = r.field(state.rule.field);
-    state.values.push_back(value);
-    if (state.rule.strategy == FieldStrategy::kSoundex) {
-      state.codes.push_back(m::soundex(value));
+void RecordFilterBank::append(std::span<const PersonRecord> records,
+                              std::span<const RecordSignatures> sigs,
+                              std::size_t threads) {
+  if (records.empty()) {
+    return;
+  }
+  const std::size_t first = size_;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const PersonRecord& r = records[i];
+    const std::size_t bit = size_ % 64;
+    for (RuleState& state : rules_) {
+      const std::string& value = r.field(state.rule.field);
+      state.values.push_back(value);
+      if (state.rule.strategy == FieldStrategy::kSoundex) {
+        state.codes.push_back(m::soundex(value));
+      }
+      if (!state.pipe.has_value()) {
+        continue;
+      }
+      if (bit == 0) {
+        state.nonempty.push_back(0);
+      }
+      state.nonempty.back() |=
+          static_cast<std::uint64_t>(!value.empty()) << bit;
+      assert(i < sigs.size() && "FBF rules need precomputed signatures");
+      state.pipe->append_signature(
+          sigs[i].sigs[static_cast<std::size_t>(state.rule.field)],
+          static_cast<std::uint32_t>(value.size()));
     }
-    if (!state.pipe.has_value()) {
+    ++size_;
+  }
+  for (RuleState& state : rules_) {
+    if (!state.gen.has_value()) {
       continue;
     }
-    if (state.gen.has_value()) {
-      state.gen->append(state.values);
+    if (first == 0) {
+      state.gen.emplace(state.rule.k, state.values, threads);
+    } else {
+      state.gen->append(state.values, threads);
     }
-    if (bit == 0) {
-      state.nonempty.push_back(0);
-    }
-    state.nonempty.back() |=
-        static_cast<std::uint64_t>(!value.empty()) << bit;
-    assert(sigs != nullptr && "FBF rules need precomputed signatures");
-    state.pipe->append_signature(
-        sigs->sigs[static_cast<std::size_t>(state.rule.field)],
-        static_cast<std::uint32_t>(value.size()));
   }
-  ++size_;
 }
 
 bool RecordFilterBank::batched() const noexcept {
@@ -108,18 +171,44 @@ const char* RecordFilterBank::kernel_name() const noexcept {
 
 void RecordFilterBank::score_all(const PersonRecord& incoming,
                                  const RecordSignatures* incoming_sigs,
-                                 std::span<const PersonRecord> /*stored*/,
                                  std::size_t count, Scratch& scratch,
                                  CompareCounters& counters) const {
   assert(count <= size_);
-  scratch.scores.assign(count, 0.0);
-  if (count == 0) {
+  std::vector<std::uint32_t>& ids = scratch.ids;
+  ids.clear();
+  if (cover_.has_value()) {
+    // Each cover rule's candidates, cut to the records the dense sweep
+    // would evaluate — in scope (same-batch exclusion) and with the
+    // stored field present — then their union is what gets scored.
+    scratch.generated.resize(rules_.size());
+    for (const std::size_t r : *cover_) {
+      const RuleState& state = rules_[r];
+      std::vector<std::uint32_t>& gen_ids = scratch.generated[r];
+      gen_ids.clear();
+      const std::string& va = incoming.field(state.rule.field);
+      if (va.empty()) {
+        continue;
+      }
+      state.gen->generate(va, gen_ids);
+      std::erase_if(gen_ids, [&](std::uint32_t j) {
+        return j >= count || (state.nonempty[j / 64] >> (j % 64) & 1) == 0;
+      });
+      ids.insert(ids.end(), gen_ids.begin(), gen_ids.end());
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  } else {
+    ids.resize(count);
+    std::iota(ids.begin(), ids.end(), std::uint32_t{0});
+  }
+  scratch.scores.assign(ids.size(), 0.0);
+  if (ids.empty()) {
     return;
   }
-  scratch.bitmap.resize(c::CandidatePipeline::bitmap_words(count));
   // Rules run in config order, so per-candidate weights accumulate in the
   // same order as score_pair (identical doubles, not just close ones).
-  for (const RuleState& state : rules_) {
+  for (std::size_t r = 0; r < rules_.size(); ++r) {
+    const RuleState& state = rules_[r];
     const FieldRule& rule = state.rule;
     const std::string& va = incoming.field(rule.field);
     if (va.empty()) {
@@ -131,47 +220,49 @@ void RecordFilterBank::score_all(const PersonRecord& incoming,
           incoming_sigs->sigs[static_cast<std::size_t>(rule.field)],
           static_cast<std::uint32_t>(va.size()));
       c::PipelineCounters pc;
-      if (state.gen.has_value()) {
-        // Indexed generation: probe the rule's block index, then apply
-        // the same pre-cascade eligibility the dense sweep applies —
-        // candidates past `count` (same-batch exclusion) or with the
-        // stored field missing are dropped before any counter charges.
-        scratch.ids.clear();
-        state.gen->generate(va, scratch.ids);
-        std::size_t kept = 0;
-        for (const std::uint32_t j : scratch.ids) {
-          if (j < count &&
-              (state.nonempty[j / 64] >> (j % 64) & 1) != 0) {
-            scratch.ids[kept++] = j;
+      if (cover_.has_value()) {
+        // A cover rule filters its own candidates; any other FBF rule
+        // filters the scored ids whose stored field is present.
+        const std::vector<std::uint32_t>* list = &scratch.generated[r];
+        if (!state.gen.has_value()) {
+          scratch.eligible.clear();
+          for (const std::uint32_t j : ids) {
+            if ((state.nonempty[j / 64] >> (j % 64) & 1) != 0) {
+              scratch.eligible.push_back(j);
+            }
           }
+          list = &scratch.eligible;
         }
-        scratch.ids.resize(kept);
         scratch.survivors.clear();
-        pipe.filter_ids(q, scratch.ids, scratch.survivors, pc);
-        counters.candidates_generated += pc.candidates_generated;
-        counters.field_comparisons += pc.fbf_evaluated;
-        counters.fbf_evaluations += pc.fbf_evaluated;
+        pipe.filter_ids(q, *list, scratch.survivors, pc);
+        // Survivors ascend, as ids do: one forward walk finds each
+        // survivor's position.
+        std::size_t pos = 0;
         for (const std::uint32_t j : scratch.survivors) {
           if (pipe.verify(va, state.values[j], pc)) {
-            scratch.scores[j] += rule.weight;
+            while (ids[pos] < j) {
+              ++pos;
+            }
+            scratch.scores[pos] += rule.weight;
           }
         }
-        counters.verify_calls += pc.verify_calls;
-        continue;
+      } else {
+        scratch.bitmap.resize(c::CandidatePipeline::bitmap_words(count));
+        pipe.filter(q, 0, count, state.nonempty.data(),
+                    scratch.bitmap.data(), pc);
+        c::CandidatePipeline::for_each_survivor(
+            scratch.bitmap.data(), count, [&](std::size_t j) {
+              if (pipe.verify(va, state.values[j], pc)) {
+                scratch.scores[j] += rule.weight;
+              }
+            });
       }
-      pipe.filter(q, 0, count, state.nonempty.data(), scratch.bitmap.data(),
-                  pc);
-      // Every eligible (both-fields-present) lane is one field comparison
-      // and one FBF evaluation, exactly like the scalar rule body.
+      // Every evaluated (both-fields-present) pair is one field
+      // comparison and one FBF evaluation, exactly like the scalar rule
+      // body.
       counters.candidates_generated += pc.candidates_generated;
       counters.field_comparisons += pc.fbf_evaluated;
       counters.fbf_evaluations += pc.fbf_evaluated;
-      c::CandidatePipeline::for_each_survivor(
-          scratch.bitmap.data(), count, [&](std::size_t j) {
-            if (pipe.verify(va, state.values[j], pc)) {
-              scratch.scores[j] += rule.weight;
-            }
-          });
       counters.verify_calls += pc.verify_calls;
       continue;
     }
@@ -182,7 +273,8 @@ void RecordFilterBank::score_all(const PersonRecord& incoming,
     const std::string incoming_code =
         rule.strategy == FieldStrategy::kSoundex ? m::soundex(va)
                                                  : std::string{};
-    for (std::size_t j = 0; j < count; ++j) {
+    for (std::size_t pos = 0; pos < ids.size(); ++pos) {
+      const std::uint32_t j = ids[pos];
       const std::string& vb = state.values[j];
       if (vb.empty()) {
         continue;
@@ -208,7 +300,7 @@ void RecordFilterBank::score_all(const PersonRecord& incoming,
           break;  // FBF strategies handled above
       }
       if (matched) {
-        scratch.scores[j] += rule.weight;
+        scratch.scores[pos] += rule.weight;
       }
     }
   }

@@ -243,9 +243,12 @@ struct RecoveryReport {
 /// directory instead.)
 class DurableEntityStore {
  public:
+  /// `options` configures the in-memory store (and the one recover()
+  /// rebuilds): threads and candidate generator.
   DurableEntityStore(ComparatorConfig comparator,
                      std::shared_ptr<storage::StorageBackend> backend,
-                     DurabilityPolicy policy = {});
+                     DurabilityPolicy policy = {},
+                     EntityStoreOptions options = {});
 
   /// Best-effort sync of pending journal appends (see simulate_crash()).
   ~DurableEntityStore();
@@ -265,8 +268,9 @@ class DurableEntityStore {
   /// checkpoint (or a full base when none exists / compaction triggers),
   /// then an atomic manifest swap, then a journal reset.  The journal is
   /// only reset after the new blob AND manifest have been read back and
-  /// checksum-verified, so an injected corruption loses a checkpoint,
-  /// never data.
+  /// verified (checksum and structure; a base is walked record by record
+  /// through the decoder's and restore()'s checks, without building a
+  /// store), so an injected corruption loses a checkpoint, never data.
   [[nodiscard]] fbf::util::Status checkpoint();
 
   /// Rebuilds in-memory state from the backend: manifest -> base ->
@@ -314,6 +318,7 @@ class DurableEntityStore {
   ComparatorConfig comparator_;
   std::shared_ptr<storage::StorageBackend> backend_;
   DurabilityPolicy policy_;
+  EntityStoreOptions options_;
   EntityStore store_;
   SnapshotManifest manifest_;
   std::unique_ptr<storage::AppendHandle> journal_;

@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/exec_policy.hpp"
 #include "datagen/dataset.hpp"
 #include "linkage/person_gen.hpp"
 #include "net/tcp.hpp"
@@ -78,6 +79,15 @@ int run_smoke(fbf::Client& client, const std::vector<std::string>& corpus,
   u::Result<fbf::MatchResponse> probe = client.match_record(people.front());
   if (!probe.ok() || probe->matches.empty()) {
     std::cerr << "smoke: record probe found nothing\n";
+    return 1;
+  }
+  // The service serves record probes on the entity store's block index
+  // (unless FBF_FORCE_GENERATOR pins another generator).
+  const char* want_generator = fbf::core::generator_name(
+      fbf::core::select_generator(fbf::core::GeneratorKind::kBlockIndex));
+  if (probe->generator != want_generator) {
+    std::cerr << "smoke: record probe served by '" << probe->generator
+              << "', expected '" << want_generator << "'\n";
     return 1;
   }
   // CSV ingest with three damaged rows, one per triage outcome: a

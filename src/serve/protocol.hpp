@@ -65,7 +65,8 @@ struct MatchResponse {
   /// block-index route (kString).
   std::uint64_t comparisons = 0;
   /// Candidate generator that served the reply ("dense" /
-  /// "block-index"; kString only, empty for kRecord).
+  /// "block-index"): the corpus's for kString, the entity store's for
+  /// kRecord.
   std::string generator;
 };
 

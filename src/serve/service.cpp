@@ -32,7 +32,8 @@ MatchService::MatchService(ServiceOptions options,
                            std::shared_ptr<storage::StorageBackend> backend)
     : options_(std::move(options)),
       corpus_(options_.query),
-      store_(options_.comparator, std::move(backend), options_.durability),
+      store_(options_.comparator, std::move(backend), options_.durability,
+             linkage::EntityStoreOptions{options_.query.exec}),
       metrics_{registry_.counter("serve.queries"),
                registry_.counter("serve.ingests"),
                registry_.counter("serve.overloaded"),
@@ -191,6 +192,7 @@ MatchResponse MatchService::match_record(const MatchRequest& req) {
   resp.counters.verify_calls = probe.counters.verify_calls;
   resp.field_comparisons = probe.counters.field_comparisons;
   resp.comparisons = probe.comparisons;
+  resp.generator = core::generator_name(store_.store().generator());
   resp.matches.reserve(probe.matches.size());
   for (const linkage::EntityStore::ProbeMatch& m : probe.matches) {
     resp.matches.push_back({m.record_index, m.entity_id, m.score, {}});

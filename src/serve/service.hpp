@@ -74,7 +74,8 @@
 namespace fbf::serve {
 
 struct ServiceOptions {
-  /// String-corpus query knobs (method, k, field layout, exec policy).
+  /// String-corpus query knobs (method, k, field layout); its exec
+  /// policy also runs the entity store.
   core::QueryOptions query;
   /// Record comparator for entity-store probes and ingest.
   linkage::ComparatorConfig comparator;
@@ -88,9 +89,11 @@ struct ServiceOptions {
   /// beyond it handle() fails fast with kResourceExhausted.
   std::size_t max_inflight = 64;
 
-  /// Serves string queries through the block index by default
-  /// (query.exec.generator = kBlockIndex; MatchCorpus applies the
-  /// soundness gates and builds the index in the background).
+  /// Serves through the block index by default (query.exec.generator =
+  /// kBlockIndex): string queries once MatchCorpus's background index is
+  /// built, record probes and ingests on the entity store's weight cover.
+  /// Both apply their own soundness gates; the entity store takes
+  /// query.exec whole (threads and generator).
   ServiceOptions()
       : comparator(linkage::make_point_threshold_config(
             linkage::FieldStrategy::kFpdl)) {

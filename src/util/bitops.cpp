@@ -4,6 +4,43 @@
 
 namespace fbf::util {
 
+namespace {
+
+/// The kHardware sum.  Baseline x86-64 has no POPCNT, so std::popcount
+/// lowers to a libgcc call there; the target("popcnt") twin below
+/// re-lowers this same body to the instruction, picked at run time.
+[[gnu::always_inline]] inline int hw_diff_bits(
+    std::span<const std::uint32_t> m,
+    std::span<const std::uint32_t> n) noexcept {
+  int total = 0;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    total += popcount_hw(m[i] ^ n[i]);
+  }
+  return total;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("popcnt"))) int hw_diff_bits_popcnt(
+    std::span<const std::uint32_t> m,
+    std::span<const std::uint32_t> n) noexcept {
+  return hw_diff_bits(m, n);
+}
+
+/// Kept out of line so xor_diff_bits itself holds no libgcc call.
+[[gnu::noinline]] int hw_diff_bits_generic(
+    std::span<const std::uint32_t> m,
+    std::span<const std::uint32_t> n) noexcept {
+  return hw_diff_bits(m, n);
+}
+
+bool cpu_has_popcnt() noexcept {
+  static const bool has = __builtin_cpu_supports("popcnt") != 0;
+  return has;
+}
+#endif
+
+}  // namespace
+
 int xor_diff_bits(std::span<const std::uint32_t> m,
                   std::span<const std::uint32_t> n,
                   PopcountKind kind) noexcept {
@@ -21,9 +58,12 @@ int xor_diff_bits(std::span<const std::uint32_t> m,
       }
       break;
     case PopcountKind::kHardware:
-      for (std::size_t i = 0; i < m.size(); ++i) {
-        total += popcount_hw(m[i] ^ n[i]);
-      }
+#if defined(__x86_64__) || defined(__i386__)
+      total = cpu_has_popcnt() ? hw_diff_bits_popcnt(m, n)
+                               : hw_diff_bits_generic(m, n);
+#else
+      total = hw_diff_bits(m, n);
+#endif
       break;
   }
   return total;

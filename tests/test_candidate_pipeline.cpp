@@ -338,6 +338,32 @@ class ReferenceStore {
     return stats;
   }
 
+  /// EntityStore::probe by a score_pair loop: every stored record at or
+  /// above the threshold, score descending, record index ascending on
+  /// ties.
+  [[nodiscard]] std::vector<lk::EntityStore::ProbeMatch> probe(
+      const lk::PersonRecord& query) const {
+    const lk::RecordSignatures sigs =
+        uses_fbf_ ? lk::build_record_signatures(query, config_.alpha_words)
+                  : lk::RecordSignatures{};
+    lk::CompareCounters counters;
+    std::vector<lk::EntityStore::ProbeMatch> matches;
+    for (std::size_t s = 0; s < records_.size(); ++s) {
+      const double score = lk::score_pair(
+          query, records_[s], uses_fbf_ ? &sigs : nullptr,
+          uses_fbf_ ? &sigs_[s] : nullptr, config_, counters);
+      if (score >= config_.match_threshold) {
+        matches.push_back(
+            {static_cast<std::uint32_t>(s), entity_ids_[s], score});
+      }
+    }
+    std::stable_sort(matches.begin(), matches.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.score > b.score;
+                     });
+    return matches;
+  }
+
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
   [[nodiscard]] std::size_t entity_count() const noexcept {
     return entity_total_;
@@ -464,6 +490,177 @@ TEST(EntityStoreEquivalence, RestoredStoreKeepsEquivalence) {
   for (std::size_t i = 0; i < fast.size(); ++i) {
     ASSERT_EQ(fast.entity_of(i), ref.entity_of(i)) << "record " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Layer 2b: the weight-cover route.  With exec.generator = kBlockIndex the
+// bank indexes a weight cover of rules and scores only the union of their
+// candidates.  Probe matches (ids, scores, order) and ingest entity ids
+// must equal the dense route's and the score_pair reference's; the
+// comparisons count is route-independent, the stage counters may only
+// fall.
+// ---------------------------------------------------------------------------
+
+void expect_probes_equal(const std::vector<lk::EntityStore::ProbeMatch>& got,
+                         const std::vector<lk::EntityStore::ProbeMatch>& want,
+                         const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].record_index, want[i].record_index) << label << " #" << i;
+    EXPECT_EQ(got[i].entity_id, want[i].entity_id) << label << " #" << i;
+    EXPECT_EQ(got[i].score, want[i].score) << label << " #" << i;
+  }
+}
+
+/// Streams a seeded workload through a cover store, a dense store and the
+/// reference: one bulk batch, then many small batches, probing error
+/// copies after every few batches.  The small batches land in each cover
+/// index's overflow tier; with the default rules they fold into the base
+/// (past the 4,096-entry floor) once each for SSN and birth date at
+/// k = 1, and three to four times per index at k = 2.
+void expect_cover_equivalence(const lk::ComparatorConfig& config,
+                              bool has_cover, std::uint64_t seed) {
+  const fbf::testenv::ScopedForceGenerator clear_env(nullptr);
+  ASSERT_EQ(lk::cover_rules(config).has_value(), has_cover);
+  Rng rng(seed);
+  const auto people = lk::generate_people(600, rng);
+  lk::RecordErrorModel model;
+  model.field_typo_rate = 0.2;
+  const auto errors = lk::make_error_records(people, model, rng);
+  std::vector<std::span<const lk::PersonRecord>> batches;
+  const std::span<const lk::PersonRecord> all(people);
+  batches.push_back(all.first(80));
+  for (std::size_t off = 80; off < all.size(); off += 26) {
+    batches.push_back(
+        all.subspan(off, std::min<std::size_t>(26, all.size() - off)));
+  }
+  // Error copies of early records arrive as their own batches, so some
+  // ingests merge into existing entities.
+  batches.insert(batches.begin() + 3, std::span(errors).first(40));
+  batches.push_back(std::span(errors).subspan(40, 120));
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    lk::EntityStore cover(
+        config, c::ExecPolicy{.threads = threads,
+                              .generator = c::GeneratorKind::kBlockIndex});
+    lk::EntityStore dense(config, c::ExecPolicy{.threads = threads});
+    ReferenceStore ref(config);
+    EXPECT_EQ(cover.generator(), has_cover ? c::GeneratorKind::kBlockIndex
+                                           : c::GeneratorKind::kDense);
+    std::size_t probe_at = 0;
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      const auto cs = cover.ingest(batches[b]);
+      const auto ds = dense.ingest(batches[b]);
+      const auto rs = ref.ingest(batches[b]);
+      EXPECT_EQ(cs.comparisons, rs.comparisons) << label;
+      EXPECT_EQ(ds.comparisons, rs.comparisons) << label;
+      EXPECT_EQ(cs.merged, rs.merged) << label << " batch " << b;
+      EXPECT_EQ(cs.new_entities, rs.new_entities) << label << " batch " << b;
+      EXPECT_EQ(ds.merged, rs.merged) << label << " batch " << b;
+      EXPECT_LE(cs.fbf_evaluations, ds.fbf_evaluations) << label;
+      EXPECT_LE(cs.verify_calls, ds.verify_calls) << label;
+      if (!has_cover) {
+        EXPECT_EQ(cs.fbf_evaluations, rs.fbf_evaluations) << label;
+        EXPECT_EQ(cs.verify_calls, rs.verify_calls) << label;
+      }
+      if (b % 4 != 3) {
+        continue;
+      }
+      for (std::size_t q = 0; q < 12; ++q, probe_at += 7) {
+        const lk::PersonRecord& query = errors[probe_at % errors.size()];
+        const auto cp = cover.probe(query, 0);
+        const auto dp = dense.probe(query, 0);
+        const std::string at = label + " batch " + std::to_string(b) +
+                               " probe " + std::to_string(q);
+        EXPECT_EQ(cp.comparisons, dp.comparisons) << at;
+        EXPECT_LE(cp.counters.field_comparisons, dp.counters.field_comparisons)
+            << at;
+        expect_probes_equal(cp.matches, ref.probe(query), at + " vs ref");
+        expect_probes_equal(cp.matches, dp.matches, at + " vs dense");
+      }
+    }
+    ASSERT_EQ(cover.size(), ref.size()) << label;
+    ASSERT_EQ(cover.entity_count(), ref.entity_count()) << label;
+    for (std::size_t i = 0; i < cover.size(); ++i) {
+      ASSERT_EQ(cover.entity_of(i), ref.entity_of(i))
+          << label << " record " << i;
+      ASSERT_EQ(dense.entity_of(i), ref.entity_of(i))
+          << label << " record " << i;
+    }
+  }
+}
+
+TEST(EntityStoreCover, DefaultConfigIndexesSsnLastNameAndBirthDate) {
+  // SSN 2.5, then LN 1.5 before DOB 1.5 (config order on the tie): the
+  // unindexed weight falls 9.0 -> 6.5 -> 5.0 -> 3.5 < 4.0.
+  const auto config =
+      lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
+  const auto cover = lk::cover_rules(config);
+  ASSERT_TRUE(cover.has_value());
+  std::vector<lk::RecordField> fields;
+  for (const std::size_t r : *cover) {
+    fields.push_back(config.rules[r].field);
+  }
+  EXPECT_EQ(fields,
+            (std::vector<lk::RecordField>{lk::RecordField::kLastName,
+                                          lk::RecordField::kSsn,
+                                          lk::RecordField::kBirthDate}));
+  // A threshold the unindexable rules alone can reach has no cover.
+  auto low = config;
+  low.match_threshold = 0.5;
+  EXPECT_FALSE(lk::cover_rules(low).has_value());
+  // Filter-only and k = 3 rules cannot be indexed.
+  EXPECT_FALSE(lk::cover_rules(lk::make_point_threshold_config(
+                                   lk::FieldStrategy::kFbfOnly))
+                   .has_value());
+  EXPECT_FALSE(lk::cover_rules(lk::make_point_threshold_config(
+                                   lk::FieldStrategy::kFpdl, 3))
+                   .has_value());
+}
+
+TEST(EntityStoreCover, DefaultFpdlMatchesDenseAndReference) {
+  expect_cover_equivalence(
+      lk::make_point_threshold_config(lk::FieldStrategy::kFpdl), true, 601);
+}
+
+TEST(EntityStoreCover, FdlMatchesDenseAndReference) {
+  expect_cover_equivalence(
+      lk::make_point_threshold_config(lk::FieldStrategy::kFdl), true, 602);
+}
+
+TEST(EntityStoreCover, KTwoMatchesDenseAndReference) {
+  expect_cover_equivalence(
+      lk::make_point_threshold_config(lk::FieldStrategy::kFpdl, 2), true, 603);
+}
+
+TEST(EntityStoreCover, AlphaThreeWordFallbackMatchesDenseAndReference) {
+  // l = 3 alpha signatures do not pack: the last-name cover rule filters
+  // its candidates through the per-pair fallback.
+  auto config = lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
+  config.alpha_words = 3;
+  expect_cover_equivalence(config, true, 604);
+}
+
+TEST(EntityStoreCover, RulesOutsideTheCoverScoreTheUnion) {
+  // Soundex first name, DL address and a filter-only phone rule stay
+  // outside the cover ({LN, SSN, DOB}); they score only the union.
+  auto config = lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
+  config.rules[0].strategy = lk::FieldStrategy::kSoundex;
+  config.rules[2].strategy = lk::FieldStrategy::kDl;
+  config.rules[3].strategy = lk::FieldStrategy::kFbfOnly;
+  const auto cover = lk::cover_rules(config);
+  ASSERT_TRUE(cover.has_value());
+  EXPECT_EQ(*cover, (std::vector<std::size_t>{1, 5, 6}));
+  expect_cover_equivalence(config, true, 605);
+}
+
+TEST(EntityStoreCover, NoCoverRunsDense) {
+  // k = 3 is past the block index: no rule can be indexed, so the store
+  // runs the dense sweep and its counters equal the reference's.
+  expect_cover_equivalence(
+      lk::make_point_threshold_config(lk::FieldStrategy::kFpdl, 3), false,
+      606);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,9 +9,12 @@
 // (manifest/base/delta cuts) — never a silently wrong store.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -533,6 +536,113 @@ TEST(CheckpointRetry, LostManifestPutRestoresThePreviousChain) {
   EXPECT_EQ(report->batches_ingested, batches.size());
   expect_stores_equal(reference_store(batches, batches.size()),
                       recovered.store());
+}
+
+// --- checkpoint read-back verification -------------------------------
+
+/// Delegates to a MemObjectBackend, but rewrites every base blob on its
+/// way in when `mangle` is set: the "bytes that landed" are then a
+/// checksum-valid base whose payload is structurally wrong.
+class ManglingBackend final : public st::StorageBackend {
+ public:
+  std::function<void(std::string& payload)> mangle;
+
+  u::Status put(const st::BlobRef& ref, std::string_view bytes) override {
+    if (!mangle || ref.name.rfind("base-", 0) != 0) {
+      return inner_.put(ref, bytes);
+    }
+    // 28-byte envelope: magic u64, version u32, payload size u64,
+    // payload checksum u64 (host-endian), then the payload.
+    std::string payload(bytes.substr(28));
+    mangle(payload);
+    std::string blob(bytes.substr(0, 12));
+    const std::uint64_t size = payload.size();
+    const std::uint64_t checksum = u::fnv1a64(payload);
+    blob.append(reinterpret_cast<const char*>(&size), sizeof size);
+    blob.append(reinterpret_cast<const char*>(&checksum), sizeof checksum);
+    blob += payload;
+    return inner_.put(ref, blob);
+  }
+  u::Result<std::string> get(const st::BlobRef& ref) override {
+    return inner_.get(ref);
+  }
+  u::Result<std::vector<st::BlobRef>> list(std::string_view prefix) override {
+    return inner_.list(prefix);
+  }
+  u::Status remove(const st::BlobRef& ref) override {
+    return inner_.remove(ref);
+  }
+  u::Result<bool> exists(const st::BlobRef& ref) override {
+    return inner_.exists(ref);
+  }
+  u::Result<std::unique_ptr<st::AppendHandle>> open_append(
+      const st::BlobRef& ref, bool truncate) override {
+    return inner_.open_append(ref, truncate);
+  }
+  [[nodiscard]] std::string description() const override {
+    return "mangling(mem)";
+  }
+
+ private:
+  st::MemObjectBackend inner_;
+};
+
+/// A base checkpoint lands mangled by `mangle`: the checkpoint must fail,
+/// leave the manifest (in memory and on the backend) as it was and drop
+/// the bad blob, and recovery must still rebuild the full store from the
+/// previous chain plus the journal.
+void expect_mangled_base_rejected(
+    const std::function<void(std::string&)>& mangle) {
+  // 5 then 10 records: the second checkpoint's deltas would out-weigh
+  // the 5-record base, so it is a full base (size-triggered compaction).
+  const auto batches = make_batches({5, 10}, 17);
+  auto backend = std::make_shared<ManglingBackend>();
+  lk::DurabilityPolicy policy;
+  policy.checkpoint_every = 0;
+  lk::DurableEntityStore durable(fpdl_config(), backend, policy);
+  ASSERT_TRUE(durable.ingest(batches[0]).ok());
+  ASSERT_TRUE(durable.checkpoint().ok());
+  const std::string manifest_bytes =
+      backend->get(policy.manifest_ref()).value();
+  const lk::SnapshotManifest manifest = durable.manifest();
+
+  backend->mangle = mangle;
+  ASSERT_TRUE(durable.ingest(batches[1]).ok());
+  const u::Status checked = durable.checkpoint();
+  EXPECT_FALSE(checked.ok());
+  EXPECT_EQ(checked.code(), u::StatusCode::kDataLoss) << checked.to_string();
+  EXPECT_EQ(backend->get(policy.manifest_ref()).value(), manifest_bytes);
+  EXPECT_EQ(durable.manifest().base_blob, manifest.base_blob);
+  EXPECT_EQ(durable.manifest().batches_covered(), manifest.batches_covered());
+  EXPECT_FALSE(backend->exists(policy.base_ref(2)).value());
+
+  backend->mangle = nullptr;
+  lk::DurableEntityStore recovered(fpdl_config(), backend, policy);
+  const auto report = recovered.recover();
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_EQ(report->journal_batches_replayed, 1u);
+  expect_stores_equal(reference_store(batches, batches.size()),
+                      recovered.store());
+}
+
+TEST(CheckpointVerify, EntityIdPastTheTotalFailsTheCheckpoint) {
+  // entity_total sits after batches_ingested (u64) in the payload; with
+  // a total of 1, every record founding a later entity is out of range.
+  expect_mangled_base_rejected([](std::string& payload) {
+    const std::uint32_t total = 1;
+    std::memcpy(payload.data() + sizeof(std::uint64_t), &total, sizeof total);
+  });
+}
+
+TEST(CheckpointVerify, TruncatedPayloadFailsTheCheckpoint) {
+  // Resealed, so the checksum passes and the last record is cut short.
+  expect_mangled_base_rejected(
+      [](std::string& payload) { payload.resize(payload.size() - 7); });
+}
+
+TEST(CheckpointVerify, TrailingBytesFailTheCheckpoint) {
+  expect_mangled_base_rejected(
+      [](std::string& payload) { payload += "tail"; });
 }
 
 // --- codec edge cases ---------------------------------------------------

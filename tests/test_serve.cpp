@@ -1,6 +1,7 @@
 // Serve-layer properties (DESIGN.md §15): the coalescing contract
 // (batched Q>1 byte-identical to sequential Q=1), overload/backpressure,
 // kill-mid-ingest durability, and quarantine triage over the protocol.
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -743,6 +744,134 @@ TEST(ServeDurability, AcknowledgedIngestsSurviveAKill) {
   const u::Result<fbf::MatchResponse> probe = client.match_record(people[0]);
   ASSERT_TRUE(probe.ok());
   EXPECT_FALSE(probe->matches.empty());
+}
+
+// --- record probes on the entity store's block index ------------------
+
+/// The reply a record probe must get: every stored record scoring at or
+/// above the threshold under score_pair, score descending (record index
+/// ascending on ties), cut to `limit`.
+std::vector<fbf::MatchResponse::Match> reference_record_matches(
+    const l::EntityStore& store, const l::PersonRecord& query,
+    std::size_t limit) {
+  const l::ComparatorConfig& config = store.comparator();
+  const l::RecordSignatures sigs =
+      l::build_record_signatures(query, config.alpha_words);
+  l::CompareCounters counters;
+  std::vector<fbf::MatchResponse::Match> matches;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    const double score =
+        l::score_pair(query, store.records()[i], &sigs,
+                      &store.signatures()[i], config, counters);
+    if (score >= config.match_threshold) {
+      matches.push_back(
+          {static_cast<std::uint32_t>(i), store.entity_ids()[i], score, {}});
+    }
+  }
+  std::stable_sort(
+      matches.begin(), matches.end(),
+      [](const auto& a, const auto& b) { return a.score > b.score; });
+  if (matches.size() > limit) {
+    matches.resize(limit);
+  }
+  return matches;
+}
+
+void expect_record_matches_eq(
+    const std::vector<fbf::MatchResponse::Match>& got,
+    const std::vector<fbf::MatchResponse::Match>& want,
+    const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << label << " #" << i;
+    EXPECT_EQ(got[i].entity, want[i].entity) << label << " #" << i;
+    EXPECT_EQ(got[i].score, want[i].score) << label << " #" << i;
+  }
+}
+
+/// 300 people in 12 batches of 25, then error copies of the first 60.
+std::vector<std::vector<l::PersonRecord>> record_probe_batches(
+    std::vector<l::PersonRecord>& probes) {
+  u::Rng rng(47);
+  const std::vector<l::PersonRecord> people = l::generate_people(300, rng);
+  probes = l::make_error_records(people, {}, rng);
+  std::vector<std::vector<l::PersonRecord>> batches;
+  for (std::size_t off = 0; off < people.size(); off += 25) {
+    const auto first = people.begin() + static_cast<std::ptrdiff_t>(off);
+    batches.emplace_back(first, first + 25);
+  }
+  batches.emplace_back(probes.begin(), probes.begin() + 60);
+  return batches;
+}
+
+TEST(ServeRecordProbe, RepliesEqualTheScorePairReference) {
+  // Not pinned: under FBF_FORCE_GENERATOR the same replies must come
+  // back through the forced generator.
+  const char* want_generator =
+      c::generator_name(c::select_generator(c::GeneratorKind::kBlockIndex));
+  std::vector<l::PersonRecord> probes;
+  const auto batches = record_probe_batches(probes);
+  s::MatchService service(s::ServiceOptions{},
+                          std::make_shared<fbf::storage::MemObjectBackend>());
+  ASSERT_TRUE(service.recover().ok());
+  fbf::Client client = fbf::Client::in_process(service);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    ASSERT_TRUE(client.ingest(batches[b]).ok());
+    const l::EntityStore& store = service.durable_store().store();
+    for (std::size_t q = b; q < probes.size(); q += 23) {
+      const u::Result<fbf::MatchResponse> reply =
+          client.match_record(probes[q], 4);
+      ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+      const std::string label =
+          "batch " + std::to_string(b) + " probe " + std::to_string(q);
+      EXPECT_EQ(reply->generator, want_generator) << label;
+      EXPECT_EQ(reply->comparisons, store.size()) << label;
+      expect_record_matches_eq(reply->matches,
+                               reference_record_matches(store, probes[q], 4),
+                               label);
+    }
+  }
+}
+
+TEST(ServeRecordProbe, RecoveredServiceAnswersLikeTheNeverCrashedOne) {
+  // Recovery rebuilds the store (base + deltas + journal tail, each
+  // cover rule's index built once from its column) and must answer
+  // every probe exactly as the service that never went down.
+  std::vector<l::PersonRecord> probes;
+  const auto batches = record_probe_batches(probes);
+  auto backend = std::make_shared<fbf::storage::MemObjectBackend>();
+  s::MatchService live(s::ServiceOptions{}, backend);
+  ASSERT_TRUE(live.recover().ok());
+  fbf::Client live_client = fbf::Client::in_process(live);
+  for (const auto& batch : batches) {
+    ASSERT_TRUE(live_client.ingest(batch).ok());
+  }
+  live.simulate_crash();  // probes still read the in-memory store
+  s::MatchService recovered(s::ServiceOptions{}, backend);
+  const u::Result<l::RecoveryReport> report = recovered.recover();
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_TRUE(report->snapshot_loaded);
+  EXPECT_GT(report->journal_batches_replayed, 0u);
+  fbf::Client recovered_client = fbf::Client::in_process(recovered);
+  std::size_t matched = 0;
+  for (std::size_t q = 0; q < probes.size(); q += 3) {
+    const u::Result<fbf::MatchResponse> want =
+        live_client.match_record(probes[q]);
+    const u::Result<fbf::MatchResponse> got =
+        recovered_client.match_record(probes[q]);
+    ASSERT_TRUE(want.ok() && got.ok());
+    EXPECT_EQ(got->generator, c::generator_name(c::select_generator(
+                                  c::GeneratorKind::kBlockIndex)));
+    EXPECT_EQ(got->generator, want->generator);
+    EXPECT_EQ(got->comparisons, want->comparisons);
+    EXPECT_EQ(got->field_comparisons, want->field_comparisons);
+    expect_record_matches_eq(got->matches, want->matches,
+                             "probe " + std::to_string(q));
+    if (!want->matches.empty()) {
+      ++matched;
+    }
+  }
+  EXPECT_GT(matched, 50u);
 }
 
 // --- quarantine triage over the protocol -------------------------------
