@@ -4,8 +4,9 @@
 //  * signature generation (the Gen rows: ~60 ns per numeric signature);
 //  * DL vs banded PDL vs Myers on representative demographic strings;
 //  * Jaro / Jaro-Winkler / Hamming / Soundex for context.
-//  * the batched tile kernel over packed SoA planes vs the per-pair
-//    scan — the PackedSignatureStore speedup, per layout and kernel.
+//  * the block kernel over packed SoA planes (its q1 rows are the
+//    one-query sweep) vs the per-pair scan — the PackedSignatureStore
+//    speedup, per layout and kernel.
 // google-benchmark binary: supports --benchmark_filter etc., plus --json
 // as shorthand for --benchmark_format=json (BENCH_*.json recording) and
 // --telemetry-gate, the Release CI check that telemetry-on does not
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -284,33 +286,6 @@ void BM_ScanPerPair(benchmark::State& state, c::FieldClass cls) {
                           static_cast<std::int64_t>(ScanWorkload::kN));
 }
 
-/// Batched tile kernel over the packed planes (same query, same
-/// candidates, same survivors — checked in tests/test_fbf_kernel.cpp).
-void BM_ScanBatched(benchmark::State& state, c::FieldClass cls,
-                    c::KernelKind kind) {
-  if (kind == c::KernelKind::kAvx2 &&
-      c::best_kernel() != c::KernelKind::kAvx2) {
-    state.SkipWithError("AVX2 not supported on this CPU");
-    return;
-  }
-  const auto& w = ScanWorkload::get(dg::FieldKind::kLastName, cls);
-  const bool two = w.packed.words() == 2;
-  std::vector<std::uint64_t> bitmap((ScanWorkload::kN + 63) / 64);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::size_t survivors = c::filter_tile(
-        w.packed_queries.word(0, i), w.packed.plane(0),
-        two ? w.packed_queries.word(1, i) : 0,
-        two ? w.packed.plane(1) : nullptr, ScanWorkload::kN, 2,
-        bitmap.data(), kind);
-    benchmark::DoNotOptimize(survivors);
-    benchmark::DoNotOptimize(bitmap.data());
-    i = (i + 1) % ScanWorkload::kN;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ScanWorkload::kN));
-}
-
 /// The many-query×tile block kernel: Q query signatures filtered against
 /// all 5000 candidates in one sweep, so each packed plane word is loaded
 /// once per Q queries instead of once per query.  Items/s is pairs/s;
@@ -318,7 +293,7 @@ void BM_ScanBatched(benchmark::State& state, c::FieldClass cls,
 /// Q), so the GB/s column reads directly against memory bandwidth — see
 /// EXPERIMENTS.md "ceiling vs memory bandwidth".
 void BM_FilterBlock(benchmark::State& state, c::FieldClass cls,
-                    c::KernelKind kind, std::size_t q, bool prune) {
+                    c::KernelKind kind, std::size_t q) {
   if (!c::kernel_supported(kind)) {
     state.SkipWithError("kernel not supported on this CPU");
     return;
@@ -341,7 +316,7 @@ void BM_FilterBlock(benchmark::State& state, c::FieldClass cls,
     }
     const std::size_t survivors = c::filter_block(
         q0, two ? q1 : nullptr, q, w.packed.plane(0),
-        two ? w.packed.plane(1) : nullptr, ScanWorkload::kN, 2, tail, prune,
+        two ? w.packed.plane(1) : nullptr, ScanWorkload::kN, 2, tail,
         bitmaps.data(), kWords, kind);
     benchmark::DoNotOptimize(survivors);
     benchmark::DoNotOptimize(bitmaps.data());
@@ -357,23 +332,23 @@ void BM_FilterBlock(benchmark::State& state, c::FieldClass cls,
 
 #define FBF_FILTER_BLOCK_ROWS(layout, cls)                                   \
   BENCHMARK_CAPTURE(BM_FilterBlock, layout##_scalar64_q1, cls,               \
-                    c::KernelKind::kScalar64, 1, true);                      \
+                    c::KernelKind::kScalar64, 1);                      \
   BENCHMARK_CAPTURE(BM_FilterBlock, layout##_scalar64_q4, cls,               \
-                    c::KernelKind::kScalar64, 4, true);                      \
+                    c::KernelKind::kScalar64, 4);                      \
   BENCHMARK_CAPTURE(BM_FilterBlock, layout##_scalar64_q8, cls,               \
-                    c::KernelKind::kScalar64, 8, true);                      \
+                    c::KernelKind::kScalar64, 8);                      \
   BENCHMARK_CAPTURE(BM_FilterBlock, layout##_avx2_q1, cls,                   \
-                    c::KernelKind::kAvx2, 1, true);                          \
+                    c::KernelKind::kAvx2, 1);                          \
   BENCHMARK_CAPTURE(BM_FilterBlock, layout##_avx2_q4, cls,                   \
-                    c::KernelKind::kAvx2, 4, true);                          \
+                    c::KernelKind::kAvx2, 4);                          \
   BENCHMARK_CAPTURE(BM_FilterBlock, layout##_avx2_q8, cls,                   \
-                    c::KernelKind::kAvx2, 8, true);                          \
+                    c::KernelKind::kAvx2, 8);                          \
   BENCHMARK_CAPTURE(BM_FilterBlock, layout##_avx512_q1, cls,                 \
-                    c::KernelKind::kAvx512, 1, true);                        \
+                    c::KernelKind::kAvx512, 1);                        \
   BENCHMARK_CAPTURE(BM_FilterBlock, layout##_avx512_q4, cls,                 \
-                    c::KernelKind::kAvx512, 4, true);                        \
+                    c::KernelKind::kAvx512, 4);                        \
   BENCHMARK_CAPTURE(BM_FilterBlock, layout##_avx512_q8, cls,                 \
-                    c::KernelKind::kAvx512, 8, true)
+                    c::KernelKind::kAvx512, 8)
 
 FBF_FILTER_BLOCK_ROWS(numeric, c::FieldClass::kNumeric);
 FBF_FILTER_BLOCK_ROWS(alpha_l2, c::FieldClass::kAlpha);
@@ -425,8 +400,8 @@ void BM_FilterBlockStream(benchmark::State& state, c::KernelKind kind,
   for (auto _ : state) {
     const std::size_t survivors =
         c::filter_block(q0, nullptr, q, w.p0.data(), nullptr,
-                        StreamWorkload::kN, 2, 0, true, bitmaps.data(),
-                        kWords, kind);
+                        StreamWorkload::kN, 2, 0, bitmaps.data(), kWords,
+                        kind);
     benchmark::DoNotOptimize(survivors);
     benchmark::DoNotOptimize(bitmaps.data());
   }
@@ -446,30 +421,9 @@ BENCHMARK_CAPTURE(BM_FilterBlockStream, avx2_q8, c::KernelKind::kAvx2, 8);
 BENCHMARK_CAPTURE(BM_FilterBlockStream, avx512_q1, c::KernelKind::kAvx512, 1);
 BENCHMARK_CAPTURE(BM_FilterBlockStream, avx512_q8, c::KernelKind::kAvx512, 8);
 
-// Plane-pruning ablation: only the two-plane alnum layout has a plane 1
-// to skip, so the noprune rows isolate what the early-out buys there.
-BENCHMARK_CAPTURE(BM_FilterBlock, alnum_scalar64_q8_noprune,
-                  c::FieldClass::kAlphanumeric, c::KernelKind::kScalar64, 8,
-                  false);
-BENCHMARK_CAPTURE(BM_FilterBlock, alnum_avx2_q8_noprune,
-                  c::FieldClass::kAlphanumeric, c::KernelKind::kAvx2, 8,
-                  false);
-
 BENCHMARK_CAPTURE(BM_ScanPerPair, alpha_l2, c::FieldClass::kAlpha);
 BENCHMARK_CAPTURE(BM_ScanPerPair, numeric, c::FieldClass::kNumeric);
 BENCHMARK_CAPTURE(BM_ScanPerPair, alnum, c::FieldClass::kAlphanumeric);
-BENCHMARK_CAPTURE(BM_ScanBatched, alpha_l2_scalar64, c::FieldClass::kAlpha,
-                  c::KernelKind::kScalar64);
-BENCHMARK_CAPTURE(BM_ScanBatched, alpha_l2_avx2, c::FieldClass::kAlpha,
-                  c::KernelKind::kAvx2);
-BENCHMARK_CAPTURE(BM_ScanBatched, numeric_scalar64, c::FieldClass::kNumeric,
-                  c::KernelKind::kScalar64);
-BENCHMARK_CAPTURE(BM_ScanBatched, numeric_avx2, c::FieldClass::kNumeric,
-                  c::KernelKind::kAvx2);
-BENCHMARK_CAPTURE(BM_ScanBatched, alnum_scalar64,
-                  c::FieldClass::kAlphanumeric, c::KernelKind::kScalar64);
-BENCHMARK_CAPTURE(BM_ScanBatched, alnum_avx2, c::FieldClass::kAlphanumeric,
-                  c::KernelKind::kAvx2);
 
 void BM_FullPipeline_FpdlPair(benchmark::State& state) {
   // One FPDL pair evaluation end to end (filter + verify when passed),
@@ -514,8 +468,8 @@ double time_filter_block_pass(const ScanWorkload& w, c::KernelKind kind,
       }
       sink += c::filter_block(q0, two ? q1 : nullptr, kQ, w.packed.plane(0),
                               two ? w.packed.plane(1) : nullptr,
-                              ScanWorkload::kN, 2, tail, /*prune=*/true,
-                              bitmaps.data(), kWords, kind);
+                              ScanWorkload::kN, 2, tail, bitmaps.data(),
+                              kWords, kind);
     }
   }
   const auto stop = std::chrono::steady_clock::now();
@@ -523,19 +477,30 @@ double time_filter_block_pass(const ScanWorkload& w, c::KernelKind kind,
   return std::chrono::duration<double>(stop - start).count();
 }
 
+/// Median of `v` (sorted in place; mean of the middle two when even).
+double median(std::vector<double>& v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 != 0 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
 /// The overhead gate CI's Release leg runs: the filter_block hot path, a
 /// dense match_strings join and a block-index one (whose probe loop
-/// mirrors the ladder per row and times itself into join.probe_ms),
-/// timed with telemetry::set_enabled(true) vs false in ONE binary,
-/// min-of-repeats, on/off samples interleaved so frequency drift hits
-/// both sides equally.  The kernel itself carries no
-/// instrumentation (the enabled() guards live at tile boundaries), so
-/// this line holds exactly that: if per-candidate instrumentation ever
-/// creeps into the kernel or the per-tile mirror grows a hot-loop cost,
-/// the ratio trips and CI fails.
-int run_telemetry_gate() {
+/// mirrors the ladder per probe group and times itself into
+/// join.probe_ms), timed with telemetry::set_enabled(true) vs false in
+/// ONE binary.  Each row runs kPairs on/off pairs back to back (the
+/// first sample of the pair alternating between on and off) and gates
+/// on the median of the per-pair on/off ratios: a pair's two samples
+/// share the machine's state of the moment, so drift and a noisy
+/// neighbour cancel inside each ratio, and the median ignores the pairs
+/// a burst still split.  The kernel itself carries no instrumentation
+/// (the enabled() guards live at driver-call boundaries), so this line
+/// holds exactly that: if per-candidate instrumentation ever creeps into
+/// the kernel or the filter loops, the ratio trips and CI fails.
+/// Unused in non-NDEBUG builds, which refuse to run the gate.
+[[maybe_unused]] int run_telemetry_gate() {
   constexpr double kMaxRatio = 1.15;
-  constexpr int kRepeats = 9;
+  constexpr int kPairs = 21;
   const c::KernelKind kind = c::best_kernel();
   const auto& w =
       ScanWorkload::get(dg::FieldKind::kLastName, c::FieldClass::kAlpha);
@@ -555,55 +520,58 @@ int run_telemetry_gate() {
     benchmark::DoNotOptimize(stats.matches);
     return std::chrono::duration<double>(stop - start).count();
   };
-  const auto run_join = [&] {
-    return time_join(join_dataset, c::JoinConfig{});
+
+  struct Row {
+    const char* name;
+    std::function<double()> run;
+    std::vector<double> ratios;
+    double on_s = 0.0;  ///< summed over pairs
+    double off_s = 0.0;
   };
-  const auto run_block_join = [&] {
-    return time_join(block_dataset, block_config);
+  Row rows[] = {
+      {"filter_block q8", [&] { return time_filter_block_pass(w, kind, 50); },
+       {}},
+      {"match_strings n=2000",
+       [&] { return time_join(join_dataset, c::JoinConfig{}); }, {}},
+      {"block join n=20000",
+       [&] { return time_join(block_dataset, block_config); }, {}},
   };
 
   // Warmup primes the lazy workloads and the CPU clocks on both settings.
   for (const bool on : {true, false}) {
     fbf::telemetry::set_enabled(on);
-    (void)time_filter_block_pass(w, kind, 10);
-    (void)run_join();
-    (void)run_block_join();
+    for (Row& row : rows) {
+      (void)row.run();
+    }
   }
-
-  double kernel_on = 1e300;
-  double kernel_off = 1e300;
-  double join_on = 1e300;
-  double join_off = 1e300;
-  double block_on = 1e300;
-  double block_off = 1e300;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    fbf::telemetry::set_enabled(true);
-    kernel_on = std::min(kernel_on, time_filter_block_pass(w, kind, 50));
-    join_on = std::min(join_on, run_join());
-    block_on = std::min(block_on, run_block_join());
-    fbf::telemetry::set_enabled(false);
-    kernel_off = std::min(kernel_off, time_filter_block_pass(w, kind, 50));
-    join_off = std::min(join_off, run_join());
-    block_off = std::min(block_off, run_block_join());
+  for (int pair = 0; pair < kPairs; ++pair) {
+    for (Row& row : rows) {
+      double on_s = 0.0;
+      double off_s = 0.0;
+      for (const bool on : {pair % 2 == 0, pair % 2 != 0}) {
+        fbf::telemetry::set_enabled(on);
+        (on ? on_s : off_s) = row.run();
+      }
+      row.ratios.push_back(on_s / off_s);
+      row.on_s += on_s;
+      row.off_s += off_s;
+    }
   }
   fbf::telemetry::set_enabled(true);
 
-  const double kernel_ratio = kernel_on / kernel_off;
-  const double join_ratio = join_on / join_off;
-  const double block_ratio = block_on / block_off;
-  std::printf("telemetry gate (%s, min of %d repeats, threshold %.2fx)\n",
-              c::kernel_name(kind), kRepeats, kMaxRatio);
-  std::printf("  %-22s on %9.3f ms   off %9.3f ms   ratio %.3fx\n",
-              "filter_block q8", kernel_on * 1e3, kernel_off * 1e3,
-              kernel_ratio);
-  std::printf("  %-22s on %9.3f ms   off %9.3f ms   ratio %.3fx\n",
-              "match_strings n=2000", join_on * 1e3, join_off * 1e3,
-              join_ratio);
-  std::printf("  %-22s on %9.3f ms   off %9.3f ms   ratio %.3fx\n",
-              "block join n=20000", block_on * 1e3, block_off * 1e3,
-              block_ratio);
-  if (kernel_ratio > kMaxRatio || join_ratio > kMaxRatio ||
-      block_ratio > kMaxRatio) {
+  std::printf(
+      "telemetry gate (%s, median of %d paired on/off ratios, threshold "
+      "%.2fx)\n",
+      c::kernel_name(kind), kPairs, kMaxRatio);
+  bool failed = false;
+  for (Row& row : rows) {
+    const double ratio = median(row.ratios);
+    failed = failed || ratio > kMaxRatio;
+    std::printf("  %-22s on %9.3f ms   off %9.3f ms   ratio %.3fx\n",
+                row.name, row.on_s / kPairs * 1e3, row.off_s / kPairs * 1e3,
+                ratio);
+  }
+  if (failed) {
     std::fprintf(stderr,
                  "telemetry gate FAILED: telemetry-on regresses the hot "
                  "path beyond %.2fx\n",

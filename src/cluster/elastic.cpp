@@ -12,7 +12,6 @@
 
 #include "cluster/service.hpp"
 #include "linkage/shard_service.hpp"
-#include "metrics/soundex.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/retry.hpp"
 #include "util/rng.hpp"
@@ -22,15 +21,6 @@ namespace fbf::cluster {
 namespace u = fbf::util;
 using fbf::util::Result;
 using fbf::util::Status;
-
-const char* affinity_key_name(AffinityKey key) noexcept {
-  switch (key) {
-    case AffinityKey::kRecordId: return "record-id";
-    case AffinityKey::kLastName: return "last-name";
-    case AffinityKey::kSoundexLastName: return "soundex(last-name)";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -162,7 +152,6 @@ class ElasticRun {
 
  private:
   // setup
-  std::uint64_t record_ring_hash(const linkage::PersonRecord& r) const;
   void build_partitions();
   void setup_transport();
 
@@ -212,24 +201,11 @@ class ElasticRun {
   ElasticResult result_;
 };
 
-std::uint64_t ElasticRun::record_ring_hash(
-    const linkage::PersonRecord& r) const {
-  switch (config_.affinity) {
-    case AffinityKey::kRecordId:
-      return HashRing::key_hash(r.id, config_.ring.seed);
-    case AffinityKey::kLastName:
-      return HashRing::key_hash(r.last_name, config_.ring.seed);
-    case AffinityKey::kSoundexLastName:
-      return HashRing::key_hash(fbf::metrics::soundex(r.last_name),
-                                config_.ring.seed);
-  }
-  return HashRing::key_hash(r.id, config_.ring.seed);
-}
-
 void ElasticRun::build_partitions() {
   std::map<std::uint64_t, Partition> by_pid;
   for (const linkage::PersonRecord& r : left_) {
-    const std::uint64_t pid = ring_.partition_of(record_ring_hash(r));
+    const std::uint64_t pid =
+        ring_.partition_of(HashRing::key_hash(r.id, config_.ring.seed));
     Partition& p = by_pid[pid];
     p.pid = pid;
     p.base.push_back(r);

@@ -45,17 +45,6 @@
 
 namespace fbf::cluster {
 
-/// Which record key places a record on the ring.  kRecordId spreads
-/// uniformly (lossless either way — the right list is always broadcast,
-/// so placement affects balance and movement, never recall).
-enum class AffinityKey {
-  kRecordId,          ///< hash(record id) — uniform spread
-  kLastName,          ///< hash(raw last name) — skewed, co-locates families
-  kSoundexLastName,   ///< hash(Soundex(last name)) — typo-tolerant grouping
-};
-
-[[nodiscard]] const char* affinity_key_name(AffinityKey key) noexcept;
-
 /// One scripted membership event, fired just before query number
 /// `at_query` (0-based, in partition-id order) of the query phase.
 struct ElasticEvent {
@@ -97,8 +86,10 @@ struct ElasticConfig {
   /// quorum is *reported*, never fatal: queries still run against
   /// whatever replicas acked.
   std::size_t write_quorum = 1;
+  /// Records are placed on the ring by hash(record id): a uniform
+  /// spread (lossless either way — the right list is always broadcast,
+  /// so placement affects balance and movement, never recall).
   RingOptions ring;
-  AffinityKey affinity = AffinityKey::kRecordId;
   /// Fraction of the left list that arrives *after* the base writes, as
   /// catch-up deltas during the query phase (tail of the list; 0 = all
   /// records up front).  Exercises kDeltaTraffic during rebalance.

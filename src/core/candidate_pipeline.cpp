@@ -1,5 +1,6 @@
 #include "core/candidate_pipeline.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "metrics/damerau.hpp"
@@ -89,6 +90,21 @@ class LadderMirror {
   std::span<const PipelineCounters> counters_;
   PipelineCounters before_;
 };
+
+/// Drains one query's final survivor bitmap in ascending lane order,
+/// charging fbf_pass per survivor.  The filter stages leave fbf_pass to
+/// whoever consumes their bitmaps: the drivers visit every survivor
+/// anyway, so counting here costs one add per survivor instead of a
+/// popcount per word (outside the kernel, a libgcc call on baseline
+/// x86-64).
+template <typename Fn>
+void drain(const std::uint64_t* bitmap, std::size_t lanes,
+           PipelineCounters& counters, Fn&& fn) {
+  CandidatePipeline::for_each_survivor(bitmap, lanes, [&](std::size_t lane) {
+    ++counters.fbf_pass;
+    fn(lane);
+  });
+}
 
 }  // namespace
 
@@ -191,105 +207,62 @@ CandidatePipeline::Query CandidatePipeline::row_query(std::size_t i) const {
   return q;
 }
 
-std::size_t CandidatePipeline::filter(const Query& q, std::size_t begin,
-                                      std::size_t end,
-                                      const std::uint64_t* eligible,
-                                      std::uint64_t* bitmap,
-                                      PipelineCounters& counters) const {
-  assert(begin % 64 == 0 && "bitmap lanes must stay word-aligned");
-  assert(end <= size_);
-  if (begin >= end) {
-    return 0;
+std::size_t CandidatePipeline::run_kernel(std::span<const Query> queries,
+                                          const std::uint64_t* p0,
+                                          const std::uint64_t* p1,
+                                          std::size_t width,
+                                          std::uint64_t* bitmaps,
+                                          std::size_t bitmap_stride) const {
+  assert(queries.size() <= kMaxBlockQueries);
+  // The packed query words, SoA, as the kernel reads them.
+  std::uint64_t q0[kMaxBlockQueries];
+  std::uint64_t q1[kMaxBlockQueries];
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    q0[i] = queries[i].w0;
+    q1[i] = queries[i].w1;
   }
-  const LadderMirror mirror(counters);
-  return batched_ ? filter_batched(q, begin, end, eligible, bitmap, counters)
-                  : filter_per_pair(q, begin, end, eligible, bitmap, counters);
-}
-
-std::size_t CandidatePipeline::filter_batched(
-    const Query& q, std::size_t begin, std::size_t end,
-    const std::uint64_t* eligible, std::uint64_t* bitmap,
-    PipelineCounters& counters) const {
-  const std::size_t width = end - begin;
-  const bool two_words = packed_.words() == 2;
-  // begin % 64 == 0 keeps the plane offset a multiple of 8, so the
-  // kernel's cache-line over-read stays inside the zero-padded planes.
-  const std::uint64_t* p0 = packed_.plane(0) + begin;
-  const std::uint64_t* p1 = two_words ? packed_.plane(1) + begin : nullptr;
-  const std::uint64_t qw0 = q.w0;
-  const std::uint64_t qw1 = q.w1;
-  const std::size_t survivors = fbf::core::filter_block(
-      &qw0, two_words ? &qw1 : nullptr, 1, p0, p1, width, 2 * config_.k,
-      packed_.max_tail_popcount(), /*prune=*/true, bitmap,
-      bitmap_words(width), kernel_);
-
-  if (eligible == nullptr && !config_.use_length) {
-    counters.candidates_generated += width;
-    counters.fbf_evaluated += width;
-    counters.fbf_pass += survivors;
-    return survivors;
-  }
-  return apply_pre_gates(q.length, begin, width, eligible, bitmap, counters);
+  return fbf::core::filter_block(q0, p1 != nullptr ? q1 : nullptr,
+                                 queries.size(), p0, p1, width, 2 * config_.k,
+                                 packed_.max_tail_popcount(), bitmaps,
+                                 bitmap_stride, kernel_);
 }
 
 std::size_t CandidatePipeline::filter_block(
     std::span<const Query> queries, std::size_t begin, std::size_t end,
     const std::uint64_t* eligible, std::uint64_t* bitmaps,
-    std::size_t bitmap_stride, PipelineCounters& counters) const {
-  assert(begin % 64 == 0 && "bitmap lanes must stay word-aligned");
-  assert(end <= size_);
-  if (begin >= end || queries.empty()) {
-    return 0;
-  }
+    std::size_t bitmap_stride, std::span<PipelineCounters> counters) const {
   const LadderMirror mirror(counters);
-  const std::size_t width = end - begin;
-  assert(bitmap_stride >= bitmap_words(width));
-  if (!batched_) {
-    std::size_t survivors = 0;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      survivors += filter_per_pair(queries[i], begin, end, eligible,
-                                   bitmaps + i * bitmap_stride, counters);
-    }
-    return survivors;
+  const std::size_t counted = filter_rows(queries, begin, end, eligible,
+                                          bitmaps, bitmap_stride, counters);
+  if (queries.size() == 1 && eligible == nullptr && !config_.use_length) {
+    counters[0].fbf_pass += counted;  // no gate dropped a counted survivor
+    return counted;
   }
-
-  const bool two_words = packed_.words() == 2;
-  const std::uint64_t* p0 = packed_.plane(0) + begin;
-  const std::uint64_t* p1 = two_words ? packed_.plane(1) + begin : nullptr;
-  const int tail_bound = packed_.max_tail_popcount();
+  const std::size_t words = bitmap_words(end > begin ? end - begin : 0);
   std::size_t total = 0;
-  // Gather the packed query words SoA-style per register-resident chunk.
-  std::uint64_t q0[kMaxBlockQueries];
-  std::uint64_t q1[kMaxBlockQueries];
-  for (std::size_t base_q = 0; base_q < queries.size();
-       base_q += kMaxBlockQueries) {
-    const std::size_t m =
-        std::min(kMaxBlockQueries, queries.size() - base_q);
-    for (std::size_t i = 0; i < m; ++i) {
-      q0[i] = queries[base_q + i].w0;
-      q1[i] = queries[base_q + i].w1;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    std::size_t survivors = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      survivors += static_cast<std::size_t>(
+          std::popcount(bitmaps[i * bitmap_stride + w]));
     }
-    const std::size_t raw = fbf::core::filter_block(
-        q0, two_words ? q1 : nullptr, m, p0, p1, width, 2 * config_.k,
-        tail_bound, /*prune=*/true, bitmaps + base_q * bitmap_stride,
-        bitmap_stride, kernel_);
-    if (eligible == nullptr && !config_.use_length) {
-      counters.candidates_generated += width * m;
-      counters.fbf_evaluated += width * m;
-      counters.fbf_pass += raw;
-      total += raw;
-      continue;
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      total += apply_pre_gates(queries[base_q + i].length, begin, width,
-                               eligible, bitmaps + (base_q + i) * bitmap_stride,
-                               counters);
-    }
+    counters[i].fbf_pass += survivors;
+    total += survivors;
   }
   return total;
 }
 
-std::size_t CandidatePipeline::filter_block(
+std::size_t CandidatePipeline::filter(const Query& q, std::size_t begin,
+                                      std::size_t end,
+                                      const std::uint64_t* eligible,
+                                      std::uint64_t* bitmap,
+                                      PipelineCounters& counters) const {
+  return filter_block({&q, 1}, begin, end, eligible, bitmap,
+                      bitmap_words(end > begin ? end - begin : 0),
+                      {&counters, 1});
+}
+
+std::size_t CandidatePipeline::filter_rows(
     std::span<const Query> queries, std::size_t begin, std::size_t end,
     const std::uint64_t* eligible, std::uint64_t* bitmaps,
     std::size_t bitmap_stride, std::span<PipelineCounters> counters) const {
@@ -299,69 +272,95 @@ std::size_t CandidatePipeline::filter_block(
   if (begin >= end || queries.empty()) {
     return 0;
   }
-  const LadderMirror mirror(counters);
   const std::size_t width = end - begin;
   assert(bitmap_stride >= bitmap_words(width));
+  std::size_t counted = 0;
   if (!batched_) {
-    std::size_t survivors = 0;
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      survivors += filter_per_pair(queries[i], begin, end, eligible,
-                                   bitmaps + i * bitmap_stride, counters[i]);
+      counted += filter_per_pair(queries[i], begin, nullptr, width, eligible,
+                                 bitmaps + i * bitmap_stride, counters[i]);
     }
-    return survivors;
+    return counted;
   }
-
-  const bool two_words = packed_.words() == 2;
+  // begin % 64 == 0 keeps the plane offset a multiple of 8, so the
+  // kernel's cache-line over-read stays inside the zero-padded planes.
   const std::uint64_t* p0 = packed_.plane(0) + begin;
-  const std::uint64_t* p1 = two_words ? packed_.plane(1) + begin : nullptr;
-  const int tail_bound = packed_.max_tail_popcount();
-  std::size_t total = 0;
-  std::uint64_t q0[kMaxBlockQueries];
-  std::uint64_t q1[kMaxBlockQueries];
-  for (std::size_t base_q = 0; base_q < queries.size();
-       base_q += kMaxBlockQueries) {
-    const std::size_t m =
-        std::min(kMaxBlockQueries, queries.size() - base_q);
-    for (std::size_t i = 0; i < m; ++i) {
-      q0[i] = queries[base_q + i].w0;
-      q1[i] = queries[base_q + i].w1;
-    }
-    fbf::core::filter_block(
-        q0, two_words ? q1 : nullptr, m, p0, p1, width, 2 * config_.k,
-        tail_bound, /*prune=*/true, bitmaps + base_q * bitmap_stride,
-        bitmap_stride, kernel_);
-    for (std::size_t i = 0; i < m; ++i) {
-      std::uint64_t* bitmap = bitmaps + (base_q + i) * bitmap_stride;
-      PipelineCounters& qc = counters[base_q + i];
+  const std::uint64_t* p1 =
+      packed_.words() == 2 ? packed_.plane(1) + begin : nullptr;
+  for (std::size_t base = 0; base < queries.size(); base += kMaxBlockQueries) {
+    const std::size_t n = std::min(kMaxBlockQueries, queries.size() - base);
+    counted += run_kernel(queries.subspan(base, n), p0, p1, width,
+                          bitmaps + base * bitmap_stride, bitmap_stride);
+    for (std::size_t i = base; i < base + n; ++i) {
       if (eligible == nullptr && !config_.use_length) {
-        // Fast path mirror of the aggregate overload, attributed per row.
-        std::size_t row = 0;
-        for (std::size_t w = 0; w < bitmap_words(width); ++w) {
-          row += static_cast<std::size_t>(std::popcount(bitmap[w]));
-        }
-        qc.candidates_generated += width;
-        qc.fbf_evaluated += width;
-        qc.fbf_pass += row;
-        total += row;
+        // No gates: every lane reaches the FBF stage.
+        counters[i].candidates_generated += width;
+        counters[i].fbf_evaluated += width;
         continue;
       }
-      total += apply_pre_gates(queries[base_q + i].length, begin, width,
-                               eligible, bitmap, qc);
+      apply_pre_gates(queries[i].length, packed_.lengths() + begin, width,
+                      eligible, bitmaps + i * bitmap_stride, counters[i]);
     }
   }
-  return total;
+  return counted;
 }
 
-// Pre-FBF gate: eligibility first (charged to no counter), then the
+void CandidatePipeline::filter_gathered(const Query& q,
+                                        std::span<const std::uint32_t> ids,
+                                        std::uint64_t* bitmap,
+                                        PipelineCounters& counters) const {
+  assert(ids.size() <= kGather);
+  const std::size_t n = ids.size();
+  if (!batched_) {
+    filter_per_pair(q, 0, ids.data(), n, nullptr, bitmap, counters);
+    return;
+  }
+  // Gather the candidates' packed plane words (and lengths, when the
+  // length filter runs) into aligned scratch and run the tile sweep's
+  // kernel over the gathered lanes.  The scratch tail is zeroed out to
+  // the kernel's 8-word granularity so its over-read stays defined; the
+  // kernel masks lanes past n.
+  alignas(64) std::uint64_t g0[kGather];
+  alignas(64) std::uint64_t g1[kGather];
+  std::uint32_t lengths[kGather];
+  const bool two_words = packed_.words() == 2;
+  const std::size_t padded = (n + 7) / 8 * 8;
+  const std::uint64_t* p0 = packed_.plane(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    g0[i] = p0[ids[i]];
+  }
+  std::fill(g0 + n, g0 + padded, 0);
+  if (two_words) {
+    const std::uint64_t* p1 = packed_.plane(1);
+    for (std::size_t i = 0; i < n; ++i) {
+      g1[i] = p1[ids[i]];
+    }
+    std::fill(g1 + n, g1 + padded, 0);
+  }
+  run_kernel({&q, 1}, g0, two_words ? g1 : nullptr, n, bitmap,
+             bitmap_words(n));
+  if (!config_.use_length) {
+    counters.candidates_generated += n;
+    counters.fbf_evaluated += n;
+    return;
+  }
+  const std::uint32_t* len = packed_.lengths();
+  for (std::size_t i = 0; i < n; ++i) {
+    lengths[i] = len[ids[i]];
+  }
+  apply_pre_gates(q.length, lengths, n, nullptr, bitmap, counters);
+}
+
+// Pre-FBF gates: eligibility first (charged to no counter), then the
 // length filter (charging length_pass), then fbf_evaluated for lanes
 // that reached the FBF stage — ladder order, bit for bit.  `bitmap`
 // holds the raw FBF survivor bits on entry and the gated bits on exit.
-std::size_t CandidatePipeline::apply_pre_gates(
-    std::uint32_t query_length, std::size_t begin, std::size_t width,
-    const std::uint64_t* eligible, std::uint64_t* bitmap,
-    PipelineCounters& counters) const {
-  const std::uint32_t* len = packed_.lengths() + begin;
-  std::size_t survivors = 0;
+void CandidatePipeline::apply_pre_gates(std::uint32_t query_length,
+                                        const std::uint32_t* lengths,
+                                        std::size_t width,
+                                        const std::uint64_t* eligible,
+                                        std::uint64_t* bitmap,
+                                        PipelineCounters& counters) const {
   for (std::size_t w = 0; w < bitmap_words(width); ++w) {
     const std::size_t base = w * 64;
     const std::size_t lanes = std::min<std::size_t>(64, width - base);
@@ -376,7 +375,7 @@ std::size_t CandidatePipeline::apply_pre_gates(
       std::uint64_t len_bits = 0;
       for (std::size_t b = 0; b < lanes; ++b) {
         len_bits |= static_cast<std::uint64_t>(m::length_filter_pass(
-                        query_length, len[base + b], config_.k))
+                        query_length, lengths[base + b], config_.k))
                     << b;
       }
       counters.length_pass +=
@@ -385,27 +384,21 @@ std::size_t CandidatePipeline::apply_pre_gates(
     }
     counters.fbf_evaluated += static_cast<std::uint64_t>(std::popcount(pre));
     bitmap[w] &= pre;
-    survivors += static_cast<std::size_t>(std::popcount(bitmap[w]));
   }
-  counters.fbf_pass += survivors;
-  return survivors;
 }
 
 std::size_t CandidatePipeline::filter_per_pair(
-    const Query& q, std::size_t begin, std::size_t end,
-    const std::uint64_t* eligible, std::uint64_t* bitmap,
+    const Query& q, std::size_t begin, const std::uint32_t* ids,
+    std::size_t width, const std::uint64_t* eligible, std::uint64_t* bitmap,
     PipelineCounters& counters) const {
-  const std::size_t width = end - begin;
-  for (std::size_t w = 0; w < bitmap_words(width); ++w) {
-    bitmap[w] = 0;
-  }
+  std::fill(bitmap, bitmap + bitmap_words(width), 0);
   std::size_t survivors = 0;
-  for (std::size_t j = begin; j < end; ++j) {
-    const std::size_t lane = j - begin;
+  for (std::size_t lane = 0; lane < width; ++lane) {
     if (eligible != nullptr &&
         (eligible[lane / 64] >> (lane % 64) & 1) == 0) {
       continue;
     }
+    const std::size_t j = ids != nullptr ? ids[lane] : begin + lane;
     ++counters.candidates_generated;
     if (config_.use_length) {
       if (!m::length_filter_pass(q.length, classic_lengths_[j], config_.k)) {
@@ -417,7 +410,6 @@ std::size_t CandidatePipeline::filter_per_pair(
     if (!fbf_pass(q.sig, classic_[j], config_.k)) {
       continue;
     }
-    ++counters.fbf_pass;
     bitmap[lane / 64] |= std::uint64_t{1} << (lane % 64);
     ++survivors;
   }
@@ -429,96 +421,17 @@ std::size_t CandidatePipeline::filter_ids(
     std::vector<std::uint32_t>& survivors,
     PipelineCounters& counters) const {
   const LadderMirror mirror(counters);
-  counters.candidates_generated += ids.size();
-  if (!batched_) {
-    std::size_t appended = 0;
-    for (const std::uint32_t id : ids) {
-      if (config_.use_length) {
-        if (!m::length_filter_pass(q.length, classic_lengths_[id],
-                                   config_.k)) {
-          continue;
-        }
-        ++counters.length_pass;
-      }
-      ++counters.fbf_evaluated;
-      if (!fbf_pass(q.sig, classic_[id], config_.k)) {
-        continue;
-      }
-      ++counters.fbf_pass;
-      survivors.push_back(id);
-      ++appended;
-    }
-    return appended;
-  }
-
-  // Gather the candidates' packed plane words into aligned scratch and run
-  // the same blocked kernel as the tile sweep (one query, gathered lanes).
-  // The scratch tail is zeroed out to the kernel's 8-word granularity so
-  // its over-read stays defined; zero lanes are masked off below.
-  constexpr std::size_t kGather = 256;
-  static_assert(kGather % 64 == 0);
-  alignas(64) std::uint64_t g0[kGather];
-  alignas(64) std::uint64_t g1[kGather];
-  std::uint64_t bitmap[kGather / 64];
-  const bool two_words = packed_.words() == 2;
-  const std::uint64_t* p0 = packed_.plane(0);
-  const std::uint64_t* p1 = two_words ? packed_.plane(1) : nullptr;
-  const std::uint32_t* len = packed_.lengths();
-  const std::uint64_t qw0 = q.w0;
-  const std::uint64_t qw1 = q.w1;
-  std::size_t appended = 0;
+  const std::size_t before = survivors.size();
+  std::uint64_t bitmap[bitmap_words(kGather)];
   for (std::size_t base = 0; base < ids.size(); base += kGather) {
-    const std::size_t n = std::min(kGather, ids.size() - base);
-    const std::size_t padded = (n + 7) / 8 * 8;
-    for (std::size_t i = 0; i < n; ++i) {
-      g0[i] = p0[ids[base + i]];
-    }
-    for (std::size_t i = n; i < padded; ++i) {
-      g0[i] = 0;
-    }
-    if (two_words) {
-      for (std::size_t i = 0; i < n; ++i) {
-        g1[i] = p1[ids[base + i]];
-      }
-      for (std::size_t i = n; i < padded; ++i) {
-        g1[i] = 0;
-      }
-    }
-    fbf::core::filter_block(&qw0, two_words ? &qw1 : nullptr, 1, g0,
-                            two_words ? g1 : nullptr, n, 2 * config_.k,
-                            packed_.max_tail_popcount(), /*prune=*/true,
-                            bitmap, bitmap_words(n), kernel_);
-    for (std::size_t w = 0; w < bitmap_words(n); ++w) {
-      const std::size_t lane_base = w * 64;
-      const std::size_t lanes = std::min<std::size_t>(64, n - lane_base);
-      std::uint64_t pre = lanes == 64 ? ~std::uint64_t{0}
-                                      : (std::uint64_t{1} << lanes) - 1;
-      if (config_.use_length) {
-        std::uint64_t len_bits = 0;
-        for (std::size_t b = 0; b < lanes; ++b) {
-          len_bits |= static_cast<std::uint64_t>(m::length_filter_pass(
-                          q.length, len[ids[base + lane_base + b]],
-                          config_.k))
-                      << b;
-        }
-        counters.length_pass +=
-            static_cast<std::uint64_t>(std::popcount(len_bits & pre));
-        pre &= len_bits;
-      }
-      counters.fbf_evaluated +=
-          static_cast<std::uint64_t>(std::popcount(pre));
-      std::uint64_t bits = bitmap[w] & pre;
-      counters.fbf_pass += static_cast<std::uint64_t>(std::popcount(bits));
-      while (bits != 0) {
-        const std::size_t lane =
-            lane_base + static_cast<std::size_t>(std::countr_zero(bits));
-        survivors.push_back(ids[base + lane]);
-        ++appended;
-        bits &= bits - 1;
-      }
-    }
+    const std::span<const std::uint32_t> chunk =
+        ids.subspan(base, std::min(kGather, ids.size() - base));
+    filter_gathered(q, chunk, bitmap, counters);
+    drain(bitmap, chunk.size(), counters, [&](std::size_t lane) {
+      survivors.push_back(chunk[lane]);
+    });
   }
-  return appended;
+  return survivors.size() - before;
 }
 
 void CandidatePipeline::prefetch(
@@ -544,17 +457,84 @@ void CandidatePipeline::prefetch(
   }
 }
 
-bool CandidatePipeline::verify(std::string_view a, std::string_view b,
-                               PipelineCounters& counters) const {
+bool CandidatePipeline::verify_pair(std::string_view a, std::string_view b,
+                                    PipelineCounters& counters) const {
   if (config_.verifier == Verifier::kNone) {
     return true;  // filter-only methods report survivors as matches
   }
   ++counters.verify_calls;
-  if (fbf::telemetry::enabled()) {
-    ladder_telemetry().verify_calls.increment();
-  }
   return config_.verifier == Verifier::kDl ? m::dl_within(a, b, config_.k)
                                            : m::pdl_within(a, b, config_.k);
+}
+
+bool CandidatePipeline::verify(std::string_view a, std::string_view b,
+                               PipelineCounters& counters) const {
+  const LadderMirror mirror(counters);
+  return verify_pair(a, b, counters);
+}
+
+void CandidatePipeline::sweep(std::span<const Query> queries,
+                              std::span<const std::string_view> texts,
+                              std::span<const std::string> candidates,
+                              std::size_t begin, std::size_t end,
+                              const std::uint64_t* eligible,
+                              std::span<PipelineCounters> counters,
+                              OnMatch on_match) const {
+  assert(texts.size() == queries.size());
+  assert(counters.size() == queries.size());
+  constexpr std::size_t kTileWords = bitmap_words(kSweepTile);
+  const LadderMirror mirror(counters);
+  std::uint64_t bitmaps[kMaxBlockQueries * kTileWords];
+  for (std::size_t q = 0; q < queries.size(); q += kMaxBlockQueries) {
+    const std::size_t n = std::min(kMaxBlockQueries, queries.size() - q);
+    for (std::size_t t = begin; t < end; t += kSweepTile) {
+      const std::size_t t_end = std::min(end, t + kSweepTile);
+      filter_rows(queries.subspan(q, n), t, t_end,
+                  eligible != nullptr ? eligible + (t - begin) / 64 : nullptr,
+                  bitmaps, kTileWords, counters.subspan(q, n));
+      for (std::size_t i = q; i < q + n; ++i) {
+        drain(bitmaps + (i - q) * kTileWords, t_end - t, counters[i],
+              [&](std::size_t lane) {
+                const std::size_t j = t + lane;
+                if (verify_pair(texts[i], candidates[j], counters[i])) {
+                  on_match(i, static_cast<std::uint32_t>(j));
+                }
+              });
+      }
+    }
+  }
+}
+
+void CandidatePipeline::check(std::span<const Query> queries,
+                              std::span<const std::string_view> texts,
+                              std::span<const std::string> candidates,
+                              std::span<const std::vector<std::uint32_t>> ids,
+                              std::span<PipelineCounters> counters,
+                              OnMatch on_match) const {
+  assert(texts.size() == queries.size());
+  assert(ids.size() == queries.size());
+  assert(counters.size() == queries.size());
+  const LadderMirror mirror(counters);
+  for (const std::vector<std::uint32_t>& list : ids) {
+    prefetch(list);
+    for (const std::uint32_t j : list) {
+      fbf::util::prefetch(&candidates[j]);
+    }
+  }
+  std::uint64_t bitmap[bitmap_words(kGather)];
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const std::span<const std::uint32_t> list = ids[i];
+    for (std::size_t base = 0; base < list.size(); base += kGather) {
+      const std::span<const std::uint32_t> chunk =
+          list.subspan(base, std::min(kGather, list.size() - base));
+      filter_gathered(queries[i], chunk, bitmap, counters[i]);
+      drain(bitmap, chunk.size(), counters[i], [&](std::size_t lane) {
+        if (verify_pair(texts[i], candidates[chunk[lane]], counters[i])) {
+          on_match(i, chunk[lane]);
+        }
+      });
+    }
+  }
 }
 
 }  // namespace fbf::core

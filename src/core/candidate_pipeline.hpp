@@ -1,30 +1,30 @@
 // CandidatePipeline: the one filter → verify cascade (DESIGN.md §9).
 //
-// PR 2 built the batched tile kernel, but every consumer re-implemented
-// the surrounding cascade — length filter, FBF filter, survivor drain,
-// verifier dispatch, counter bookkeeping — as its own per-pair loop.
-// Filter-and-verify engines win by making the cascade a *stage*, not a
-// pattern: this class owns the candidate-side signature state (packed SoA
+// The pipeline owns the candidate-side signature state (packed SoA
 // planes where the layout supports them, classic per-row signatures where
-// it does not) and exposes the cascade as three composable calls:
+// it does not) and runs the whole cascade — length filter, FBF filter,
+// survivor drain, verifier, counter bookkeeping — behind two drivers:
 //
-//   make_query / row_query  -> one query's signature + length
-//   filter(...)             -> survivor bitmap over a candidate range
-//                              (batched kernel or transparent per-pair
-//                              fallback; exact ladder counter semantics)
-//   verify(...)             -> pluggable DL / PDL / none verifier
+//   sweep(...)  -> Q queries against candidate rows [begin, end), tile by
+//                  tile through the register-blocked kernel (the dense
+//                  route)
+//   check(...)  -> Q queries against caller-generated ascending id lists
+//                  (the block-index route): prefetch, gathered filter,
+//                  verify
 //
-// Consumers — the string join (core/match_join), the incremental
-// EntityStore, the linkage engine + cluster replicas, and the signature
-// index — all drain the same bitmaps with identical counters, so "which
-// filter ran" is no longer a per-call-site question.  The candidate store
-// is append-only and incremental: nightly batches extend the planes
-// without repacking (amortized growth in PackedSignatureStore).
+// Both call on_match(i, j) once per verified pair, in ascending j for
+// each query i.  Generation stays with the callers — the string join
+// (core/match_join), the serving corpus (core/corpus) and the record
+// bank (linkage/record_filter) — and every one of them filters and
+// verifies through these two loops only, so a change to the filter or
+// the verifier lands in one place.  The candidate store is append-only
+// and incremental: nightly batches extend the planes without repacking
+// (amortized growth in PackedSignatureStore).
 //
 // Counter semantics (shared by batched and fallback paths, property-
 // tested): candidates_generated counts pairs the generate stage put into
 // the cascade (post-eligibility, pre-length — the dense sweep charges
-// every eligible lane, filter_ids charges every generated id);
+// every eligible lane, an id list charges every generated id);
 // length_pass counts pairs passing the length filter; fbf_evaluated is
 // charged only for pairs that reached the FBF stage (ladder order:
 // length — or an external eligibility mask — first); fbf_pass counts
@@ -39,6 +39,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/fbf_kernel.hpp"
@@ -138,55 +139,39 @@ class CandidatePipeline {
     return (lanes + 63) / 64;
   }
 
-  /// Filters candidates [begin, end) against `q`.  Bit (j - begin) of
-  /// `bitmap` is set iff candidate j survives the cascade's filter stages;
-  /// returns the survivor count.  `begin` must be a multiple of 64 (tile
-  /// origins and 0 both qualify) so bitmap lanes stay word-aligned.
-  ///
-  /// `eligible`, when non-null, is an external eligibility mask indexed
-  /// like `bitmap` (bit j - begin): ineligible lanes are skipped *before*
-  /// the FBF stage and charged to no counter — the comparator uses this
-  /// for its missing-field rule, mirroring "skip the rule entirely" in
-  /// the per-pair semantics.
-  std::size_t filter(const Query& q, std::size_t begin, std::size_t end,
-                     const std::uint64_t* eligible, std::uint64_t* bitmap,
-                     PipelineCounters& counters) const;
-
   /// Filters candidates [begin, end) against many queries in one blocked
   /// sweep: in batched mode each packed plane word is loaded once per
-  /// kMaxBlockQueries queries (core/fbf_kernel.hpp filter_block) instead
-  /// of once per query.  Query i's bitmap lands at
-  /// `bitmaps + i * bitmap_stride` (stride must be >= bitmap_words(end -
-  /// begin)); `eligible`, when non-null, is one candidate-side mask
-  /// applied to every query.  Bitmaps, counters and the returned total
-  /// survivor count are byte-identical to queries.size() successive
-  /// filter() calls — in per-pair fallback mode that is literally what
-  /// runs.  Any query count is accepted.
-  std::size_t filter_block(std::span<const Query> queries, std::size_t begin,
-                           std::size_t end, const std::uint64_t* eligible,
-                           std::uint64_t* bitmaps, std::size_t bitmap_stride,
-                           PipelineCounters& counters) const;
-
-  /// filter_block with *per-query* counter attribution: query i's ladder
-  /// lands in counters[i] (must have counters.size() == queries.size()),
-  /// and each counters[i] is byte-identical to what a lone filter() call
-  /// for that query would have produced.  This is what lets a serving
-  /// coalescer batch Q concurrent point queries through one plane sweep
-  /// and still hand every client the exact counters its query would have
-  /// earned running alone — batching stays invisible to the reply.
+  /// kMaxBlockQueries queries (core/fbf_kernel.hpp filter_block).  Bit
+  /// (j - begin) of query i's bitmap, at `bitmaps + i * bitmap_stride`
+  /// (stride >= bitmap_words(end - begin)), is set iff candidate j
+  /// survives the cascade's filter stages; query i's ladder lands in
+  /// counters[i] (counters.size() == queries.size()), byte-identical to
+  /// filtering that query alone.  Returns the total survivor count.
+  /// `begin` must be a multiple of 64 (tile origins and 0 both qualify)
+  /// so bitmap lanes stay word-aligned.
+  ///
+  /// `eligible`, when non-null, is one candidate-side eligibility mask
+  /// indexed like the bitmaps (bit j - begin), applied to every query:
+  /// ineligible lanes are skipped *before* the FBF stage and charged to
+  /// no counter — the comparator uses this for its missing-field rule,
+  /// mirroring "skip the rule entirely" in the per-pair semantics.
   std::size_t filter_block(std::span<const Query> queries, std::size_t begin,
                            std::size_t end, const std::uint64_t* eligible,
                            std::uint64_t* bitmaps, std::size_t bitmap_stride,
                            std::span<PipelineCounters> counters) const;
 
+  /// filter_block for one query.
+  std::size_t filter(const Query& q, std::size_t begin, std::size_t end,
+                     const std::uint64_t* eligible, std::uint64_t* bitmap,
+                     PipelineCounters& counters) const;
+
   /// Filters an explicit candidate id list — the output of
   /// BlockIndexGenerator::generate — against `q`, appending surviving ids
   /// to `survivors` in ascending order and returning how many were
-  /// appended.
-  /// In batched mode the candidates' packed plane words are gathered into
-  /// aligned scratch and pushed through the same filter_block kernel as
+  /// appended.  In batched mode the candidates' packed plane words are
+  /// gathered into aligned scratch and pushed through the same kernel as
   /// the tile sweep; fallback mode runs the per-pair predicate.  Ladder
-  /// semantics match filter(): every id charges candidates_generated,
+  /// semantics match filter_block: every id charges candidates_generated,
   /// then the length filter (when configured) and FBF charge as usual —
   /// so dense-vs-indexed runs differ only in candidates_generated and in
   /// stages the skipped ids would have failed anyway.  `ids` must be
@@ -194,12 +179,6 @@ class CandidatePipeline {
   std::size_t filter_ids(const Query& q, std::span<const std::uint32_t> ids,
                          std::vector<std::uint32_t>& survivors,
                          PipelineCounters& counters) const;
-
-  /// Hints the filter-stage rows of candidates `ids` into cache (packed
-  /// plane words and lengths, or classic signatures), so a later
-  /// filter_ids over them finds its gathers in flight or done.  Changes
-  /// no result and no counter.
-  void prefetch(std::span<const std::uint32_t> ids) const noexcept;
 
   // -- verify stage -----------------------------------------------------
 
@@ -222,19 +201,106 @@ class CandidatePipeline {
     }
   }
 
+  // -- the cascade drivers ----------------------------------------------
+
+  /// Non-owning view of a `void(std::size_t i, std::uint32_t j)` callable:
+  /// the drivers' match sink (query index i, candidate id j).  Never
+  /// allocates; the callable must outlive the driver call, which a
+  /// lambda passed in the call's argument list does.
+  class OnMatch {
+   public:
+    template <typename Fn>
+      requires(!std::is_same_v<std::remove_cvref_t<Fn>, OnMatch>)
+    OnMatch(Fn&& fn) noexcept  // NOLINT(google-explicit-constructor)
+        : ctx_(const_cast<void*>(static_cast<const void*>(&fn))),
+          call_([](void* ctx, std::size_t i, std::uint32_t j) {
+            (*static_cast<std::remove_reference_t<Fn>*>(ctx))(i, j);
+          }) {}
+
+    void operator()(std::size_t i, std::uint32_t j) const {
+      call_(ctx_, i, j);
+    }
+
+   private:
+    void* ctx_;
+    void (*call_)(void*, std::size_t, std::uint32_t);
+  };
+
+  /// The dense route: runs queries[i] (text texts[i], ladder into
+  /// counters[i]) against candidate rows [begin, end), whose strings are
+  /// candidates[begin, end).  Queries go in register blocks of
+  /// kMaxBlockQueries, the range in kSweepTile-wide tiles; each tile is
+  /// one kernel pass (filter_block's stages) whose bitmaps drain into the
+  /// verifier query by query.  `begin` and `eligible` are as for filter_block.  Calls
+  /// on_match(i, j) for every verified pair, ascending in j per query.
+  void sweep(std::span<const Query> queries,
+             std::span<const std::string_view> texts,
+             std::span<const std::string> candidates, std::size_t begin,
+             std::size_t end, const std::uint64_t* eligible,
+             std::span<PipelineCounters> counters, OnMatch on_match) const;
+
+  /// The indexed route: runs queries[i] against the ascending,
+  /// duplicate-free id list ids[i] (ladder as filter_ids).  First every
+  /// list's plane rows and candidate strings are prefetched, so a probe
+  /// group's misses overlap; then each query filters its gathered ids
+  /// and verifies the survivors.  Calls on_match(i, j) for every verified
+  /// pair, ascending in j per query.
+  void check(std::span<const Query> queries,
+             std::span<const std::string_view> texts,
+             std::span<const std::string> candidates,
+             std::span<const std::vector<std::uint32_t>> ids,
+             std::span<PipelineCounters> counters, OnMatch on_match) const;
+
  private:
-  std::size_t filter_batched(const Query& q, std::size_t begin,
-                             std::size_t end, const std::uint64_t* eligible,
-                             std::uint64_t* bitmap,
-                             PipelineCounters& counters) const;
-  std::size_t apply_pre_gates(std::uint32_t query_length, std::size_t begin,
-                              std::size_t width, const std::uint64_t* eligible,
-                              std::uint64_t* bitmap,
-                              PipelineCounters& counters) const;
+  /// Candidate-range width one sweep step filters (bitmap lanes per
+  /// query), the join's tile width.
+  static constexpr std::size_t kSweepTile = 256;
+  /// Ids one gathered filter step takes (bitmap lanes of check and
+  /// filter_ids).
+  static constexpr std::size_t kGather = 256;
+
+  /// filter_block's stages without the telemetry mirror and without
+  /// charging fbf_pass, which the caller charges from the final bitmaps
+  /// (the drivers while draining them).  Returns the survivors the stages
+  /// counted themselves: in batched mode the kernel's raw count, which
+  /// equals the final count only when no gate (eligibility, length) ran.
+  std::size_t filter_rows(std::span<const Query> queries, std::size_t begin,
+                          std::size_t end, const std::uint64_t* eligible,
+                          std::uint64_t* bitmaps, std::size_t bitmap_stride,
+                          std::span<PipelineCounters> counters) const;
+  /// Filters ids (at most kGather) against `q`: bit l of `bitmap` is set
+  /// iff ids[l] survives.  No telemetry mirror; fbf_pass as filter_rows.
+  void filter_gathered(const Query& q, std::span<const std::uint32_t> ids,
+                       std::uint64_t* bitmap,
+                       PipelineCounters& counters) const;
+  /// Runs the batched kernel for `queries` (at most kMaxBlockQueries)
+  /// over `width` lanes of the given plane rows; returns the survivors.
+  std::size_t run_kernel(std::span<const Query> queries,
+                         const std::uint64_t* p0, const std::uint64_t* p1,
+                         std::size_t width, std::uint64_t* bitmaps,
+                         std::size_t bitmap_stride) const;
+  /// Pre-FBF gates (eligibility, length) over one query's raw kernel
+  /// bitmap of `width` lanes; `lengths[l]` is lane l's candidate length
+  /// (read only when the length filter runs).
+  void apply_pre_gates(std::uint32_t query_length,
+                       const std::uint32_t* lengths, std::size_t width,
+                       const std::uint64_t* eligible, std::uint64_t* bitmap,
+                       PipelineCounters& counters) const;
+  /// The per-pair fallback ladder over `width` lanes: lane l is candidate
+  /// ids[l] when `ids` is non-null, else begin + l.  Returns the
+  /// survivors; fbf_pass as filter_rows.
   std::size_t filter_per_pair(const Query& q, std::size_t begin,
-                              std::size_t end, const std::uint64_t* eligible,
+                              const std::uint32_t* ids, std::size_t width,
+                              const std::uint64_t* eligible,
                               std::uint64_t* bitmap,
                               PipelineCounters& counters) const;
+  /// Hints the filter-stage rows of candidates `ids` into cache (packed
+  /// plane words and lengths, or classic signatures).
+  void prefetch(std::span<const std::uint32_t> ids) const noexcept;
+  /// verify() without the telemetry increment (the drivers mirror the
+  /// whole ladder once per call).
+  [[nodiscard]] bool verify_pair(std::string_view a, std::string_view b,
+                                 PipelineCounters& counters) const;
 
   PipelineConfig config_;
   bool batched_ = false;

@@ -7,20 +7,14 @@
 #include <utility>
 
 #include "telemetry/telemetry.hpp"
-#include "util/prefetch.hpp"
 #include "util/timer.hpp"
 
 namespace fbf::core {
 
 namespace {
 
-/// Corpus sweep tile width.  Matches the join's kTileCols so the serving
-/// path hits the kernel with the same working-set shape the join benches
-/// tuned; any multiple of 64 preserves the equivalence contract.
-constexpr std::size_t kCorpusTile = 256;
-constexpr std::size_t kTileWords = CandidatePipeline::bitmap_words(kCorpusTile);
 /// The index covers a multiple of this many rows, so the tail sweep
-/// starts on a bitmap word boundary (CandidatePipeline::filter).
+/// starts on a bitmap word boundary (CandidatePipeline::sweep).
 constexpr std::size_t kIndexAlign = 64;
 
 }  // namespace
@@ -159,73 +153,36 @@ void MatchCorpus::answer(std::span<const std::string_view> queries,
   const std::size_t indexed = index != nullptr ? index->size() : 0;
   const GeneratorKind served =
       indexed > 0 ? GeneratorKind::kBlockIndex : GeneratorKind::kDense;
-  std::vector<CandidatePipeline::Query> block;
-  std::vector<PipelineCounters> block_counters;
-  std::vector<std::uint64_t> bitmaps;
+  CandidatePipeline::Query block[kMaxBlockQueries];
+  PipelineCounters counters[kMaxBlockQueries];
   std::array<std::vector<std::uint32_t>, kMaxBlockQueries> ids;
-  std::vector<std::uint32_t> survivors;
-  // Register blocks of kMaxBlockQueries queries.  Each block first probes
-  // the index for the indexed rows — one grouped generate_batch, then
-  // prefetches of every candidate's plane row and string, then filter_ids
-  // and verify query by query — and then sweeps the remaining rows tile
-  // by tile through one filter_block call per tile, each query draining
-  // its own bitmap row.  Per-query counters come from the attributing
-  // filter_block overload and filter_ids, so results[i] is byte-identical
-  // to query(queries[i]) run alone (the serving coalescer's contract).
+  // Register blocks of kMaxBlockQueries queries.  Each block checks the
+  // index's candidates for the indexed rows (one grouped generate_batch,
+  // then one check) and sweeps the remaining rows.  Both drivers keep
+  // per-query counters, so results[i] is byte-identical to
+  // query(queries[i]) run alone (the serving coalescer's contract).
   for (std::size_t base = 0; base < queries.size(); base += kMaxBlockQueries) {
-    const std::size_t q_count =
-        std::min(queries.size() - base, kMaxBlockQueries);
-    const std::span<const std::string_view> group =
-        queries.subspan(base, q_count);
-    block.clear();
-    for (const std::string_view q : group) {
-      block.push_back(pipeline_.make_query(q));
+    const std::size_t n = std::min(queries.size() - base, kMaxBlockQueries);
+    const std::span<const std::string_view> group = queries.subspan(base, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      block[i] = pipeline_.make_query(group[i]);
+      counters[i] = PipelineCounters{};
     }
-    block_counters.assign(q_count, PipelineCounters{});
+    const auto on_match = [&](std::size_t i, std::uint32_t j) {
+      results[base + i].matches.push_back(j);
+    };
     if (indexed > 0) {
-      for (std::size_t i = 0; i < q_count; ++i) {
+      for (std::size_t i = 0; i < n; ++i) {
         ids[i].clear();
       }
-      index->generate_batch(group, {ids.data(), q_count});
-      for (std::size_t i = 0; i < q_count; ++i) {
-        pipeline_.prefetch(ids[i]);
-        for (const std::uint32_t j : ids[i]) {
-          fbf::util::prefetch(&values_[j]);
-        }
-      }
-      for (std::size_t i = 0; i < q_count; ++i) {
-        survivors.clear();
-        pipeline_.filter_ids(block[i], ids[i], survivors, block_counters[i]);
-        for (const std::uint32_t j : survivors) {
-          if (pipeline_.verify(group[i], values_[j], block_counters[i])) {
-            results[base + i].matches.push_back(j);
-          }
-        }
-      }
+      index->generate_batch(group, {ids.data(), n});
+      pipeline_.check({block, n}, group, values_, {ids.data(), n},
+                      {counters, n}, on_match);
     }
-    bitmaps.assign(q_count * kTileWords, 0);
-    for (std::size_t begin = indexed; begin < values_.size();
-         begin += kCorpusTile) {
-      const std::size_t end = std::min(values_.size(), begin + kCorpusTile);
-      std::fill(bitmaps.begin(), bitmaps.end(), 0);
-      pipeline_.filter_block(block, begin, end, /*eligible=*/nullptr,
-                             bitmaps.data(), kTileWords,
-                             std::span<PipelineCounters>(block_counters));
-      for (std::size_t i = 0; i < q_count; ++i) {
-        CorpusResult& out = results[base + i];
-        CandidatePipeline::for_each_survivor(
-            bitmaps.data() + i * kTileWords, end - begin,
-            [&](std::size_t lane) {
-              const std::size_t id = begin + lane;
-              if (pipeline_.verify(group[i], values_[id],
-                                   block_counters[i])) {
-                out.matches.push_back(static_cast<std::uint32_t>(id));
-              }
-            });
-      }
-    }
-    for (std::size_t i = 0; i < q_count; ++i) {
-      results[base + i].counters = block_counters[i];
+    pipeline_.sweep({block, n}, group, values_, indexed, values_.size(),
+                    /*eligible=*/nullptr, {counters, n}, on_match);
+    for (std::size_t i = 0; i < n; ++i) {
+      results[base + i].counters = counters[i];
       results[base + i].generator = served;
     }
   }

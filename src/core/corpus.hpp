@@ -9,16 +9,17 @@
 //   query(s)        -> one point lookup (ids + per-query ladder counters)
 //   query_batch(qs) -> Q coalesced lookups: one grouped index probe for
 //                      the indexed rows, and ONE plane sweep per tile of
-//                      the rest (filter_block, Q <= kMaxBlockQueries per
-//                      register block), with per-query counter attribution
+//                      the rest (CandidatePipeline::sweep, Q <=
+//                      kMaxBlockQueries per register block), with
+//                      per-query counter attribution
 //
 // Generation follows options.exec.generator through the same gates
 // match_strings applies: the block index (DESIGN.md §14) engages when
 // select_generator() picks kBlockIndex, a real verifier runs and
 // BlockIndexGenerator::supported(k) holds; otherwise every row is swept
 // densely.  A published index covers a prefix [0, m) of the corpus: a
-// query probes it (generate_batch → filter_ids → verify) and tile-sweeps
-// the unindexed tail [m, n).  Before the first publication m = 0, which
+// query probes it (generate_batch, then CandidatePipeline::check) and
+// sweeps the unindexed tail [m, n).  Before the first publication m = 0, which
 // is the dense route.  The index is built on one background thread the
 // corpus owns, started by the first query after an append (so appends
 // and service start-up never wait for it) and published atomically; an
@@ -117,21 +118,22 @@ class MatchCorpus {
   [[nodiscard]] CorpusResult query(std::string_view query) const;
 
   /// Coalesced lookups: the indexed rows through one grouped probe, the
-  /// rest through one filter_block call per tile (Q <= kMaxBlockQueries
-  /// per register block).  result[i] — matches, counters and generator —
-  /// is byte-identical to query(queries[i]) run alone against the same
-  /// published index.  With exec.threads > 1 the queries are partitioned
-  /// across the worker pool (same results, bit for bit); concurrent
-  /// query_batch calls on one corpus then serialize on the pool, so keep
-  /// one batching caller per corpus (the coalescer does).
+  /// rest through one sweep (one kernel pass per tile for up to
+  /// kMaxBlockQueries queries).  result[i] — matches, counters and
+  /// generator — is byte-identical to query(queries[i]) run alone
+  /// against the same published index.  With exec.threads > 1 the
+  /// queries are partitioned across the worker pool (same results, bit
+  /// for bit); concurrent query_batch calls on one corpus then serialize
+  /// on the pool, so keep one batching caller per corpus (the coalescer
+  /// does).
   [[nodiscard]] std::vector<CorpusResult> query_batch(
       std::span<const std::string> queries) const;
 
  private:
   /// Answers `queries` into results[0, queries.size()): the rows of
-  /// `index` (null: none) through it, the rest through the register-block
-  /// tile sweep.  The serial path is one call over the whole batch; the
-  /// parallel path is one call per worker chunk.
+  /// `index` (null: none) through check, the rest through sweep.  The
+  /// serial path is one call over the whole batch; the parallel path is
+  /// one call per worker chunk.
   void answer(std::span<const std::string_view> queries,
               const BlockIndexGenerator* index, CorpusResult* results) const;
   /// The published index (null if none), after starting the background

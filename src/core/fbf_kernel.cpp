@@ -27,10 +27,10 @@ namespace {
 // fails no matter what (plane diffs are non-negative) — so a candidate
 // group in which every lane of every query is decided can skip the
 // plane-1 load entirely.  Pruning never changes the bitmaps, only the
-// loads.
+// loads, so every body always prunes.
 using BlockFn = std::size_t (*)(const std::uint64_t*, const std::uint64_t*,
                                 const std::uint64_t*, const std::uint64_t*,
-                                std::size_t, int, int, bool, std::uint64_t*,
+                                std::size_t, int, int, std::uint64_t*,
                                 std::size_t);
 
 // Register-blocked single-plane sweep over one 64-lane word block for QH
@@ -68,7 +68,7 @@ template <std::size_t Q>
 [[gnu::always_inline]] inline std::size_t scalar_block_body(
     const std::uint64_t* q0, const std::uint64_t* q1, const std::uint64_t* p0,
     const std::uint64_t* p1, std::size_t count, int threshold, int accept_thr,
-    bool prune, std::uint64_t* bitmaps, std::size_t stride) {
+    std::uint64_t* bitmaps, std::size_t stride) {
   std::uint64_t a0[Q];
   std::uint64_t a1[Q];
   for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
@@ -99,16 +99,6 @@ template <std::size_t Q>
         if constexpr (Q % 2 != 0) {
           scalar_one_plane_pass<1>(a0 + Q - 1, p0, base, lanes, threshold,
                                    bits + Q - 1);
-        }
-      }
-    } else if (!prune) {
-      for (std::size_t g = 0; g < lanes; ++g) {
-        const std::uint64_t c0 = p0[base + g];
-        const std::uint64_t c1 = p1[base + g];
-        for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
-          const int diff =
-              std::popcount(a0[qi] ^ c0) + std::popcount(a1[qi] ^ c1);
-          bits[qi] |= static_cast<std::uint64_t>(diff <= threshold) << g;
         }
       }
     } else {
@@ -147,10 +137,9 @@ template <std::size_t Q>
 std::size_t block_scalar(const std::uint64_t* q0, const std::uint64_t* q1,
                          const std::uint64_t* p0, const std::uint64_t* p1,
                          std::size_t count, int threshold, int accept_thr,
-                         bool prune, std::uint64_t* bitmaps,
-                         std::size_t stride) {
+                         std::uint64_t* bitmaps, std::size_t stride) {
   return scalar_block_body<Q>(q0, q1, p0, p1, count, threshold, accept_thr,
-                              prune, bitmaps, stride);
+                              bitmaps, stride);
 }
 
 #ifdef FBF_X86
@@ -163,9 +152,9 @@ template <std::size_t Q>
 __attribute__((target("popcnt"))) std::size_t block_scalar_popcnt(
     const std::uint64_t* q0, const std::uint64_t* q1, const std::uint64_t* p0,
     const std::uint64_t* p1, std::size_t count, int threshold, int accept_thr,
-    bool prune, std::uint64_t* bitmaps, std::size_t stride) {
+    std::uint64_t* bitmaps, std::size_t stride) {
   return scalar_block_body<Q>(q0, q1, p0, p1, count, threshold, accept_thr,
-                              prune, bitmaps, stride);
+                              bitmaps, stride);
 }
 
 bool cpu_has_popcnt() noexcept {
@@ -199,7 +188,7 @@ template <std::size_t Q>
 __attribute__((target("avx2"))) std::size_t block_avx2(
     const std::uint64_t* q0, const std::uint64_t* q1, const std::uint64_t* p0,
     const std::uint64_t* p1, std::size_t count, int threshold, int accept_thr,
-    bool prune, std::uint64_t* bitmaps, std::size_t stride) {
+    std::uint64_t* bitmaps, std::size_t stride) {
   __m256i vq0[Q];
   __m256i vq1[Q];
   for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
@@ -231,19 +220,17 @@ __attribute__((target("avx2"))) std::size_t block_avx2(
       for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
         d0[qi] = popcnt64x4(_mm256_xor_si256(c0, vq0[qi]));
       }
-      if (prune) {
-        unsigned accept[Q];
-        unsigned undecided = 0;
+      unsigned accept[Q];
+      unsigned undecided = 0;
+      for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
+        accept[qi] = le_mask4(d0[qi], vaccept);
+        undecided |= le_mask4(d0[qi], vthresh) & ~accept[qi];
+      }
+      if (undecided == 0) {
         for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
-          accept[qi] = le_mask4(d0[qi], vaccept);
-          undecided |= le_mask4(d0[qi], vthresh) & ~accept[qi];
+          bits[qi] |= static_cast<std::uint64_t>(accept[qi]) << g;
         }
-        if (undecided == 0) {
-          for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
-            bits[qi] |= static_cast<std::uint64_t>(accept[qi]) << g;
-          }
-          continue;  // plane-1 load skipped: every lane decided on plane 0
-        }
+        continue;  // plane-1 load skipped: every lane decided on plane 0
       }
       const __m256i c1 = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(p1 + base + g));
@@ -327,24 +314,22 @@ popcnt64x8_native(__m512i v) noexcept {
       for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {                                        \
         d0[qi] = POPCNT64X8(_mm512_xor_si512(c0, vq0[qi]));                   \
       }                                                                       \
-      if (prune) {                                                            \
-        std::uint8_t accept[Q];                                               \
-        std::uint8_t undecided = 0;                                           \
-        for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {                                      \
-          accept[qi] = static_cast<std::uint8_t>(                             \
-              ~_mm512_cmpgt_epi64_mask(d0[qi], vaccept));                     \
-          undecided = static_cast<std::uint8_t>(                              \
-              undecided |                                                     \
-              (static_cast<std::uint8_t>(                                     \
-                   ~_mm512_cmpgt_epi64_mask(d0[qi], vthresh)) &               \
-               static_cast<std::uint8_t>(~accept[qi])));                      \
+      std::uint8_t accept[Q];                                                 \
+      std::uint8_t undecided = 0;                                             \
+      for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {      \
+        accept[qi] = static_cast<std::uint8_t>(                               \
+            ~_mm512_cmpgt_epi64_mask(d0[qi], vaccept));                       \
+        undecided = static_cast<std::uint8_t>(                                \
+            undecided |                                                       \
+            (static_cast<std::uint8_t>(                                       \
+                 ~_mm512_cmpgt_epi64_mask(d0[qi], vthresh)) &                 \
+             static_cast<std::uint8_t>(~accept[qi])));                        \
+      }                                                                       \
+      if (undecided == 0) {                                                   \
+        for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {    \
+          bits[qi] |= static_cast<std::uint64_t>(accept[qi]) << g;            \
         }                                                                     \
-        if (undecided == 0) {                                                 \
-          for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {                                    \
-            bits[qi] |= static_cast<std::uint64_t>(accept[qi]) << g;          \
-          }                                                                   \
-          continue; /* plane-1 load skipped: all lanes decided */             \
-        }                                                                     \
+        continue; /* plane-1 load skipped: all lanes decided */               \
       }                                                                       \
       const __m512i c1 = _mm512_loadu_si512(p1 + base + g);                   \
       for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {                                        \
@@ -371,7 +356,7 @@ __attribute__((target("avx512f,avx512bw,avx512vpopcntdq"))) std::size_t
 block_avx512_native(const std::uint64_t* q0, const std::uint64_t* q1,
                     const std::uint64_t* p0, const std::uint64_t* p1,
                     std::size_t count, int threshold, int accept_thr,
-                    bool prune, std::uint64_t* bitmaps, std::size_t stride) {
+                    std::uint64_t* bitmaps, std::size_t stride) {
   FBF_AVX512_BLOCK_BODY(popcnt64x8_native)
 }
 
@@ -379,7 +364,7 @@ template <std::size_t Q>
 __attribute__((target("avx512f,avx512bw"))) std::size_t block_avx512_shuf(
     const std::uint64_t* q0, const std::uint64_t* q1, const std::uint64_t* p0,
     const std::uint64_t* p1, std::size_t count, int threshold, int accept_thr,
-    bool prune, std::uint64_t* bitmaps, std::size_t stride) {
+    std::uint64_t* bitmaps, std::size_t stride) {
   FBF_AVX512_BLOCK_BODY(popcnt64x8_shuf)
 }
 
@@ -412,8 +397,7 @@ template <std::size_t Q>
 std::size_t block_neon(const std::uint64_t* q0, const std::uint64_t* q1,
                        const std::uint64_t* p0, const std::uint64_t* p1,
                        std::size_t count, int threshold, int accept_thr,
-                       bool prune, std::uint64_t* bitmaps,
-                       std::size_t stride) {
+                       std::uint64_t* bitmaps, std::size_t stride) {
   uint64x2_t vq0[Q];
   uint64x2_t vq1[Q];
   for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
@@ -446,19 +430,17 @@ std::size_t block_neon(const std::uint64_t* q0, const std::uint64_t* q1,
       for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
         d0[qi] = popcnt64x2(veorq_u64(c0, vq0[qi]));
       }
-      if (prune) {
-        std::uint64_t accept[Q];
-        std::uint64_t undecided = 0;
+      std::uint64_t accept[Q];
+      std::uint64_t undecided = 0;
+      for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
+        accept[qi] = accepts_possible ? le_mask2(d0[qi], vaccept) : 0;
+        undecided |= le_mask2(d0[qi], vthresh) & ~accept[qi];
+      }
+      if (undecided == 0) {
         for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
-          accept[qi] = accepts_possible ? le_mask2(d0[qi], vaccept) : 0;
-          undecided |= le_mask2(d0[qi], vthresh) & ~accept[qi];
+          bits[qi] |= accept[qi] << g;
         }
-        if (undecided == 0) {
-          for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
-            bits[qi] |= accept[qi] << g;
-          }
-          continue;  // plane-1 load skipped: every lane decided on plane 0
-        }
+        continue;  // plane-1 load skipped: every lane decided on plane 0
       }
       const uint64x2_t c1 = vld1q_u64(p1 + base + g);
       for (std::size_t qi = 0; qi < static_cast<std::size_t>(Q); ++qi) {
@@ -627,21 +609,10 @@ KernelKind best_kernel() noexcept {
   return detected;
 }
 
-std::size_t filter_tile(std::uint64_t q0, const std::uint64_t* p0,
-                        std::uint64_t q1, const std::uint64_t* p1,
-                        std::size_t count, int threshold,
-                        std::uint64_t* bitmap, KernelKind kind) noexcept {
-  // tail_bound = 64 disables the early-accept prune (bound unknown at
-  // this interface); the early-reject prune needs no bound.
-  return filter_block(&q0, p1 != nullptr ? &q1 : nullptr, 1, p0, p1, count,
-                      threshold, /*tail_bound=*/64, /*prune=*/true, bitmap,
-                      (count + 63) / 64, kind);
-}
-
 std::size_t filter_block(const std::uint64_t* q0, const std::uint64_t* q1,
                          std::size_t n_queries, const std::uint64_t* p0,
                          const std::uint64_t* p1, std::size_t count,
-                         int threshold, int tail_bound, bool prune,
+                         int threshold, int tail_bound,
                          std::uint64_t* bitmaps, std::size_t bitmap_stride,
                          KernelKind kind) noexcept {
   if (count == 0 || n_queries == 0) {
@@ -653,7 +624,7 @@ std::size_t filter_block(const std::uint64_t* q0, const std::uint64_t* q1,
   for (std::size_t q = 0; q < n_queries; q += kMaxBlockQueries) {
     const std::size_t m = std::min(kMaxBlockQueries, n_queries - q);
     total += table[m - 1](q0 + q, q1 != nullptr ? q1 + q : nullptr, p0, p1,
-                          count, threshold, accept_thr, prune,
+                          count, threshold, accept_thr,
                           bitmaps + q * bitmap_stride, bitmap_stride);
   }
   return total;

@@ -11,15 +11,11 @@
 // drains survivors into verification in batches instead of branching per
 // pair.
 //
-// Two entry points:
-//   filter_tile  — one query vs a tile (the PR-2 shape, kept for callers
-//                  that probe one query at a time);
-//   filter_block — Q queries register-blocked against the same tile.  Each
-//                  packed plane word is loaded ONCE per Q queries instead
-//                  of once per query, so at Q = 8 the kernel does 1/8th of
-//                  the plane traffic of eight filter_tile sweeps.  Queries
-//                  are processed in register-resident chunks of
-//                  kMaxBlockQueries; arbitrary Q is accepted.
+// One entry point, filter_block: Q queries register-blocked against the
+// same tile.  Each packed plane word is loaded ONCE per Q queries instead
+// of once per query, so at Q = 8 the kernel does 1/8th of the plane
+// traffic of eight one-query sweeps.  Queries are processed in
+// register-resident chunks of kMaxBlockQueries; arbitrary Q is accepted.
 //
 // Plane pruning (two-plane layouts): the kernels evaluate plane 0 first
 // and skip the plane-1 load for candidate groups in which every lane is
@@ -29,9 +25,8 @@
 // d0 + tail_bound <= threshold, where `tail_bound` is the layout's
 // maximum possible plane-1 contribution
 // (PackedSignatureStore::max_tail_popcount) — early accept.  Pruning
-// never changes the emitted bitmaps (property-tested); it only skips
-// loads, so `prune` is a pure performance switch kept togglable for the
-// bench ablation.
+// never changes the emitted bitmaps (property-tested against a
+// brute-force reference); it only skips loads, so it is always on.
 //
 // Implementations, selected by runtime CPU dispatch (best_kernel) or
 // forced via the FBF_FORCE_KERNEL environment variable ("scalar64",
@@ -100,43 +95,31 @@ inline constexpr std::size_t kMaxBlockQueries = 8;
 /// on stderr and falls back to the detected best.
 [[nodiscard]] KernelKind best_kernel() noexcept;
 
-/// Filters `count` candidates against one query.
+/// Filters `count` candidates against `n_queries` queries in one sweep.
 ///
 /// Candidate j's signature is p0[j] (and p1[j] when p1 != nullptr, the
-/// two-plane alphanumeric layout); the query is q0/q1.  Bit j of
-/// `bitmap` is set iff popcount(q0^p0[j]) (+ popcount(q1^p1[j])) <=
-/// `threshold` (the FBF pass predicate with threshold = 2k).  `bitmap`
-/// must hold (count+63)/64 words and is fully overwritten.
+/// two-plane alphanumeric layout); q0[i] (and q1[i]) hold query i's
+/// packed plane words.  Bit j of query i's survivor bitmap, at
+/// `bitmaps + i * bitmap_stride`, is set iff popcount(q0[i]^p0[j])
+/// (+ popcount(q1[i]^p1[j])) <= `threshold` (the FBF pass predicate with
+/// threshold = 2k).  Each bitmap is (count+63)/64 words, fully
+/// overwritten; `bitmap_stride` must be at least that many words.  The
+/// bitmaps are bit-identical for every kernel kind and any query order.
 ///
 /// The planes must be readable up to `count` rounded up to a multiple of
 /// 8 words (AlignedPlane zero-pads to a cache line, so tiles that end at
 /// the store's tail satisfy this automatically).
 ///
-/// Returns the number of survivors (set bits).
-std::size_t filter_tile(std::uint64_t q0, const std::uint64_t* p0,
-                        std::uint64_t q1, const std::uint64_t* p1,
-                        std::size_t count, int threshold,
-                        std::uint64_t* bitmap, KernelKind kind) noexcept;
-
-/// Filters `count` candidates against `n_queries` queries in one sweep.
-///
-/// q0[i] (and q1[i] when p1 != nullptr) hold query i's packed plane
-/// words.  Query i's survivor bitmap lands at
-/// `bitmaps + i * bitmap_stride` (each (count+63)/64 words, fully
-/// overwritten; `bitmap_stride` must be at least that many words).  The
-/// bitmaps are bit-identical to n_queries independent filter_tile calls
-/// for every kernel kind, any `prune` setting and any query order.
-///
 /// `tail_bound` is the maximum popcount the plane-1 diff can contribute
 /// for the candidate layout (PackedSignatureStore::max_tail_popcount());
 /// pass 64 when unknown — it only gates the early-accept prune, never
-/// correctness.  `prune` enables plane-level pruning (see file header).
+/// correctness.
 ///
 /// Returns the total number of survivors across all queries.
 std::size_t filter_block(const std::uint64_t* q0, const std::uint64_t* q1,
                          std::size_t n_queries, const std::uint64_t* p0,
                          const std::uint64_t* p1, std::size_t count,
-                         int threshold, int tail_bound, bool prune,
+                         int threshold, int tail_bound,
                          std::uint64_t* bitmaps, std::size_t bitmap_stride,
                          KernelKind kind) noexcept;
 

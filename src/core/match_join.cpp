@@ -16,7 +16,6 @@
 #include "metrics/pdl.hpp"
 #include "metrics/soundex.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/prefetch.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -43,6 +42,32 @@ inline bool evaluate_pair(std::string_view s, std::string_view t, int k,
   }
   ++stats.verify_calls;
   return verify(s, t, k);
+}
+
+/// Counts one matching pair (i, j) into `local`.
+inline void record_match(JoinStats& local, std::size_t i, std::size_t j,
+                         bool collect) {
+  ++local.matches;
+  if (i == j) {
+    ++local.diagonal_matches;
+  }
+  if (collect) {
+    local.match_pairs.emplace_back(static_cast<std::uint32_t>(i),
+                                   static_cast<std::uint32_t>(j));
+  }
+}
+
+/// Adds per-query ladders into `local`.
+void add_ladders(JoinStats& local, std::span<const PipelineCounters> ladders) {
+  PipelineCounters sum;
+  for (const PipelineCounters& c : ladders) {
+    sum.merge(c);
+  }
+  local.candidates_generated += sum.candidates_generated;
+  local.length_pass += sum.length_pass;
+  local.fbf_evaluated += sum.fbf_evaluated;
+  local.fbf_pass += sum.fbf_pass;
+  local.verify_calls += sum.verify_calls;
 }
 
 /// Runs `tile_fn(i0, i1, j0, j1, local)` over every 2D tile of the S x T
@@ -91,14 +116,7 @@ void run_pair_tiles(std::size_t n_left, std::size_t n_right,
       for (std::size_t i = i0; i < i1; ++i) {
         for (std::size_t j = j0; j < j1; ++j) {
           if (kernel(i, j, local)) {
-            ++local.matches;
-            if (i == j) {
-              ++local.diagonal_matches;
-            }
-            if (collect) {
-              local.match_pairs.emplace_back(static_cast<std::uint32_t>(i),
-                                             static_cast<std::uint32_t>(j));
-            }
+            record_match(local, i, j, collect);
           }
         }
       }
@@ -106,72 +124,58 @@ void run_pair_tiles(std::size_t n_left, std::size_t n_right,
   });
 }
 
-/// FBF tile body: both join sides are CandidatePipelines.  Left rows are
-/// swept in blocks of kMaxBlockQueries row-queries, so the right
-/// pipeline's filter_block loads each packed plane word of the tile once
-/// per Q queries (batched mode; the per-pair fallback just loops — the
-/// pipeline decides).  Each query's survivors then drain from its bitmap
-/// into verification in ascending (i, j).  Counter semantics are the
-/// scalar ladder's, bit for bit (see core/candidate_pipeline.hpp).
-void run_pipeline_tile(const CandidatePipeline& pipe_left,
-                       const CandidatePipeline& pipe_right,
-                       std::span<const std::string> left,
-                       std::span<const std::string> right, bool collect,
-                       std::size_t i0, std::size_t i1, std::size_t j0,
-                       std::size_t j1, JoinStats& local) {
-  constexpr std::size_t kBitmapWords = (kTileCols + 63) / 64;
-  std::uint64_t bitmaps[kMaxBlockQueries * kBitmapWords];
-  CandidatePipeline::Query queries[kMaxBlockQueries];
-  PipelineCounters counters;
-  for (std::size_t i = i0; i < i1; i += kMaxBlockQueries) {
-    const std::size_t n_queries = std::min(kMaxBlockQueries, i1 - i);
-    for (std::size_t b = 0; b < n_queries; ++b) {
-      queries[b] = pipe_left.row_query(i + b);
+/// FBF tile body: the tile's left rows, as row-queries, through one
+/// sweep of the right pipeline over the tile's columns.  The sweep runs
+/// them in register blocks of kMaxBlockQueries, so each packed plane word
+/// of the tile is loaded once per block (the per-pair fallback just
+/// loops — the pipeline decides).  A worker takes its tiles row band by
+/// row band (run_tile_space walks them row-major), so a band's queries
+/// are built once, not once per tile.  Counter semantics are the scalar
+/// ladder's, bit for bit (see core/candidate_pipeline.hpp).
+auto make_pipeline_tile(const CandidatePipeline& pipe_left,
+                        const CandidatePipeline& pipe_right,
+                        std::span<const std::string> left,
+                        std::span<const std::string> right, bool collect) {
+  return [&pipe_left, &pipe_right, left, right, collect,
+          band = left.size(),  // no band built yet
+          queries = std::vector<CandidatePipeline::Query>(kTileRows),
+          texts = std::vector<std::string_view>(kTileRows),
+          counters = std::vector<PipelineCounters>(kTileRows)](
+             std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+             JoinStats& local) mutable {
+    const std::size_t n = i1 - i0;
+    if (i0 != band) {
+      band = i0;
+      for (std::size_t b = 0; b < n; ++b) {
+        queries[b] = pipe_left.row_query(i0 + b);
+        texts[b] = left[i0 + b];
+      }
     }
-    pipe_right.filter_block({queries, n_queries}, j0, j1, nullptr, bitmaps,
-                            kBitmapWords, counters);
-    for (std::size_t b = 0; b < n_queries; ++b) {
-      const std::size_t row = i + b;
-      CandidatePipeline::for_each_survivor(
-          bitmaps + b * kBitmapWords, j1 - j0, [&](std::size_t lane) {
-            const std::size_t j = j0 + lane;
-            if (pipe_right.verify(left[row], right[j], counters)) {
-              ++local.matches;
-              if (row == j) {
-                ++local.diagonal_matches;
-              }
-              if (collect) {
-                local.match_pairs.emplace_back(
-                    static_cast<std::uint32_t>(row),
-                    static_cast<std::uint32_t>(j));
-              }
-            }
-          });
-    }
-  }
-  local.candidates_generated += counters.candidates_generated;
-  local.length_pass += counters.length_pass;
-  local.fbf_evaluated += counters.fbf_evaluated;
-  local.fbf_pass += counters.fbf_pass;
-  local.verify_calls += counters.verify_calls;
+    std::fill_n(counters.begin(), n, PipelineCounters{});
+    pipe_right.sweep({queries.data(), n}, {texts.data(), n}, right, j0, j1,
+                     nullptr, {counters.data(), n},
+                     [&](std::size_t b, std::uint32_t j) {
+                       record_match(local, i0 + b, j, collect);
+                     });
+    add_ladders(local, {counters.data(), n});
+  };
 }
 
-/// Indexed FBF join body: probe the block index, gather-filter the
-/// candidate ids through the right pipeline, verify survivors.  The work
-/// unit is a block of kBlock left rows: each worker claims the next
-/// unclaimed block until none is left, so a worker that a busy core slows
-/// down takes fewer blocks instead of holding up the join.  Per-block
-/// stats merge in block order, so counters and the (already ascending)
-/// match pairs are identical for any thread count and claim order — and,
-/// by the generator soundness contract, identical to the dense tile
-/// sweep's.
+/// Indexed FBF join body: probe the block index, then check the
+/// candidate ids through the right pipeline.  The work unit is a block
+/// of kBlock left rows: each worker claims the next unclaimed block until
+/// none is left, so a worker that a busy core slows down takes fewer
+/// blocks instead of holding up the join.  Per-block stats merge in block
+/// order, so counters and the (already ascending) match pairs are
+/// identical for any thread count and claim order — and, by the generator
+/// soundness contract, identical to the dense tile sweep's.
 ///
 /// The probe is a chain of dependent cache misses, so a block's rows go
 /// through it in groups of BlockIndexGenerator::kProbeGroup: one batched
-/// generate for the group, then prefetches of every candidate's plane row
-/// and right-side string, then filter and verify row by row in ascending
-/// order.  Grouping changes when lines are loaded, never which pairs are
-/// evaluated or in what order.
+/// generate for the group, then one check, which prefetches every
+/// candidate's plane row and string before it filters and verifies row
+/// by row in ascending order.  Grouping changes when lines are loaded,
+/// never which pairs are evaluated or in what order.
 void run_indexed_join(const BlockIndexGenerator& gen,
                       const CandidatePipeline& pipe_left,
                       const CandidatePipeline& pipe_right,
@@ -190,52 +194,30 @@ void run_indexed_join(const BlockIndexGenerator& gen,
   std::atomic<std::size_t> next_block{0};
   fbf::util::parallel_chunks(
       n_workers, n_workers, [&](std::size_t, std::size_t, std::size_t) {
-        std::string_view queries[kGroup];
+        CandidatePipeline::Query queries[kGroup];
+        std::string_view texts[kGroup];
         std::vector<std::uint32_t> ids[kGroup];
-        std::vector<std::uint32_t> survivors;
         for (std::size_t blk = next_block++; blk < n_blocks;
              blk = next_block++) {
           const std::size_t begin = blk * kBlock;
           const std::size_t end = std::min(begin + kBlock, left.size());
           JoinStats local;
-          PipelineCounters counters;
+          PipelineCounters counters[kGroup];
           for (std::size_t g = begin; g < end; g += kGroup) {
             const std::size_t n = std::min(kGroup, end - g);
             for (std::size_t b = 0; b < n; ++b) {
-              queries[b] = left[g + b];
+              queries[b] = pipe_left.row_query(g + b);
+              texts[b] = left[g + b];
               ids[b].clear();
             }
-            gen.generate_batch({queries, n}, {ids, n});
-            for (std::size_t b = 0; b < n; ++b) {
-              pipe_right.prefetch(ids[b]);
-              for (const std::uint32_t j : ids[b]) {
-                fbf::util::prefetch(&right[j]);
-              }
-            }
-            for (std::size_t b = 0; b < n; ++b) {
-              const std::size_t i = g + b;
-              survivors.clear();
-              pipe_right.filter_ids(pipe_left.row_query(i), ids[b],
-                                    survivors, counters);
-              for (const std::uint32_t j : survivors) {
-                if (pipe_right.verify(left[i], right[j], counters)) {
-                  ++local.matches;
-                  if (i == j) {
-                    ++local.diagonal_matches;
-                  }
-                  if (collect) {
-                    local.match_pairs.emplace_back(
-                        static_cast<std::uint32_t>(i), j);
-                  }
-                }
-              }
-            }
+            gen.generate_batch({texts, n}, {ids, n});
+            pipe_right.check({queries, n}, {texts, n}, right, {ids, n},
+                             {counters, n},
+                             [&](std::size_t b, std::uint32_t j) {
+                               record_match(local, g + b, j, collect);
+                             });
           }
-          local.candidates_generated += counters.candidates_generated;
-          local.length_pass += counters.length_pass;
-          local.fbf_evaluated += counters.fbf_evaluated;
-          local.fbf_pass += counters.fbf_pass;
-          local.verify_calls += counters.verify_calls;
+          add_ladders(local, counters);
           block_stats[blk] = std::move(local);
         }
       });
@@ -388,13 +370,8 @@ JoinStats match_strings(std::span<const std::string> left,
         }
         run_tile_space(left.size(), right.size(), config.threads, stats,
                        [&] {
-                         return [&, collect](std::size_t i0, std::size_t i1,
-                                             std::size_t j0, std::size_t j1,
-                                             JoinStats& local) {
-                           run_pipeline_tile(*pipe_left, *pipe_right, left,
-                                             right, collect, i0, i1, j0, j1,
-                                             local);
-                         };
+                         return make_pipeline_tile(*pipe_left, *pipe_right,
+                                                   left, right, collect);
                        });
         break;
       }

@@ -219,10 +219,11 @@ void RecordFilterBank::score_all(const PersonRecord& incoming,
       const c::CandidatePipeline::Query q = pipe.make_query(
           incoming_sigs->sigs[static_cast<std::size_t>(rule.field)],
           static_cast<std::uint32_t>(va.size()));
+      const std::string_view text = va;
       c::PipelineCounters pc;
       if (cover_.has_value()) {
-        // A cover rule filters its own candidates; any other FBF rule
-        // filters the scored ids whose stored field is present.
+        // A cover rule checks its own candidates; any other FBF rule
+        // checks the scored ids whose stored field is present.
         const std::vector<std::uint32_t>* list = &scratch.generated[r];
         if (!state.gen.has_value()) {
           scratch.eligible.clear();
@@ -233,29 +234,22 @@ void RecordFilterBank::score_all(const PersonRecord& incoming,
           }
           list = &scratch.eligible;
         }
-        scratch.survivors.clear();
-        pipe.filter_ids(q, *list, scratch.survivors, pc);
-        // Survivors ascend, as ids do: one forward walk finds each
-        // survivor's position.
+        // Matches ascend, as ids do: one forward walk finds each match's
+        // position.
         std::size_t pos = 0;
-        for (const std::uint32_t j : scratch.survivors) {
-          if (pipe.verify(va, state.values[j], pc)) {
-            while (ids[pos] < j) {
-              ++pos;
-            }
-            scratch.scores[pos] += rule.weight;
-          }
-        }
+        pipe.check({&q, 1}, {&text, 1}, state.values, {list, 1}, {&pc, 1},
+                   [&](std::size_t, std::uint32_t j) {
+                     while (ids[pos] < j) {
+                       ++pos;
+                     }
+                     scratch.scores[pos] += rule.weight;
+                   });
       } else {
-        scratch.bitmap.resize(c::CandidatePipeline::bitmap_words(count));
-        pipe.filter(q, 0, count, state.nonempty.data(),
-                    scratch.bitmap.data(), pc);
-        c::CandidatePipeline::for_each_survivor(
-            scratch.bitmap.data(), count, [&](std::size_t j) {
-              if (pipe.verify(va, state.values[j], pc)) {
-                scratch.scores[j] += rule.weight;
-              }
-            });
+        pipe.sweep({&q, 1}, {&text, 1}, state.values, 0, count,
+                   state.nonempty.data(), {&pc, 1},
+                   [&](std::size_t, std::uint32_t j) {
+                     scratch.scores[j] += rule.weight;
+                   });
       }
       // Every evaluated (both-fields-present) pair is one field
       // comparison and one FBF evaluation, exactly like the scalar rule

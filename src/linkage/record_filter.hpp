@@ -105,10 +105,8 @@ class RecordFilterBank {
     /// scores[i] is the comparator score of (incoming, stored[ids[i]]).
     std::vector<double> scores;
 
-    std::vector<std::uint64_t> bitmap;
     std::vector<std::vector<std::uint32_t>> generated;  ///< per cover rule
     std::vector<std::uint32_t> eligible;
-    std::vector<std::uint32_t> survivors;
   };
 
   /// Scores `incoming` against stored records [0, count) — `count` lets

@@ -17,8 +17,8 @@
 // Two properties carry the design:
 //
 //  * Invisibility — the BatchFn contract (per-query counter attribution
-//    in filter_block) means each submit() returns exactly the result and
-//    ladder counters a solo query would have produced.  Batching is a
+//    in the pipeline drivers) means each submit() returns exactly the
+//    result and ladder counters a solo query would have produced.  Batching is a
 //    throughput optimization, never an observable behavior change
 //    (property-tested under fuzzed arrival orders in test_serve.cpp).
 //  * Admission control — the pending queue is bounded (`max_inflight`);

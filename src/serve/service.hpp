@@ -7,7 +7,7 @@
 // processes the serve protocol's three request families:
 //
 //   kMatchQuery  string lookups ride the coalescer into batched
-//                filter_block sweeps; record lookups probe the entity
+//                corpus sweeps; record lookups probe the entity
 //                store under the comparator.  Replies carry per-query
 //                ladder counters identical to a solo run.
 //   kIngest      record batches and raw CSV rows append to the durable

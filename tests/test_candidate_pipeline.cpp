@@ -19,13 +19,15 @@
 
 #include "cluster/elastic.hpp"
 #include "cluster/ring.hpp"
+#include "core/corpus.hpp"
 #include "core/exec_policy.hpp"
+#include "core/match_join.hpp"
+#include "core/query_options.hpp"
 #include "datagen/dataset.hpp"
 #include "linkage/engine.hpp"
 #include "linkage/incremental.hpp"
 #include "linkage/person_gen.hpp"
 #include "metrics/length_filter.hpp"
-#include "metrics/soundex.hpp"
 #include "testenv.hpp"
 #include "util/rng.hpp"
 
@@ -202,14 +204,22 @@ void expect_block_equivalence(const LayoutCase& layout, int k,
     }
     std::vector<std::uint64_t> bm_block(n_queries * stride, ~0ull);
     std::vector<std::uint64_t> bm_seq(words);
-    c::PipelineCounters pc_block;
+    std::vector<c::PipelineCounters> per_query(n_queries);
     c::PipelineCounters pc_seq;
     const std::size_t block_survivors = pipe.filter_block(
-        queries, 0, n, mask, bm_block.data(), stride, pc_block);
+        queries, 0, n, mask, bm_block.data(), stride, per_query);
+    c::PipelineCounters pc_block;
+    for (const c::PipelineCounters& pc : per_query) {
+      pc_block.merge(pc);
+    }
     std::size_t seq_survivors = 0;
     for (std::size_t i = 0; i < n_queries; ++i) {
+      c::PipelineCounters alone;
       seq_survivors +=
-          pipe.filter(queries[i], 0, n, mask, bm_seq.data(), pc_seq);
+          pipe.filter(queries[i], 0, n, mask, bm_seq.data(), alone);
+      EXPECT_EQ(per_query[i].candidates_generated, alone.candidates_generated);
+      EXPECT_EQ(per_query[i].fbf_pass, alone.fbf_pass) << "query " << i;
+      pc_seq.merge(alone);
       for (std::size_t w = 0; w < words; ++w) {
         ASSERT_EQ(bm_block[i * stride + w], bm_seq[w])
             << dg::field_kind_name(layout.kind) << " k=" << k
@@ -714,77 +724,138 @@ TEST(EngineEquivalence, ExhaustivePipelineMatchesScalar) {
   expect_link_equivalence(fallback, 4, 209);
 }
 
-/// Ring key of one record under `affinity`, recomputed independently of
-/// the elastic driver's placement code.
-std::uint64_t affinity_hash(const lk::PersonRecord& r, cl::AffinityKey affinity,
-                            std::uint64_t seed) {
-  switch (affinity) {
-    case cl::AffinityKey::kRecordId:
-      return cl::HashRing::key_hash(r.id, seed);
-    case cl::AffinityKey::kLastName:
-      return cl::HashRing::key_hash(r.last_name, seed);
-    case cl::AffinityKey::kSoundexLastName:
-      return cl::HashRing::key_hash(fbf::metrics::soundex(r.last_name), seed);
-  }
-  return 0;
-}
-
 TEST(ShardedEquivalence, AllSchemesMatchScalarPath) {
-  // A static cluster (R=1, four nodes, no events) under every affinity
-  // key: each partition's counters must equal link_candidates over that
-  // partition's left records x the whole right list.
+  // A static cluster (R=1, four nodes, no events): each partition's
+  // counters must equal link_candidates over that partition's left
+  // records x the whole right list.
   Rng rng(88);
   const auto left = lk::generate_people(150, rng);
   const auto right = lk::make_error_records(left, {}, rng);
-  for (const auto affinity :
-       {cl::AffinityKey::kRecordId, cl::AffinityKey::kLastName,
-        cl::AffinityKey::kSoundexLastName}) {
-    cl::ElasticConfig config;
-    config.nodes = {0, 1, 2, 3};
-    config.replication = 1;
-    config.ring.seed = 19;
-    config.ring.vnodes_per_node = 4;
-    config.affinity = affinity;
-    config.link.comparator =
-        lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
-    const auto a = cl::link_elastic(left, right, config);
+  cl::ElasticConfig config;
+  config.nodes = {0, 1, 2, 3};
+  config.replication = 1;
+  config.ring.seed = 19;
+  config.ring.vnodes_per_node = 4;
+  config.link.comparator =
+      lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
+  const auto a = cl::link_elastic(left, right, config);
 
-    cl::HashRing ring(config.ring);
-    for (const cl::NodeId node : config.nodes) {
-      ASSERT_TRUE(ring.add_node(node).ok());
+  cl::HashRing ring(config.ring);
+  for (const cl::NodeId node : config.nodes) {
+    ASSERT_TRUE(ring.add_node(node).ok());
+  }
+  // Placement recomputed independently of the elastic driver's code.
+  std::map<std::uint64_t, std::vector<lk::CandidatePair>> pairs_by_pid;
+  for (std::size_t i = 0; i < left.size(); ++i) {
+    const std::uint64_t pid = ring.partition_of(
+        cl::HashRing::key_hash(left[i].id, config.ring.seed));
+    auto& pairs = pairs_by_pid[pid];
+    for (std::size_t j = 0; j < right.size(); ++j) {
+      pairs.emplace_back(static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(j));
     }
-    std::map<std::uint64_t, std::vector<lk::CandidatePair>> pairs_by_pid;
-    for (std::size_t i = 0; i < left.size(); ++i) {
-      const std::uint64_t pid = ring.partition_of(
-          affinity_hash(left[i], affinity, config.ring.seed));
-      auto& pairs = pairs_by_pid[pid];
-      for (std::size_t j = 0; j < right.size(); ++j) {
-        pairs.emplace_back(static_cast<std::uint32_t>(i),
-                           static_cast<std::uint32_t>(j));
+  }
+  ASSERT_EQ(a.partitions.size(), pairs_by_pid.size());
+  std::uint64_t pairs = 0;
+  std::uint64_t matches = 0;
+  std::uint64_t true_positives = 0;
+  for (const auto& p : a.partitions) {
+    ASSERT_TRUE(pairs_by_pid.contains(p.pid)) << "pid " << p.pid;
+    ASSERT_TRUE(p.completed) << "pid " << p.pid;
+    EXPECT_EQ(p.served_by, ring.owner(p.pid)) << "pid " << p.pid;
+    const auto b =
+        lk::link_candidates(left, right, pairs_by_pid[p.pid], config.link);
+    EXPECT_EQ(p.records * right.size(), b.candidate_pairs);
+    EXPECT_EQ(p.pairs, b.candidate_pairs) << "pid " << p.pid;
+    EXPECT_EQ(p.matches, b.matches) << "pid " << p.pid;
+    EXPECT_EQ(p.true_positives, b.true_positives) << "pid " << p.pid;
+    pairs += b.candidate_pairs;
+    matches += b.matches;
+    true_positives += b.true_positives;
+  }
+  EXPECT_EQ(a.total_pairs, pairs);
+  EXPECT_EQ(a.total_matches, matches);
+  EXPECT_EQ(a.total_true_positives, true_positives);
+}
+
+// ---------------------------------------------------------------------------
+// The drivers: every engine filters and verifies through
+// CandidatePipeline::sweep / check, so two engines over the same strings
+// must agree row for row.  A corpus point query for left[i] returns
+// exactly row i of the collected join, per route; on the dense route the
+// per-query ladders also sum to the join's.
+// ---------------------------------------------------------------------------
+
+void expect_corpus_equals_join_rows(const LayoutCase& layout, c::Method method,
+                                    int k, c::GeneratorKind generator) {
+  const auto dataset = dg::build_paired_dataset(layout.kind, 300, 733).value();
+  const std::vector<std::string>& left = dataset.error;
+  const std::vector<std::string>& right = dataset.clean;
+  c::JoinConfig join_config;
+  join_config.method = method;
+  join_config.k = k;
+  join_config.field_class = layout.cls;
+  join_config.alpha_words = layout.alpha_words;
+  join_config.generator = generator;
+  join_config.collect_matches = true;
+  const c::JoinStats join = c::match_strings(left, right, join_config);
+  ASSERT_GT(join.matches, 0u);
+
+  c::QueryOptions options;
+  options.method = method;
+  options.k = k;
+  options.field_class = layout.cls;
+  options.alpha_words = layout.alpha_words;
+  options.exec.generator = generator;
+  const c::MatchCorpus corpus(options, right);
+  corpus.wait_for_index();
+
+  const std::string label = std::string(dg::field_kind_name(layout.kind)) +
+                            " l=" + std::to_string(layout.alpha_words) +
+                            " method=" +
+                            std::to_string(static_cast<int>(method)) +
+                            " k=" + std::to_string(k) + " generator=" +
+                            c::generator_name(generator);
+  c::PipelineCounters summed;
+  bool all_dense = true;
+  auto pair = join.match_pairs.begin();
+  for (std::size_t i = 0; i < left.size(); ++i) {
+    std::vector<std::uint32_t> row;
+    for (; pair != join.match_pairs.end() && pair->first == i; ++pair) {
+      row.push_back(pair->second);
+    }
+    const c::CorpusResult got = corpus.query(left[i]);
+    ASSERT_EQ(got.matches, row) << label << " row " << i;
+    summed.merge(got.counters);
+    all_dense = all_dense && got.generator == c::GeneratorKind::kDense;
+  }
+  ASSERT_EQ(pair, join.match_pairs.end()) << label;
+  if (all_dense && std::string(join.generator) == "dense") {
+    EXPECT_EQ(summed.candidates_generated, join.candidates_generated)
+        << label;
+    EXPECT_EQ(summed.length_pass, join.length_pass) << label;
+    EXPECT_EQ(summed.fbf_evaluated, join.fbf_evaluated) << label;
+    EXPECT_EQ(summed.fbf_pass, join.fbf_pass) << label;
+    EXPECT_EQ(summed.verify_calls, join.verify_calls) << label;
+  }
+}
+
+TEST(PipelineDrivers, CorpusAnswersEqualJoinRows) {
+  const LayoutCase layouts[] = {
+      {dg::FieldKind::kLastName, c::FieldClass::kAlpha, 2},
+      {dg::FieldKind::kSsn, c::FieldClass::kNumeric, 2},
+      // alpha l = 3: the per-pair fallback under both drivers.
+      {dg::FieldKind::kLastName, c::FieldClass::kAlpha, 3},
+  };
+  for (const auto& layout : layouts) {
+    for (const c::Method method : {c::Method::kFpdl, c::Method::kLfdl}) {
+      for (const int k : {1, 2}) {
+        for (const c::GeneratorKind generator :
+             {c::GeneratorKind::kDense, c::GeneratorKind::kBlockIndex}) {
+          expect_corpus_equals_join_rows(layout, method, k, generator);
+        }
       }
     }
-    const char* name = cl::affinity_key_name(affinity);
-    ASSERT_EQ(a.partitions.size(), pairs_by_pid.size()) << name;
-    std::uint64_t pairs = 0;
-    std::uint64_t matches = 0;
-    std::uint64_t true_positives = 0;
-    for (const auto& p : a.partitions) {
-      ASSERT_TRUE(pairs_by_pid.contains(p.pid)) << name << " pid " << p.pid;
-      ASSERT_TRUE(p.completed) << name << " pid " << p.pid;
-      EXPECT_EQ(p.served_by, ring.owner(p.pid)) << name << " pid " << p.pid;
-      const auto b =
-          lk::link_candidates(left, right, pairs_by_pid[p.pid], config.link);
-      EXPECT_EQ(p.records * right.size(), b.candidate_pairs) << name;
-      EXPECT_EQ(p.pairs, b.candidate_pairs) << name << " pid " << p.pid;
-      EXPECT_EQ(p.matches, b.matches) << name << " pid " << p.pid;
-      EXPECT_EQ(p.true_positives, b.true_positives) << name << " pid " << p.pid;
-      pairs += b.candidate_pairs;
-      matches += b.matches;
-      true_positives += b.true_positives;
-    }
-    EXPECT_EQ(a.total_pairs, pairs) << name;
-    EXPECT_EQ(a.total_matches, matches) << name;
-    EXPECT_EQ(a.total_true_positives, true_positives) << name;
   }
 }
 

@@ -278,23 +278,6 @@ TEST(Elastic, TransientNetFaultsKeepDecisions) {
   EXPECT_DOUBLE_EQ(again.backoff_ms, result.backoff_ms);
 }
 
-TEST(Elastic, AffinityKeysAreAllLossless) {
-  // Placement only decides balance and movement; the right list is
-  // always broadcast, so every affinity key yields the same totals.
-  const Fixture fx(60);
-  auto config = make_config();
-  const auto by_id = cl::link_elastic(fx.clean, fx.error, config);
-  config.affinity = cl::AffinityKey::kLastName;
-  const auto by_name = cl::link_elastic(fx.clean, fx.error, config);
-  config.affinity = cl::AffinityKey::kSoundexLastName;
-  const auto by_sdx = cl::link_elastic(fx.clean, fx.error, config);
-  EXPECT_EQ(by_name.total_matches, by_id.total_matches);
-  EXPECT_EQ(by_sdx.total_matches, by_id.total_matches);
-  EXPECT_EQ(by_name.total_true_positives, by_id.total_true_positives);
-  EXPECT_EQ(by_sdx.total_true_positives, by_id.total_true_positives);
-  EXPECT_EQ(by_name.total_pairs, by_id.total_pairs);
-}
-
 TEST(Elastic, CountersAreInternallyConsistent) {
   const Fixture fx(48);
   const auto config = make_config();
@@ -319,8 +302,6 @@ TEST(Elastic, CountersAreInternallyConsistent) {
 }
 
 TEST(Elastic, NamesAreStable) {
-  EXPECT_STREQ(cl::affinity_key_name(cl::AffinityKey::kRecordId),
-               "record-id");
   EXPECT_STREQ(cl::migration_step_name(cl::MigrationStep::kHandoff),
                "handoff");
   EXPECT_STREQ(cl::migration_step_name(cl::MigrationStep::kDeltaTraffic),

@@ -1,8 +1,7 @@
 // Equivalence fuzz for the batched filter kernels: every kernel variant
 // must reproduce the u32 per-pair FindDiffBits path bit for bit — same
 // survivor bitmaps, same survivor counts — across layouts, thresholds,
-// tile widths, bitmap word boundaries, query block sizes (filter_block)
-// and pruning settings.
+// tile widths, bitmap word boundaries and query block sizes.
 #include "core/fbf_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -25,7 +24,6 @@ using fbf::core::all_kernel_kinds;
 using fbf::core::best_kernel;
 using fbf::core::FieldClass;
 using fbf::core::filter_block;
-using fbf::core::filter_tile;
 using fbf::core::kernel_from_name;
 using fbf::core::kernel_name;
 using fbf::core::kernel_supported;
@@ -82,10 +80,13 @@ void check_layout(dg::FieldKind kind, FieldClass cls, int alpha_words,
           reference_pass(dataset.clean, qi, cands, cls, alpha_words,
                          threshold);
       bitmap.assign(bitmap.size(), ~0ull);  // detect missing overwrites
-      const std::size_t survivors = filter_tile(
-          queries.word(0, qi), packed.plane(0),
-          two ? queries.word(1, qi) : 0, two ? packed.plane(1) : nullptr,
-          count, threshold, bitmap.data(), kernel);
+      const std::uint64_t q0 = queries.word(0, qi);
+      const std::uint64_t q1 = two ? queries.word(1, qi) : 0;
+      const std::size_t survivors = filter_block(
+          &q0, two ? &q1 : nullptr, 1, packed.plane(0),
+          two ? packed.plane(1) : nullptr, count, threshold,
+          max_tail_popcount(cls, alpha_words), bitmap.data(), bitmap.size(),
+          kernel);
       std::size_t expected_survivors = 0;
       for (std::size_t j = 0; j < count; ++j) {
         const bool bit = (bitmap[j / 64] >> (j % 64)) & 1u;
@@ -107,7 +108,7 @@ void check_layout(dg::FieldKind kind, FieldClass cls, int alpha_words,
 
 /// filter_block fuzz: every query's bitmap must equal the per-pair
 /// reference for any Q (including the > kMaxBlockQueries chunked case),
-/// ragged tail tiles, both prune settings and every supported kind.
+/// ragged tail tiles and every supported kind.
 void check_block(dg::FieldKind kind, FieldClass cls, int alpha_words,
                  std::size_t count, int k) {
   const int threshold = 2 * k;
@@ -134,32 +135,30 @@ void check_block(dg::FieldKind kind, FieldClass cls, int alpha_words,
     }
     std::vector<std::uint64_t> bitmaps(n_queries * stride);
     for (const KernelKind kernel : kernels_under_test()) {
-      for (const bool prune : {false, true}) {
-        bitmaps.assign(bitmaps.size(), ~0ull);
-        const std::size_t survivors = filter_block(
-            q0.data(), two ? q1.data() : nullptr, n_queries, packed.plane(0),
-            two ? packed.plane(1) : nullptr, count, threshold, tail_bound,
-            prune, bitmaps.data(), stride, kernel);
-        std::size_t expected_total = 0;
-        for (std::size_t i = 0; i < n_queries; ++i) {
-          const auto expected = reference_pass(dataset.clean, i, cands, cls,
-                                               alpha_words, threshold);
-          const std::uint64_t* bitmap = bitmaps.data() + i * stride;
-          for (std::size_t j = 0; j < count; ++j) {
-            const bool bit = (bitmap[j / 64] >> (j % 64)) & 1u;
-            ASSERT_EQ(bit, expected[j])
-                << kernel_name(kernel) << " "
-                << fbf::core::field_class_name(cls) << " l=" << alpha_words
-                << " count=" << count << " k=" << k << " Q=" << n_queries
-                << " prune=" << prune << " query=" << i << " j=" << j;
-            expected_total += expected[j] ? 1u : 0u;
-          }
-          if (count % 64 != 0) {
-            EXPECT_EQ(bitmap[(count - 1) / 64] >> (count % 64), 0u);
-          }
+      bitmaps.assign(bitmaps.size(), ~0ull);
+      const std::size_t survivors = filter_block(
+          q0.data(), two ? q1.data() : nullptr, n_queries, packed.plane(0),
+          two ? packed.plane(1) : nullptr, count, threshold, tail_bound,
+          bitmaps.data(), stride, kernel);
+      std::size_t expected_total = 0;
+      for (std::size_t i = 0; i < n_queries; ++i) {
+        const auto expected = reference_pass(dataset.clean, i, cands, cls,
+                                             alpha_words, threshold);
+        const std::uint64_t* bitmap = bitmaps.data() + i * stride;
+        for (std::size_t j = 0; j < count; ++j) {
+          const bool bit = (bitmap[j / 64] >> (j % 64)) & 1u;
+          ASSERT_EQ(bit, expected[j])
+              << kernel_name(kernel) << " "
+              << fbf::core::field_class_name(cls) << " l=" << alpha_words
+              << " count=" << count << " k=" << k << " Q=" << n_queries
+              << " query=" << i << " j=" << j;
+          expected_total += expected[j] ? 1u : 0u;
         }
-        EXPECT_EQ(survivors, expected_total);
+        if (count % 64 != 0) {
+          EXPECT_EQ(bitmap[(count - 1) / 64] >> (count % 64), 0u);
+        }
       }
+      EXPECT_EQ(survivors, expected_total);
     }
   }
 }
@@ -219,9 +218,9 @@ TEST(FbfKernel, FilterBlockMatchesPerPairAlphanumericTwoPlanes) {
   }
 }
 
-/// Random u64 planes (not derived from strings): all kinds must agree on
-/// arbitrary bit patterns, with pruning on or off, for single-plane and
-/// two-plane inputs, against the scalar64 baseline.
+/// Random u64 planes (not derived from strings): every kind must match a
+/// brute-force popcount reference on arbitrary bit patterns, for
+/// single-plane and two-plane inputs.
 TEST(FbfKernel, AllKindsAgreeOnRandomPlanes) {
   fbf::util::Rng rng(4242);
   constexpr std::size_t kCount = 333;
@@ -236,7 +235,7 @@ TEST(FbfKernel, AllKindsAgreeOnRandomPlanes) {
   fbf::core::AlignedPlane p1_masked(kCount);
   std::vector<std::uint64_t> queries0(kMaxBlockQueries);
   std::vector<std::uint64_t> queries1(kMaxBlockQueries);
-  std::vector<std::uint64_t> baseline(kMaxBlockQueries * kWords);
+  std::vector<std::uint64_t> reference(kMaxBlockQueries * kWords);
   std::vector<std::uint64_t> other(kMaxBlockQueries * kWords);
   for (int trial = 0; trial < 40; ++trial) {
     const int threshold = static_cast<int>(rng.next() % 70);
@@ -256,58 +255,31 @@ TEST(FbfKernel, AllKindsAgreeOnRandomPlanes) {
     const bool two = (trial % 2) == 0;
     const std::size_t n_queries =
         1 + static_cast<std::size_t>(trial) % kMaxBlockQueries;
-    const std::size_t s = filter_block(
-        queries0.data(), two ? queries1.data() : nullptr, n_queries,
-        p0.data(), two ? p1_masked.data() : nullptr, kCount, threshold,
-        tail_bound, /*prune=*/false, baseline.data(), kWords,
-        KernelKind::kScalar64);
-    for (const KernelKind kernel : kinds) {
-      for (const bool prune : {false, true}) {
-        const std::size_t o = filter_block(
-            queries0.data(), two ? queries1.data() : nullptr, n_queries,
-            p0.data(), two ? p1_masked.data() : nullptr, kCount, threshold,
-            tail_bound, prune, other.data(), kWords, kernel);
-        EXPECT_EQ(s, o) << "trial " << trial << " " << kernel_name(kernel)
-                        << " prune=" << prune;
-        for (std::size_t w = 0; w < n_queries * kWords; ++w) {
-          ASSERT_EQ(baseline[w], other[w])
-              << "trial " << trial << " " << kernel_name(kernel)
-              << " prune=" << prune << " word " << w;
+    std::size_t expected = 0;
+    reference.assign(reference.size(), 0);
+    for (std::size_t i = 0; i < n_queries; ++i) {
+      for (std::size_t j = 0; j < kCount; ++j) {
+        int diff = std::popcount(queries0[i] ^ p0.data()[j]);
+        if (two) {
+          diff += std::popcount(queries1[i] ^ p1_masked.data()[j]);
+        }
+        if (diff <= threshold) {
+          reference[i * kWords + j / 64] |= 1ull << (j % 64);
+          ++expected;
         }
       }
     }
-  }
-}
-
-/// filter_tile is exactly filter_block with one query.
-TEST(FbfKernel, FilterTileEqualsSingleQueryBlock) {
-  fbf::util::Rng rng(99);
-  constexpr std::size_t kCount = 201;
-  constexpr std::size_t kWords = (kCount + 63) / 64;
-  fbf::core::AlignedPlane p0(kCount);
-  fbf::core::AlignedPlane p1(kCount);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    p0.data()[i] = rng.next();
-    p1.data()[i] = rng.next();
-  }
-  for (const KernelKind kernel : kernels_under_test()) {
-    for (int trial = 0; trial < 10; ++trial) {
-      const std::uint64_t q0 = rng.next();
-      const std::uint64_t q1 = rng.next();
-      const int threshold = static_cast<int>(rng.next() % 70);
-      const bool two = (trial % 2) == 0;
-      std::uint64_t tile_bm[kWords];
-      std::uint64_t block_bm[kWords];
-      const std::size_t st =
-          filter_tile(q0, p0.data(), q1, two ? p1.data() : nullptr, kCount,
-                      threshold, tile_bm, kernel);
-      const std::size_t sb = filter_block(
-          &q0, two ? &q1 : nullptr, 1, p0.data(), two ? p1.data() : nullptr,
-          kCount, threshold, /*tail_bound=*/64, /*prune=*/true, block_bm,
-          kWords, kernel);
-      EXPECT_EQ(st, sb);
-      for (std::size_t w = 0; w < kWords; ++w) {
-        ASSERT_EQ(tile_bm[w], block_bm[w]) << kernel_name(kernel);
+    for (const KernelKind kernel : kinds) {
+      const std::size_t o = filter_block(
+          queries0.data(), two ? queries1.data() : nullptr, n_queries,
+          p0.data(), two ? p1_masked.data() : nullptr, kCount, threshold,
+          tail_bound, other.data(), kWords, kernel);
+      EXPECT_EQ(o, expected) << "trial " << trial << " "
+                             << kernel_name(kernel);
+      for (std::size_t w = 0; w < n_queries * kWords; ++w) {
+        ASSERT_EQ(reference[w], other[w])
+            << "trial " << trial << " " << kernel_name(kernel) << " word "
+            << w;
       }
     }
   }
@@ -315,12 +287,12 @@ TEST(FbfKernel, FilterTileEqualsSingleQueryBlock) {
 
 TEST(FbfKernel, ZeroCountIsEmpty) {
   std::uint64_t bitmap[1] = {~0ull};
-  const std::size_t survivors =
-      filter_tile(0, nullptr, 0, nullptr, 0, 2, bitmap, KernelKind::kScalar64);
-  EXPECT_EQ(survivors, 0u);
   const std::uint64_t q0 = 0;
-  EXPECT_EQ(filter_block(&q0, nullptr, 0, nullptr, nullptr, 64, 2, 0, true,
-                         bitmap, 1, KernelKind::kScalar64),
+  EXPECT_EQ(filter_block(&q0, nullptr, 1, nullptr, nullptr, 0, 2, 0, bitmap,
+                         1, KernelKind::kScalar64),
+            0u);
+  EXPECT_EQ(filter_block(&q0, nullptr, 0, nullptr, nullptr, 64, 2, 0, bitmap,
+                         1, KernelKind::kScalar64),
             0u);
 }
 
