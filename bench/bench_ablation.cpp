@@ -6,9 +6,9 @@
 //  3. threshold k = 1..3 — how fast the FBF advantage erodes as the
 //     filter passes more candidates (generalizes Tables 1 vs 2);
 //  4. thread scaling of the parallel join (extension beyond the paper);
-//  5. blocking interaction: exhaustive FPDL vs standard blocking vs
-//     sorted neighbourhood on the RL engine — candidate counts and recall
-//     (the paper's §1 discussion, quantified).
+//  5. blocking interaction: exhaustive FPDL vs standard Soundex blocking
+//     on the RL engine — candidate counts and recall (the paper's §1
+//     discussion, quantified).
 #include <iostream>
 #include <vector>
 
@@ -175,14 +175,6 @@ void ablate_blocking(const fbf::bench::BenchOptions& opts) {
                  u::with_commas(static_cast<std::int64_t>(blocked.true_positives)),
                  u::with_commas(static_cast<std::int64_t>(blocked.false_negatives(n))),
                  u::fixed(blocked.link_ms, 1)});
-  const auto snm_pairs =
-      lk::sorted_neighborhood_pairs(clean, error, lk::sort_key_name, 10);
-  const auto snm = lk::link_candidates(clean, error, snm_pairs, config);
-  table.add_row({"sorted nbhd w=10",
-                 u::with_commas(static_cast<std::int64_t>(snm.candidate_pairs)),
-                 u::with_commas(static_cast<std::int64_t>(snm.true_positives)),
-                 u::with_commas(static_cast<std::int64_t>(snm.false_negatives(n))),
-                 u::fixed(snm.link_ms, 1)});
   table.render(std::cout);
   std::printf("(blocking trades recall — FN > 0 — for candidate count; "
               "exhaustive FPDL keeps FN at the comparator's floor)\n");

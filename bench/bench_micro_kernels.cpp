@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/candidate_pipeline.hpp"
 #include "core/fbf.hpp"
 #include "core/fbf_kernel.hpp"
 #include "core/match_join.hpp"
@@ -34,7 +35,6 @@
 #include "metrics/levenshtein.hpp"
 #include "metrics/myers.hpp"
 #include "metrics/pdl.hpp"
-#include "metrics/phonetic.hpp"
 #include "metrics/soundex.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
@@ -211,16 +211,6 @@ void BM_GenAlphaSignature(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GenAlphaSignature)->Arg(1)->Arg(2)->Arg(4)->ArgName("words");
-
-void BM_Nysiis_LastName(benchmark::State& state) {
-  const auto& w = StringWorkload::get(dg::FieldKind::kLastName);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m::nysiis(w.clean[i]));
-    i = (i + 1) & 1023;
-  }
-}
-BENCHMARK(BM_Nysiis_LastName);
 
 /// Paper-scale (n = 5000) candidate list in both layouts: an array of
 /// classic signatures (per-pair scan baseline) and the packed SoA planes
@@ -485,10 +475,13 @@ double median(std::vector<double>& v) {
 }
 
 /// The overhead gate CI's Release leg runs: the filter_block hot path, a
-/// dense match_strings join and a block-index one (whose probe loop
+/// dense match_strings join, a block-index one (whose probe loop
 /// mirrors the ladder per probe group and times itself into
-/// join.probe_ms), timed with telemetry::set_enabled(true) vs false in
-/// ONE binary.  Each row runs kPairs on/off pairs back to back (the
+/// join.probe_ms) and the block route's filter alone (check() over id
+/// lists built before timing, so per-id cost in the gathered filter is
+/// most of the row — index build, probe and verify dominate the join
+/// row), timed with telemetry::set_enabled(true) vs false in ONE
+/// binary.  Each row runs kPairs on/off pairs back to back (the
 /// first sample of the pair alternating between on and off) and gates
 /// on the median of the per-pair on/off ratios: a pair's two samples
 /// share the machine's state of the moment, so drift and a noisy
@@ -521,6 +514,41 @@ double median(std::vector<double>& v) {
     return std::chrono::duration<double>(stop - start).count();
   };
 
+  // check() inputs: query i gets every kCheckStride-th candidate from
+  // i % kCheckStride, ~2,500 ids per list, most of them rejected by FBF.
+  constexpr std::size_t kCheckQueries = 512;
+  constexpr std::size_t kCheckStride = 8;
+  const c::CandidatePipeline pipeline(c::PipelineConfig{},
+                                      block_dataset.clean);
+  std::vector<c::CandidatePipeline::Query> check_queries;
+  std::vector<std::string_view> check_texts;
+  std::vector<std::vector<std::uint32_t>> check_ids(kCheckQueries);
+  for (std::size_t i = 0; i < kCheckQueries; ++i) {
+    check_queries.push_back(pipeline.make_query(block_dataset.error[i]));
+    check_texts.emplace_back(block_dataset.error[i]);
+    for (std::size_t j = i % kCheckStride; j < pipeline.size();
+         j += kCheckStride) {
+      check_ids[i].push_back(static_cast<std::uint32_t>(j));
+    }
+  }
+  // One untimed pass first: the row before it leaves the caches cold, and
+  // a cold first sample in each pair would skew the ratio by pair order.
+  const auto time_check = [&] {
+    std::vector<c::PipelineCounters> counters(kCheckQueries);
+    std::size_t matches = 0;
+    const auto run = [&] {
+      pipeline.check(check_queries, check_texts, block_dataset.clean,
+                     check_ids, counters,
+                     [&](std::size_t, std::uint32_t) { ++matches; });
+    };
+    run();
+    const auto start = std::chrono::steady_clock::now();
+    run();
+    const auto stop = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(matches);
+    return std::chrono::duration<double>(stop - start).count();
+  };
+
   struct Row {
     const char* name;
     std::function<double()> run;
@@ -535,6 +563,7 @@ double median(std::vector<double>& v) {
        [&] { return time_join(join_dataset, c::JoinConfig{}); }, {}},
       {"block join n=20000",
        [&] { return time_join(block_dataset, block_config); }, {}},
+      {"check ids q512", time_check, {}},
   };
 
   // Warmup primes the lazy workloads and the CPU clocks on both settings.

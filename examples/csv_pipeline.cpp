@@ -6,9 +6,10 @@
 //                               [--dir /tmp]
 //
 // Produces <dir>/fbf_clean.csv, <dir>/fbf_error.csv and
-// <dir>/fbf_matches.csv.  Exits nonzero when the sharded run's match or
-// true-positive totals differ from the single-pass link that writes the
-// match file.
+// <dir>/fbf_matches.csv.  Exits nonzero when a file cannot be opened,
+// written or read (say, --dir does not exist), or when the sharded run's
+// match or true-positive totals differ from the single-pass link that
+// writes the match file.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +24,28 @@
 #include "linkage/standardize.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+
+namespace {
+
+/// Writes `path` through `fill`.  False, with the path on stderr, when the
+/// file cannot be opened or the write does not reach it.
+template <class Fill>
+bool write_file(const std::string& path, Fill&& fill) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  fill(out);
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "write to %s failed\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   namespace lk = fbf::linkage;
@@ -44,18 +67,18 @@ int main(int argc, char** argv) {
   const auto error = lk::make_error_records(clean, {}, rng);
   const std::string clean_path = dir + "/fbf_clean.csv";
   const std::string error_path = dir + "/fbf_error.csv";
-  {
-    std::ofstream out(clean_path);
-    lk::write_person_csv(out, clean);
-  }
-  {
-    std::ofstream out(error_path);
-    lk::write_person_csv(out, error);
-    // Real exports are dirty: sprinkle in rows a strict loader would
-    // choke on.  The quarantine loader must survive them.
-    out << "not_a_number,GARBLED,ROW,,,,,\n";
-    out << "truncated,row\n";
-    out << ",,,,,,,\n";
+  if (!write_file(clean_path, [&](std::ostream& out) {
+        lk::write_person_csv(out, clean);
+      }) ||
+      !write_file(error_path, [&](std::ostream& out) {
+        lk::write_person_csv(out, error);
+        // Real exports are dirty: sprinkle in rows a strict loader would
+        // choke on.  The quarantine loader must survive them.
+        out << "not_a_number,GARBLED,ROW,,,,,\n";
+        out << "truncated,row\n";
+        out << ",,,,,,,\n";
+      })) {
+    return 1;
   }
   std::printf("wrote %s and %s (%zu records each; 3 dirty rows in the "
               "error file)\n",
@@ -67,6 +90,11 @@ int main(int argc, char** argv) {
   // (mixed case, punctuation, formatted phones/dates).
   std::ifstream clean_in(clean_path);
   std::ifstream error_in(error_path);
+  if (!clean_in || !error_in) {
+    std::fprintf(stderr, "cannot open %s for reading\n",
+                 (!clean_in ? clean_path : error_path).c_str());
+    return 1;
+  }
   auto left_load = lk::read_person_csv(clean_in);
   if (!left_load.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
@@ -78,6 +106,11 @@ int main(int argc, char** argv) {
   if (!right_load.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
                  right_load.status().to_string().c_str());
+    return 1;
+  }
+  if (clean_in.bad() || error_in.bad()) {
+    std::fprintf(stderr, "read from %s failed\n",
+                 (clean_in.bad() ? clean_path : error_path).c_str());
     return 1;
   }
   auto right = right_load.value().records;
@@ -151,11 +184,14 @@ int main(int argc, char** argv) {
   flat.collect_matches = true;
   const auto stats = lk::link_exhaustive(left, right, flat);
   const std::string match_path = dir + "/fbf_matches.csv";
-  std::ofstream match_out(match_path);
-  fbf::util::write_csv_row(match_out, {"left_id", "right_id"});
-  for (const auto& [i, j] : stats.match_pairs) {
-    fbf::util::write_csv_row(match_out, {std::to_string(left[i].id),
+  if (!write_file(match_path, [&](std::ostream& out) {
+        fbf::util::write_csv_row(out, {"left_id", "right_id"});
+        for (const auto& [i, j] : stats.match_pairs) {
+          fbf::util::write_csv_row(out, {std::to_string(left[i].id),
                                          std::to_string(right[j].id)});
+        }
+      })) {
+    return 1;
   }
   std::printf("wrote %s (%zu pairs)\n", match_path.c_str(),
               stats.match_pairs.size());

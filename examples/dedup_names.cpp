@@ -16,7 +16,6 @@
 #include "core/fbf.hpp"
 #include "datagen/errors.hpp"
 #include "datagen/names.hpp"
-#include "linkage/clustering.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -93,19 +92,5 @@ int main(int argc, char** argv) {
   // Recall is 1.0 by the paper's no-false-negative guarantee whenever the
   // verifier is DL/PDL and every duplicate is a single edit.
 
-  // Transitive closure into entity clusters (the dedup deliverable).
-  const auto clustering =
-      fbf::linkage::cluster_matches(list.size(), stats.match_pairs);
-  std::size_t multi = 0;
-  std::size_t largest = 0;
-  for (const auto& group : clustering.groups()) {
-    if (group.size() > 1) {
-      ++multi;
-      largest = std::max(largest, group.size());
-    }
-  }
-  std::printf("clusters: %zu total, %zu multi-record, largest has %zu "
-              "records\n",
-              clustering.cluster_count, multi, largest);
   return 0;
 }

@@ -2,7 +2,7 @@
 // reliable unique identifier — the paper's motivating application (§1).
 //
 //   build/examples/record_linkage [--n 800] [--seed 42] [--threads 1]
-//                                 [--blocking none|standard|sorted]
+//                                 [--blocking none|standard]
 //
 // Generates a clean person registry and an error-injected copy (typos in
 // ~35% of fields, >40% of SSNs missing), then links them with the
@@ -24,6 +24,11 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
   const std::string blocking = args.get_string("blocking", "none");
+  if (blocking != "none" && blocking != "standard") {
+    std::fprintf(stderr, "unknown --blocking '%s' (none|standard)\n",
+                 blocking.c_str());
+    return 2;
+  }
 
   fbf::util::Rng rng(seed);
   const auto clean = lk::generate_people(n, rng);
@@ -37,9 +42,6 @@ int main(int argc, char** argv) {
   if (blocking == "standard") {
     candidates = lk::standard_block_pairs(clean, error,
                                           lk::block_key_soundex_lastname);
-  } else if (blocking == "sorted") {
-    candidates =
-        lk::sorted_neighborhood_pairs(clean, error, lk::sort_key_name, 10);
   }
 
   const lk::FieldStrategy strategies[] = {

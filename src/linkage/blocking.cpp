@@ -1,23 +1,13 @@
 #include "linkage/blocking.hpp"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "metrics/soundex.hpp"
 
 namespace fbf::linkage {
 
-std::string block_key_lastname_prefix(const PersonRecord& r,
-                                      std::size_t prefix_len) {
-  return r.last_name.substr(0, prefix_len);
-}
-
 std::string block_key_soundex_lastname(const PersonRecord& r) {
   return fbf::metrics::soundex(r.last_name);
-}
-
-std::string sort_key_name(const PersonRecord& r) {
-  return r.last_name + "|" + r.first_name;
 }
 
 std::vector<CandidatePair> exhaustive_pairs(std::size_t n_left,
@@ -56,43 +46,6 @@ std::vector<CandidatePair> standard_block_pairs(
       pairs.emplace_back(i, j);
     }
   }
-  return pairs;
-}
-
-std::vector<CandidatePair> sorted_neighborhood_pairs(
-    std::span<const PersonRecord> left, std::span<const PersonRecord> right,
-    const BlockKeyFn& key, std::size_t window) {
-  // Tag each record with its side, merge, sort by key, slide the window.
-  struct Tagged {
-    std::string key;
-    std::uint32_t index;
-    bool from_left;
-  };
-  std::vector<Tagged> merged;
-  merged.reserve(left.size() + right.size());
-  for (std::uint32_t i = 0; i < left.size(); ++i) {
-    merged.push_back({key(left[i]), i, true});
-  }
-  for (std::uint32_t j = 0; j < right.size(); ++j) {
-    merged.push_back({key(right[j]), j, false});
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const Tagged& a, const Tagged& b) { return a.key < b.key; });
-  std::vector<CandidatePair> pairs;
-  for (std::size_t a = 0; a < merged.size(); ++a) {
-    const std::size_t limit = std::min(merged.size(), a + window);
-    for (std::size_t b = a + 1; b < limit; ++b) {
-      if (merged[a].from_left == merged[b].from_left) {
-        continue;  // candidates pair one record from each side
-      }
-      const Tagged& l = merged[a].from_left ? merged[a] : merged[b];
-      const Tagged& r = merged[a].from_left ? merged[b] : merged[a];
-      pairs.emplace_back(l.index, r.index);
-    }
-  }
-  // The window can emit duplicates when keys tie; dedupe for clean counts.
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   return pairs;
 }
 

@@ -1,5 +1,4 @@
-// Candidate-pair generation: exhaustive, standard blocking, and sorted
-// neighbourhood.
+// Candidate-pair generation: exhaustive and standard blocking.
 //
 // The paper's intro argues traditional blocking trades recall for speed
 // (errors in the blocking key hide true matches) and positions FBF as a
@@ -22,15 +21,8 @@ namespace fbf::linkage {
 using CandidatePair = std::pair<std::uint32_t, std::uint32_t>;
 using BlockKeyFn = std::function<std::string(const PersonRecord&)>;
 
-/// Blocking key: first `prefix_len` letters of the last name.
-[[nodiscard]] std::string block_key_lastname_prefix(const PersonRecord& r,
-                                                    std::size_t prefix_len);
-
 /// Blocking key: Soundex of the last name (the classic RL choice).
 [[nodiscard]] std::string block_key_soundex_lastname(const PersonRecord& r);
-
-/// Sort key for sorted neighbourhood: last name + first name.
-[[nodiscard]] std::string sort_key_name(const PersonRecord& r);
 
 /// Every (i, j) pair — the exhaustive baseline the paper's joins use.
 [[nodiscard]] std::vector<CandidatePair> exhaustive_pairs(std::size_t n_left,
@@ -42,12 +34,5 @@ using BlockKeyFn = std::function<std::string(const PersonRecord&)>;
 [[nodiscard]] std::vector<CandidatePair> standard_block_pairs(
     std::span<const PersonRecord> left, std::span<const PersonRecord> right,
     const BlockKeyFn& key);
-
-/// Sorted neighbourhood: both lists merged, sorted by `key`, and every
-/// pair within a window of `window` positions (one from each side) is a
-/// candidate.
-[[nodiscard]] std::vector<CandidatePair> sorted_neighborhood_pairs(
-    std::span<const PersonRecord> left, std::span<const PersonRecord> right,
-    const BlockKeyFn& key, std::size_t window);
 
 }  // namespace fbf::linkage

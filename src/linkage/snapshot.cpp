@@ -790,21 +790,6 @@ u::Result<RecoveryReport> DurableEntityStore::recover() {
                                   restored.message());
     }
     report.snapshot_loaded = true;
-  } else {
-    // Migration read path: a pre-manifest monolithic snapshot, byte-for-
-    // byte the old format, read through whatever backend we were given.
-    auto bytes = backend_->get(policy_.legacy_snapshot_ref());
-    if (bytes.ok()) {
-      auto loaded = decode_snapshot(bytes.value(), fresh);
-      if (!loaded.ok()) {
-        return loaded.status();  // present-but-corrupt: data loss
-      }
-      position = loaded.value();
-      report.snapshot_loaded = true;
-      report.legacy_snapshot = true;
-    } else if (bytes.status().code() != u::StatusCode::kNotFound) {
-      return bytes.status();
-    }
   }
   // Journal tail replay on top of the checkpoint chain.
   {

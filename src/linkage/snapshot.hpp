@@ -25,8 +25,6 @@
 //                  -> every N batches: checkpoint (delta or base + manifest
 //                     swap + journal reset)
 //   recover()      -> manifest -> base -> deltas -> journal tail replay
-//                     (or the pre-manifest monolithic snapshot, read
-//                     unchanged through the same backend — migration path)
 //
 // Every blob payload carries an FNV-1a checksum; journal frames replay to
 // the longest intact prefix, a damaged base/delta/manifest is detected,
@@ -52,9 +50,7 @@ class FaultInjector;
 
 namespace fbf::linkage {
 
-/// Bumped on any layout change; readers reject other versions.  The base
-/// snapshot format is unchanged from the pre-manifest era on purpose:
-/// legacy monolithic snapshots are valid bases.
+/// Bumped on any layout change; readers reject other versions.
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 inline constexpr std::uint32_t kDeltaVersion = 1;
 inline constexpr std::uint32_t kManifestVersion = 1;
@@ -179,11 +175,6 @@ struct GroupCommitPolicy {
 struct DurabilityPolicy {
   /// Prepended to every blob name ("" = backend root).
   std::string prefix;
-  /// Journal blob name (legacy stores journaled under other names).
-  std::string journal_name = "journal";
-  /// Pre-manifest monolithic snapshot blob read when no MANIFEST exists
-  /// (the migration path); never written.
-  std::string legacy_snapshot_name = "store.snap";
   /// Batches between automatic checkpoints; 0 = checkpoint() manually.
   std::size_t checkpoint_every = 4;
   /// Fold deltas into a fresh base after this many segments (0 = never
@@ -196,10 +187,7 @@ struct DurabilityPolicy {
     return {prefix + "MANIFEST"};
   }
   [[nodiscard]] storage::BlobRef journal_ref() const {
-    return {prefix + journal_name};
-  }
-  [[nodiscard]] storage::BlobRef legacy_snapshot_ref() const {
-    return {prefix + legacy_snapshot_name};
+    return {prefix + "journal"};
   }
   [[nodiscard]] storage::BlobRef base_ref(std::uint64_t batches) const {
     return {prefix + "base-" + std::to_string(batches) + ".snap"};
@@ -226,8 +214,7 @@ struct DurabilityStats {
 
 /// What recover() found in the backend.
 struct RecoveryReport {
-  bool snapshot_loaded = false;    ///< a base (or legacy snapshot) loaded
-  bool legacy_snapshot = false;    ///< it was a pre-manifest monolithic file
+  bool snapshot_loaded = false;  ///< a manifest's base loaded
   std::size_t deltas_applied = 0;
   std::size_t journal_batches_replayed = 0;
   std::size_t journal_batches_skipped = 0;  ///< pre-checkpoint leftovers
@@ -274,8 +261,7 @@ class DurableEntityStore {
   [[nodiscard]] fbf::util::Status checkpoint();
 
   /// Rebuilds in-memory state from the backend: manifest -> base ->
-  /// deltas -> journal tail (or the legacy monolithic snapshot when no
-  /// manifest exists).  Succeeds with an empty store when the backend
+  /// deltas -> journal tail.  Succeeds with an empty store when the backend
   /// holds nothing (cold start).  When the journal held anything beyond
   /// the replayed frames (a crash-damaged tail, pre-checkpoint
   /// leftovers), it is rewritten to exactly the replayed prefix so later

@@ -1,13 +1,10 @@
 // LocalDirBackend — blobs as files in one directory.
 //
-// This is the pre-storage-layer on-disk layout, behind the backend
-// interface: a blob named "master.snapshot" is exactly the file
-// <dir>/master.snapshot, so stores checkpointed before the manifest era
-// read back unchanged (the migration path in linkage/snapshot).  put()
-// stays atomic the same way checkpoints always were: write a ".tmp"
-// sibling, then rename over the target.  Injected torn writes bypass
-// the rename on purpose — they model a backend without atomic replace,
-// and the partial object must be observable for recovery tests.
+// A blob named "MANIFEST" is exactly the file <dir>/MANIFEST.  put()
+// is atomic: write a ".tmp" sibling, then rename over the target.
+// Injected torn writes bypass the rename on purpose — they model a
+// backend without atomic replace, and the partial object must be
+// observable for recovery tests.
 #pragma once
 
 #include <cstdint>

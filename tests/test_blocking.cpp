@@ -2,16 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
-#include "linkage/person_gen.hpp"
-#include "util/rng.hpp"
+#include "linkage/record.hpp"
 
 namespace {
 
 namespace lk = fbf::linkage;
-using fbf::util::Rng;
 
 std::vector<lk::PersonRecord> people_with_names(
     std::initializer_list<std::pair<const char*, const char*>> names) {
@@ -76,67 +73,6 @@ TEST(Blocking, BlockingKeyErrorLosesTruePair) {
       left, right,
       [](const lk::PersonRecord& r) { return r.last_name.substr(0, 1); });
   EXPECT_TRUE(pairs.empty());
-}
-
-TEST(Blocking, SortedNeighborhoodFindsNearbyKeys) {
-  const auto left = people_with_names(
-      {{"A", "ANDERSON"}, {"B", "BAKER"}, {"C", "CARTER"}});
-  const auto right = people_with_names(
-      {{"A", "ANDERSEN"}, {"B", "BAKERS"}, {"Z", "ZEBRA"}});
-  const auto pairs =
-      lk::sorted_neighborhood_pairs(left, right, lk::sort_key_name, 3);
-  // ANDERSEN/ANDERSON and BAKER/BAKERS sort adjacent -> candidates.
-  const auto has = [&](std::uint32_t i, std::uint32_t j) {
-    return std::find(pairs.begin(), pairs.end(),
-                     lk::CandidatePair(i, j)) != pairs.end();
-  };
-  EXPECT_TRUE(has(0, 0));
-  EXPECT_TRUE(has(1, 1));
-  // ZEBRA is far from everything with window 3 over 6 records... it can
-  // only pair with CARTER if within the window; it must never pair with
-  // ANDERSON.
-  EXPECT_FALSE(has(0, 2));
-}
-
-TEST(Blocking, SortedNeighborhoodNoDuplicates) {
-  Rng rng(3);
-  const auto clean = lk::generate_people(60, rng);
-  const auto error = lk::make_error_records(clean, {}, rng);
-  const auto pairs =
-      lk::sorted_neighborhood_pairs(clean, error, lk::sort_key_name, 8);
-  const std::set<lk::CandidatePair> unique(pairs.begin(), pairs.end());
-  EXPECT_EQ(unique.size(), pairs.size());
-}
-
-TEST(Blocking, SortedNeighborhoodSubsetOfExhaustive) {
-  Rng rng(4);
-  const auto clean = lk::generate_people(40, rng);
-  const auto error = lk::make_error_records(clean, {}, rng);
-  const auto pairs =
-      lk::sorted_neighborhood_pairs(clean, error, lk::sort_key_name, 5);
-  EXPECT_LT(pairs.size(), 40u * 40u);
-  for (const auto& [i, j] : pairs) {
-    EXPECT_LT(i, 40u);
-    EXPECT_LT(j, 40u);
-  }
-}
-
-TEST(Blocking, WindowGrowthIncreasesCandidates) {
-  Rng rng(5);
-  const auto clean = lk::generate_people(80, rng);
-  const auto error = lk::make_error_records(clean, {}, rng);
-  const auto small = lk::sorted_neighborhood_pairs(clean, error,
-                                                   lk::sort_key_name, 3);
-  const auto large = lk::sorted_neighborhood_pairs(clean, error,
-                                                   lk::sort_key_name, 12);
-  EXPECT_LT(small.size(), large.size());
-}
-
-TEST(Blocking, PrefixKeyHelper) {
-  lk::PersonRecord p;
-  p.last_name = "JOHNSON";
-  EXPECT_EQ(lk::block_key_lastname_prefix(p, 3), "JOH");
-  EXPECT_EQ(lk::block_key_lastname_prefix(p, 20), "JOHNSON");
 }
 
 }  // namespace

@@ -302,71 +302,6 @@ TEST(KillAtEveryByte, OrphanBlobsFromACrashedCheckpointAreIgnored) {
   }
 }
 
-// --- migration / mixed on-disk state -----------------------------------
-
-TEST(Migration, LegacyMonolithicSnapshotPlusJournalRecovers) {
-  // A directory written entirely by the pre-manifest layer: one
-  // monolithic snapshot plus journal frames.  The new recover() must
-  // read it unchanged, and the next checkpoint must move the store onto
-  // the manifest chain.
-  const auto batches = make_batches({10, 10, 10, 10}, 6);
-  auto backend = std::make_shared<st::MemObjectBackend>();
-  {
-    const auto two = reference_store(batches, 2);
-    backend->poke(st::BlobRef{"store.snap"}, lk::encode_snapshot(two, 2));
-    std::string journal;
-    journal += lk::encode_journal_frame(2, batches[2]);
-    journal += lk::encode_journal_frame(3, batches[3]);
-    backend->poke(st::BlobRef{"journal"}, journal);
-  }
-  lk::DurabilityPolicy policy;
-  policy.checkpoint_every = 0;
-  lk::DurableEntityStore durable(fpdl_config(), backend, policy);
-  const auto report = durable.recover();
-  ASSERT_TRUE(report.ok()) << report.status().to_string();
-  EXPECT_TRUE(report->snapshot_loaded);
-  EXPECT_TRUE(report->legacy_snapshot);
-  EXPECT_EQ(report->journal_batches_replayed, 2u);
-  EXPECT_EQ(report->batches_ingested, 4u);
-  expect_stores_equal(reference_store(batches, 4), durable.store());
-
-  // Checkpointing adopts the manifest format; the next recovery comes
-  // from the chain, not the legacy file.
-  ASSERT_TRUE(durable.checkpoint().ok());
-  EXPECT_TRUE(backend->exists(st::BlobRef{"MANIFEST"}).value());
-  lk::DurableEntityStore again(fpdl_config(), backend, policy);
-  const auto second = again.recover();
-  ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(second->legacy_snapshot);
-  expect_stores_equal(durable.store(), again.store());
-}
-
-TEST(Migration, ManifestWinsOverAStaleLegacySnapshotInTheSameDirectory) {
-  // Mixed state: a store migrated mid-history has BOTH the old
-  // monolithic file and a (newer) manifest chain.  The chain must win;
-  // the stale legacy bytes must never roll the store back.
-  const auto batches = make_batches({8, 8, 8, 8}, 7);
-  auto backend = std::make_shared<st::MemObjectBackend>();
-  lk::DurabilityPolicy policy;
-  policy.checkpoint_every = 2;
-  {
-    lk::DurableEntityStore durable(fpdl_config(), backend, policy);
-    for (const auto& batch : batches) {
-      ASSERT_TRUE(durable.ingest(batch).ok());
-    }
-  }
-  const auto stale = reference_store(batches, 2);
-  backend->poke(st::BlobRef{"store.snap"}, lk::encode_snapshot(stale, 2));
-
-  lk::DurableEntityStore recovered(fpdl_config(), backend, policy);
-  const auto report = recovered.recover();
-  ASSERT_TRUE(report.ok()) << report.status().to_string();
-  EXPECT_FALSE(report->legacy_snapshot);
-  EXPECT_EQ(report->batches_ingested, batches.size());
-  expect_stores_equal(reference_store(batches, batches.size()),
-                      recovered.store());
-}
-
 // --- group commit -------------------------------------------------------
 
 TEST(GroupCommit, EntityIdsAreIdenticalUnderAnySyncPolicy) {

@@ -254,7 +254,6 @@ TEST_F(SnapshotFiles, CrashRecoveryRestoresExactlyThePostBatchKStore) {
   const auto report = recovered.recover();
   ASSERT_TRUE(report.ok()) << report.status().to_string();
   EXPECT_TRUE(report->snapshot_loaded);  // checkpoint fired at batch 3
-  EXPECT_FALSE(report->legacy_snapshot);
   EXPECT_EQ(report->journal_batches_replayed, 1u);  // batch 3..4 delta
   EXPECT_EQ(report->batches_ingested, crash_after);
 

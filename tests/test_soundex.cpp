@@ -72,10 +72,15 @@ TEST(SoundexMatch, MatchesVariantSpellings) {
   // The legacy behaviour the paper criticizes: aggressive matching...
   EXPECT_TRUE(soundex_match("SMITH", "SMYTH"));
   EXPECT_TRUE(soundex_match("ROBERT", "RUPERT"));
+  // One class holds C/G/K/S/Z, so G and K spellings collide.
+  EXPECT_EQ(soundex("ROGERS"), soundex("ROKERS"));
   // ...but it misses single-edit typos that shift the code (paper: the
   // Soundex found less than half the true positive matches).
   EXPECT_FALSE(soundex_match("SMITH", "MITH"));   // leading-char deletion
   EXPECT_FALSE(soundex_match("SMITH", "SMITB"));  // trailing substitution
+  // The code keeps the first letter verbatim, so a leading-consonant typo
+  // always misses — the weakness Tables 7-8 measure.
+  EXPECT_FALSE(soundex_match("SMITH", "XMITH"));
 }
 
 TEST(SoundexMatch, EmptyNeverMatches) {
