@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     cost.records = m;
     cost.bytes = encode_snapshot(store, 1).size();
     cost.ms = best_ms(opts.config.repeats, [&] {
-      if (!write_snapshot(*backend, policy.base_ref(1), store, 1).ok()) {
+      if (!backend->put(policy.base_ref(1), encode_snapshot(store, 1)).ok()) {
         std::fprintf(stderr, "full checkpoint failed\n");
         std::exit(1);
       }
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
   // suffix) and a manifest naming both, then recover and compare ids.
   const std::size_t base_records = n - delta_records;
   const auto base_store = prefix_store(comparator, people, base_records);
-  if (!write_snapshot(*backend, policy.base_ref(1), base_store, 1).ok() ||
+  if (!backend->put(policy.base_ref(1), encode_snapshot(base_store, 1)).ok() ||
       !backend->put(policy.delta_ref(1, 2),
                     encode_delta(full, base_records, 1, 2))
            .ok()) {

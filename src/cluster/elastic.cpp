@@ -12,6 +12,7 @@
 
 #include "cluster/service.hpp"
 #include "linkage/shard_service.hpp"
+#include "storage/chain.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/retry.hpp"
 #include "util/rng.hpp"
@@ -472,13 +473,13 @@ void ElasticRun::migrate(Partition& p, std::vector<NodeId> new_assigned,
       if (!manifest1.ok()) {
         continue;
       }
-      auto decoded = decode_manifest(manifest1.value());
+      auto decoded = storage::decode_manifest(manifest1.value());
       if (!decoded.ok()) {
         continue;
       }
       std::vector<std::string> deltas;
       bool fetch_ok = true;
-      for (std::uint32_t seq = 1; seq <= decoded.value().delta_count; ++seq) {
+      for (std::uint32_t seq = 1; seq <= decoded->deltas.size(); ++seq) {
         auto delta = fetch_blob(p, source, StateFetch::What::kDelta, seq);
         if (!delta.ok()) {
           fetch_ok = false;

@@ -1,10 +1,10 @@
 #include "cluster/service.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "linkage/record_codec.hpp"
-#include "util/rng.hpp"
+#include "storage/chain.hpp"
 #include "util/wire.hpp"
 
 namespace fbf::cluster {
@@ -17,9 +17,10 @@ using fbf::util::wire::Reader;
 
 namespace {
 
-// Blob names under one backend, scoped by node then partition.  Sorted
-// listing of a partition prefix yields MANIFEST, base, delta-000001...
-// ('M' < 'b' < 'd'), which is exactly chain order after the manifest.
+constexpr std::uint64_t kRecordsMagic = 0x3143455246424600ull;  // "\0FBFREC1"
+constexpr std::uint32_t kRecordListVersion = 1;
+
+// Chain prefixes under one backend, scoped by node then partition.
 std::string partition_prefix(NodeId node, std::uint64_t pid) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "n%08x/p%016llx/", node,
@@ -27,63 +28,118 @@ std::string partition_prefix(NodeId node, std::uint64_t pid) {
   return buf;
 }
 
-std::string node_prefix(NodeId node) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "n%08x/", node);
-  return buf;
-}
-
-std::string manifest_name(NodeId node, std::uint64_t pid) {
-  return partition_prefix(node, pid) + "MANIFEST";
-}
-
-std::string base_name(NodeId node, std::uint64_t pid) {
-  return partition_prefix(node, pid) + "base";
-}
-
-std::string delta_name(NodeId node, std::uint64_t pid, std::uint32_t seq) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "delta-%06u", seq);
-  return partition_prefix(node, pid) + buf;
-}
-
-/// Order-sensitive fold over chain blobs: mixing each blob's fnv through
-/// a SplitMix64 step keeps the fold sensitive to blob order, not just
-/// content multiset.
-std::uint64_t fold_chain_hash(std::uint64_t h, std::string_view blob) {
-  return fbf::util::SplitMix64(h ^ fbf::util::fnv1a64(blob)).next();
+/// A partition chain's positions count replica writes: the base covers
+/// none, delta N covers [N - 1, N).
+std::string delta_name(std::uint32_t seq) {
+  return storage::delta_blob_name(seq - 1u, seq);
 }
 
 }  // namespace
 
 std::string encode_record_list(std::span<const linkage::PersonRecord> records) {
-  std::string out;
-  put<std::uint64_t>(out, records.size());
-  for (const linkage::PersonRecord& r : records) {
-    linkage::wire::put_record(out, r);
-  }
-  return out;
+  std::string payload;
+  linkage::wire::put_record_list(payload, records);
+  return storage::seal_envelope(kRecordsMagic, kRecordListVersion, payload);
 }
 
 Result<std::vector<linkage::PersonRecord>> decode_record_list(
     std::string_view blob) {
-  Reader in{blob};
-  std::uint64_t count = 0;
-  if (!in.get(count)) {
-    return Status::data_loss("record list: truncated count");
+  auto payload = storage::open_envelope(blob, kRecordsMagic,
+                                        kRecordListVersion, "record list");
+  if (!payload.ok()) {
+    return payload.status();
   }
   std::vector<linkage::PersonRecord> out;
-  out.reserve(
-      static_cast<std::size_t>(std::min<std::uint64_t>(count, blob.size())));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    linkage::PersonRecord r;
-    if (!linkage::wire::get_record(in, r)) {
-      return Status::data_loss("record list: truncated record");
-    }
-    out.push_back(std::move(r));
+  if (!linkage::wire::get_record_list(payload.value(), out)) {
+    return Status::data_loss("record list malformed");
   }
-  if (!in.done()) {
-    return Status::data_loss("record list: trailing bytes");
+  return out;
+}
+
+Result<std::string> write_partition_blob(storage::StorageBackend& backend,
+                                         std::string prefix,
+                                         std::uint32_t seq,
+                                         std::string_view blob) {
+  // A replica never stores bytes it could not serve; the commit's
+  // read-back then only has to show that these are the bytes that landed.
+  auto records = decode_record_list(blob);
+  if (!records.ok()) {
+    return records.status();
+  }
+  const std::uint64_t count = records.value().size();
+  storage::CheckpointChain chain(backend, std::move(prefix));
+  auto held = chain.read_manifest();
+  const bool holds = held.ok();
+  if (!holds && held.status().code() != fbf::util::StatusCode::kNotFound) {
+    return held.status();
+  }
+  storage::ChainManifest next = holds ? held.value() : storage::ChainManifest{};
+  if (holds && seq <= next.deltas.size()) {
+    // A write that already landed (a retry after a lost reply) acks again.
+    auto stored = backend.get(
+        chain.ref(seq == 0 ? next.base_blob : next.deltas[seq - 1].blob));
+    if (stored.ok() && stored.value() == blob) {
+      return storage::encode_manifest(next);
+    }
+  }
+  if (seq == 0) {  // a new base starts a new chain
+    if (const Status st = holds ? chain.drop() : Status{}; !st.ok()) {
+      return st;
+    }
+    next = {storage::base_blob_name(0), 0, count, {}};
+  } else if (!holds || seq != next.batches_covered() + 1) {
+    return Status::failed_precondition(
+        "cluster service: delta " + std::to_string(seq) +
+        " does not follow the held chain");
+  } else {
+    next.deltas.push_back({delta_name(seq), seq - 1u, seq,
+                           next.records_covered(),
+                           next.records_covered() + count});
+  }
+  const std::string name =
+      next.deltas.empty() ? next.base_blob : next.deltas.back().blob;
+  const auto landed_intact = [blob](std::string_view landed) {
+    return landed == blob ? Status{}
+                          : Status::data_loss("cluster service: blob read "
+                                              "back differs");
+  };
+  return chain.commit(holds && seq != 0 ? &held.value() : nullptr, next, name,
+                      blob, landed_intact);
+}
+
+Result<std::vector<linkage::PersonRecord>> read_partition_chain(
+    storage::StorageBackend& backend, std::string prefix) {
+  storage::CheckpointChain chain(backend, std::move(prefix));
+  auto manifest = chain.read_manifest();
+  if (!manifest.ok()) {
+    return manifest.status().code() == fbf::util::StatusCode::kNotFound
+               ? Status::not_found("cluster service: partition not held")
+               : manifest.status();
+  }
+  std::vector<linkage::PersonRecord> out;
+  const auto append = [&out](std::string_view bytes,
+                             std::uint64_t expected) -> Status {
+    auto records = decode_record_list(bytes);
+    if (!records.ok()) {
+      return records.status();
+    }
+    if (records.value().size() != expected) {
+      return Status::data_loss("cluster service: blob disagrees with manifest");
+    }
+    out.insert(out.end(), std::make_move_iterator(records.value().begin()),
+               std::make_move_iterator(records.value().end()));
+    return {};
+  };
+  const Status walked = chain.walk(
+      manifest.value(),
+      [&](std::string_view bytes) {
+        return append(bytes, manifest.value().base_records);
+      },
+      [&](const storage::ChainManifest::Segment& seg, std::string_view bytes) {
+        return append(bytes, seg.to_record - seg.from_record);
+      });
+  if (!walked.ok()) {
+    return walked;
   }
   return out;
 }
@@ -158,25 +214,6 @@ Result<StateDrop> decode_state_drop(std::string_view payload) {
   return msg;
 }
 
-std::string encode_manifest(const PartitionManifest& m) {
-  std::string out;
-  put<std::uint64_t>(out, m.pid);
-  put<std::uint64_t>(out, m.record_count);
-  put<std::uint32_t>(out, m.delta_count);
-  put<std::uint64_t>(out, m.chain_hash);
-  return out;
-}
-
-Result<PartitionManifest> decode_manifest(std::string_view blob) {
-  Reader in{blob};
-  PartitionManifest m;
-  if (!in.get(m.pid) || !in.get(m.record_count) || !in.get(m.delta_count) ||
-      !in.get(m.chain_hash) || !in.done()) {
-    return Status::data_loss("manifest: malformed payload");
-  }
-  return m;
-}
-
 ClusterService::ClusterService(linkage::LinkConfig link,
                                std::span<const linkage::PersonRecord> right,
                                ClusterServiceOptions options)
@@ -204,119 +241,15 @@ Result<std::string> ClusterService::handle(const net::FrameContext& ctx,
   }
 }
 
-Status ClusterService::rebuild_manifest(NodeId node, std::uint64_t pid) {
-  PartitionManifest m;
-  m.pid = pid;
-  m.chain_hash = pid;
-  auto base = store_.get({base_name(node, pid)});
-  if (!base.ok()) {
-    return Status::data_loss("cluster service: base unreadable on rebuild");
-  }
-  auto records = decode_record_list(base.value());
-  if (!records.ok()) {
-    return Status::data_loss("cluster service: base undecodable on rebuild");
-  }
-  m.record_count = records.value().size();
-  m.chain_hash = fold_chain_hash(m.chain_hash, base.value());
-  // Deltas are numbered 1..N with zero-padded names, so the sorted
-  // listing already walks them in sequence order.
-  auto blobs = store_.list(partition_prefix(node, pid) + "delta-");
-  if (!blobs.ok()) {
-    return blobs.status();
-  }
-  for (const storage::BlobRef& ref : blobs.value()) {
-    auto delta = store_.get(ref);
-    if (!delta.ok()) {
-      return Status::data_loss("cluster service: delta unreadable on rebuild");
-    }
-    auto drec = decode_record_list(delta.value());
-    if (!drec.ok()) {
-      return Status::data_loss("cluster service: delta undecodable on rebuild");
-    }
-    m.record_count += drec.value().size();
-    m.chain_hash = fold_chain_hash(m.chain_hash, delta.value());
-    ++m.delta_count;
-  }
-  return store_.put({manifest_name(node, pid)}, encode_manifest(m));
-}
-
-Result<std::vector<linkage::PersonRecord>> ClusterService::load_chain(
-    NodeId node, std::uint64_t pid) {
-  auto manifest_blob = store_.get({manifest_name(node, pid)});
-  if (!manifest_blob.ok()) {
-    if (manifest_blob.status().code() == fbf::util::StatusCode::kNotFound) {
-      return Status::not_found("cluster service: partition not held");
-    }
-    return manifest_blob.status();
-  }
-  auto manifest = decode_manifest(manifest_blob.value());
-  if (!manifest.ok()) {
-    return manifest.status();
-  }
-  auto base = store_.get({base_name(node, pid)});
-  if (!base.ok()) {
-    return Status::data_loss("cluster service: base blob missing");
-  }
-  auto records = decode_record_list(base.value());
-  if (!records.ok()) {
-    return records.status();
-  }
-  std::vector<linkage::PersonRecord> out = std::move(records.value());
-  for (std::uint32_t seq = 1; seq <= manifest.value().delta_count; ++seq) {
-    auto delta = store_.get({delta_name(node, pid, seq)});
-    if (!delta.ok()) {
-      return Status::data_loss("cluster service: delta blob missing");
-    }
-    auto drec = decode_record_list(delta.value());
-    if (!drec.ok()) {
-      return drec.status();
-    }
-    out.insert(out.end(), drec.value().begin(), drec.value().end());
-  }
-  return out;
-}
-
 Result<std::string> ClusterService::handle_write(NodeId node,
                                                  std::string_view payload) {
   auto msg = decode_replica_write(payload);
   if (!msg.ok()) {
     return msg.status();
   }
-  // Validate the blob before anything lands: a replica never stores
-  // bytes it could not serve.
-  auto records = decode_record_list(msg.value().blob);
-  if (!records.ok()) {
-    return records.status();
-  }
   const std::scoped_lock lock(mu_);
-  const std::uint64_t pid = msg.value().pid;
-  if (msg.value().delta_seq == 0) {
-    if (const auto st = store_.put({base_name(node, pid)}, msg.value().blob);
-        !st.ok()) {
-      return st;
-    }
-  } else {
-    auto have_base = store_.exists({base_name(node, pid)});
-    if (!have_base.ok()) {
-      return have_base.status();
-    }
-    if (!have_base.value()) {
-      return Status::failed_precondition(
-          "cluster service: delta write before base");
-    }
-    if (const auto st = store_.put(
-            {delta_name(node, pid, msg.value().delta_seq)}, msg.value().blob);
-        !st.ok()) {
-      return st;
-    }
-  }
-  // Verify-before-ack: read the stored chain back and rewrite the
-  // manifest from what actually landed.  A torn or lost put surfaces
-  // here as a failed write attempt, not as a later wrong answer.
-  if (const auto st = rebuild_manifest(node, pid); !st.ok()) {
-    return st;
-  }
-  return store_.get({manifest_name(node, pid)});
+  return write_partition_blob(store_, partition_prefix(node, msg.value().pid),
+                              msg.value().delta_seq, msg.value().blob);
 }
 
 Result<std::string> ClusterService::handle_query(NodeId node,
@@ -328,7 +261,8 @@ Result<std::string> ClusterService::handle_query(NodeId node,
   std::vector<linkage::PersonRecord> records;
   {
     const std::scoped_lock lock(mu_);
-    auto chain = load_chain(node, msg.value().pid);
+    auto chain =
+        read_partition_chain(store_, partition_prefix(node, msg.value().pid));
     if (!chain.ok()) {
       return chain.status();
     }
@@ -361,20 +295,16 @@ Result<std::string> ClusterService::handle_fetch(NodeId node,
   if (!msg.ok()) {
     return msg.status();
   }
-  std::string name;
-  switch (msg.value().what) {
-    case StateFetch::What::kManifest:
-      name = manifest_name(node, msg.value().pid);
-      break;
-    case StateFetch::What::kBase:
-      name = base_name(node, msg.value().pid);
-      break;
-    case StateFetch::What::kDelta:
-      name = delta_name(node, msg.value().pid, msg.value().index);
-      break;
-  }
+  const StateFetch& fetch = msg.value();
+  const storage::CheckpointChain chain(store_,
+                                       partition_prefix(node, fetch.pid));
+  const storage::BlobRef blob =
+      fetch.what == StateFetch::What::kManifest ? chain.manifest_ref()
+      : fetch.what == StateFetch::What::kBase
+          ? chain.ref(storage::base_blob_name(0))
+          : chain.ref(delta_name(fetch.index));
   const std::scoped_lock lock(mu_);
-  return store_.get({std::move(name)});
+  return store_.get(blob);
 }
 
 Result<std::string> ClusterService::handle_drop(NodeId node,
@@ -384,38 +314,20 @@ Result<std::string> ClusterService::handle_drop(NodeId node,
     return msg.status();
   }
   const std::scoped_lock lock(mu_);
-  auto blobs = store_.list(partition_prefix(node, msg.value().pid));
-  if (!blobs.ok()) {
-    return blobs.status();
-  }
-  for (const storage::BlobRef& ref : blobs.value()) {
-    if (const auto st = store_.remove(ref); !st.ok()) {
-      return st;
-    }
+  storage::CheckpointChain chain(store_,
+                                 partition_prefix(node, msg.value().pid));
+  if (const Status st = chain.drop(); !st.ok()) {
+    return st;
   }
   return std::string{};
 }
 
 bool ClusterService::node_has_partition(NodeId node, std::uint64_t pid) {
   const std::scoped_lock lock(mu_);
-  auto found = store_.exists({manifest_name(node, pid)});
+  auto found = store_.exists(
+      storage::CheckpointChain(store_, partition_prefix(node, pid))
+          .manifest_ref());
   return found.ok() && found.value();
-}
-
-std::size_t ClusterService::node_partition_count(NodeId node) {
-  const std::scoped_lock lock(mu_);
-  auto blobs = store_.list(node_prefix(node));
-  if (!blobs.ok()) {
-    return 0;
-  }
-  std::size_t count = 0;
-  for (const storage::BlobRef& ref : blobs.value()) {
-    if (ref.name.size() >= 8 &&
-        ref.name.compare(ref.name.size() - 8, 8, "MANIFEST") == 0) {
-      ++count;
-    }
-  }
-  return count;
 }
 
 }  // namespace fbf::cluster

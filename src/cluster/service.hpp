@@ -7,21 +7,22 @@
 // real sockets — and the transport-equivalence property stays testable.
 //
 // Node state is not an in-memory map: each partition a node holds lives
-// in a storage::MemObjectBackend as the same manifest/base/delta blob
-// chain the durability layer uses (PR 5), under names scoped by node and
-// partition.  That is what makes live rebalance honest: a migration is a
-// sequence of real blob reads and writes (bulk base, catch-up deltas)
-// with read-back verification, and storage faults (torn writes, acked-
-// then-lost objects) injected at the backend surface as replica write
-// failures the quorum/failover machinery must absorb.
+// in a storage::MemObjectBackend as a storage::CheckpointChain — the same
+// manifest/base/delta module the entity store checkpoints through —
+// under the prefix n<node>/p<pid>/.  That is what makes live rebalance
+// honest: a migration is a sequence of real blob reads and writes (bulk
+// base, catch-up deltas) with read-back verification, and storage faults
+// (torn writes, acked-then-lost objects) injected at the backend surface
+// as replica write failures the quorum/failover machinery must absorb.
 //
-//   n<node>/p<pid>/MANIFEST   pid, record count, delta count, chain hash
-//   n<node>/p<pid>/base       encoded record list (the bulk of the state)
-//   n<node>/p<pid>/delta-NNN  encoded record list (late-arriving writes)
+//   n<node>/p<pid>/MANIFEST           base + deltas, names relative
+//   n<node>/p<pid>/base-0.snap        sealed record list (the bulk)
+//   n<node>/p<pid>/delta-<N-1>-<N>.seg  sealed record list (write N)
 //
-// Every replica write is verified by read-back before it is acked
-// (decode the stored chain, recompute the manifest); a write whose bytes
-// did not land intact fails the attempt instead of acking a lie.
+// A replica write lands only the blob it carries: the chain's commit
+// reads that blob and the new manifest back before the write is acked,
+// O(blob) rather than O(chain).  Deltas land strictly in order; a resent
+// write that already landed acks again.
 #pragma once
 
 #include <cstdint>
@@ -73,18 +74,8 @@ struct StateDrop {
   std::uint64_t pid = 0;
 };
 
-/// Decoded MANIFEST blob: enough to verify a transferred chain without
-/// re-shipping it — counts plus an order-sensitive hash over the blobs.
-struct PartitionManifest {
-  std::uint64_t pid = 0;
-  std::uint64_t record_count = 0;
-  std::uint32_t delta_count = 0;
-  std::uint64_t chain_hash = 0;
-
-  friend bool operator==(const PartitionManifest&,
-                         const PartitionManifest&) = default;
-};
-
+/// The stored form of a partition's base and deltas: records in a sealed
+/// envelope (storage/chain.hpp), so a torn or flipped blob never decodes.
 [[nodiscard]] std::string encode_record_list(
     std::span<const linkage::PersonRecord> records);
 [[nodiscard]] fbf::util::Result<std::vector<linkage::PersonRecord>>
@@ -106,9 +97,20 @@ decode_record_list(std::string_view blob);
 [[nodiscard]] fbf::util::Result<StateDrop> decode_state_drop(
     std::string_view payload);
 
-[[nodiscard]] std::string encode_manifest(const PartitionManifest& m);
-[[nodiscard]] fbf::util::Result<PartitionManifest> decode_manifest(
+/// Lands replica write `seq` (0 = base, N >= 1 = delta N) of the
+/// partition chain under `prefix`, verified by read-back; returns the
+/// manifest bytes.  A write that already landed with the same bytes acks
+/// again.  Otherwise a base replaces whatever chain was held, and delta N
+/// must follow the held N - 1 deltas (kFailedPrecondition if not).
+[[nodiscard]] fbf::util::Result<std::string> write_partition_blob(
+    storage::StorageBackend& backend, std::string prefix, std::uint32_t seq,
     std::string_view blob);
+
+/// The partition chain under `prefix` as one record list, base then
+/// deltas.  kNotFound when no chain is held; kDataLoss when any blob is
+/// missing, damaged or disagrees with the manifest.
+[[nodiscard]] fbf::util::Result<std::vector<linkage::PersonRecord>>
+read_partition_chain(storage::StorageBackend& backend, std::string prefix);
 
 struct ClusterServiceOptions {
   /// Keyed fault injection over every node's object store (put failure,
@@ -137,11 +139,6 @@ class ClusterService {
 
   // Test hooks.
   [[nodiscard]] bool node_has_partition(NodeId node, std::uint64_t pid);
-  [[nodiscard]] std::size_t node_partition_count(NodeId node);
-  [[nodiscard]] const fbf::util::FaultCounters& storage_fault_counters()
-      const noexcept {
-    return injector_.counters();
-  }
 
  private:
   [[nodiscard]] fbf::util::Result<std::string> handle_write(
@@ -152,16 +149,6 @@ class ClusterService {
       NodeId node, std::string_view payload);
   [[nodiscard]] fbf::util::Result<std::string> handle_drop(
       NodeId node, std::string_view payload);
-
-  /// Reads the stored chain back, decodes every blob, and rewrites the
-  /// MANIFEST to match.  Any unreadable/undecodable blob fails the call —
-  /// this is the verify-before-ack step of every replica write.
-  [[nodiscard]] fbf::util::Status rebuild_manifest(NodeId node,
-                                                   std::uint64_t pid);
-
-  /// Loads and decodes the full record chain (base + deltas in order).
-  [[nodiscard]] fbf::util::Result<std::vector<linkage::PersonRecord>>
-  load_chain(NodeId node, std::uint64_t pid);
 
   /// The broadcast right's LinkageContext (signatures + filter bank),
   /// built by the first replica query and shared by every later one.

@@ -4,33 +4,29 @@
 // master list is "updated daily... approximately 8 hours per night").  A
 // crash at hour 7 must not cost the night: the store persists as
 // checksummed blobs in a storage::StorageBackend, and recover() rebuilds
-// exactly the state after the last durable batch.
+// exactly the state after the last durable batch.  Under
+// DurabilityPolicy::prefix:
 //
-// Layout (all blobs named under DurabilityPolicy::prefix):
-//
-//   MANIFEST            names the current base + ordered delta segments
-//   base-<B>.snap       full snapshot covering batches [0, B)
-//   delta-<F>-<T>.seg   records appended during batches [F, T)
+//   MANIFEST, base-<B>.snap, delta-<F>-<T>.seg   a storage::CheckpointChain
+//                       (storage/chain.hpp) over batches [0, B), [F, T)
 //   journal             append-only write-ahead batch frames
 //
-// Checkpoints are *incremental*: after the first full base, each
-// checkpoint writes only the records added since the last one — O(changes),
-// not O(store) — and a count/size-triggered compaction folds the deltas
-// back into a fresh base.  The manifest is replaced atomically, so a
-// crash anywhere in a checkpoint leaves the previous manifest (plus at
-// worst an orphan blob that the next checkpoint sweeps).
+// This file owns the payloads (snapshot, delta, journal frame) and the
+// policy.  Checkpoints are *incremental*: after the first full base each
+// writes only the records added since the last one, and a count/size
+// trigger folds the deltas back into a fresh base.
 //
 //   ingest(batch)  -> append journal frame (group-commit sync policy)
 //                  -> apply to the in-memory store
-//                  -> every N batches: checkpoint (delta or base + manifest
-//                     swap + journal reset)
+//                  -> every N batches: checkpoint (chain commit of a delta
+//                     or base, then journal reset)
 //   recover()      -> manifest -> base -> deltas -> journal tail replay
 //
-// Every blob payload carries an FNV-1a checksum; journal frames replay to
-// the longest intact prefix, a damaged base/delta/manifest is detected,
-// never silently loaded.  The journal's group-commit policy batches
-// syncs (N appends or T milliseconds); the durability window it opens is
-// exactly the unsynced suffix, and replay order is policy-independent.
+// Journal frames replay to the longest intact prefix; a damaged
+// base/delta/manifest is detected, never silently loaded.  Group commit
+// batches syncs (N appends or T milliseconds); the durability window it
+// opens is exactly the unsynced suffix, and replay order is
+// policy-independent.
 #pragma once
 
 #include <cstdint>
@@ -42,18 +38,14 @@
 
 #include "linkage/incremental.hpp"
 #include "storage/backend.hpp"
+#include "storage/chain.hpp"
 #include "util/status.hpp"
-
-namespace fbf::util {
-class FaultInjector;
-}
 
 namespace fbf::linkage {
 
 /// Bumped on any layout change; readers reject other versions.
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 inline constexpr std::uint32_t kDeltaVersion = 1;
-inline constexpr std::uint32_t kManifestVersion = 1;
 
 // --- codec: structures <-> checksummed bytes ---------------------------
 
@@ -95,32 +87,11 @@ struct DeltaSegment {
     std::string_view bytes);
 
 /// The manifest: which base blob plus which delta segments, in order,
-/// reconstruct the store.  Replaced atomically on every checkpoint.
-struct SnapshotManifest {
-  struct Segment {
-    std::string blob;
-    std::uint64_t from_batches = 0;
-    std::uint64_t to_batches = 0;
-    std::uint64_t from_record = 0;
-    std::uint64_t to_record = 0;
-  };
-  std::string base_blob;  ///< empty = no checkpoint has completed yet
-  std::uint64_t base_batches = 0;
-  std::uint64_t base_records = 0;
-  std::vector<Segment> deltas;
-
-  /// Journal position / record count the full chain covers.
-  [[nodiscard]] std::uint64_t batches_covered() const noexcept {
-    return deltas.empty() ? base_batches : deltas.back().to_batches;
-  }
-  [[nodiscard]] std::uint64_t records_covered() const noexcept {
-    return deltas.empty() ? base_records : deltas.back().to_record;
-  }
-};
-
-[[nodiscard]] std::string encode_manifest(const SnapshotManifest& manifest);
-[[nodiscard]] fbf::util::Result<SnapshotManifest> decode_manifest(
-    std::string_view bytes);
+/// reconstruct the store.  The chain module's one codec; batches are the
+/// positions.
+using SnapshotManifest = storage::ChainManifest;
+using storage::decode_manifest;
+using storage::encode_manifest;
 
 /// One checksummed write-ahead frame holding `batch` at position `seq`.
 [[nodiscard]] std::string encode_journal_frame(
@@ -142,18 +113,6 @@ struct JournalReplay {
 /// counted in `dropped_tail_bytes`, not treated as fatal, so replay
 /// yields the longest intact prefix.
 [[nodiscard]] JournalReplay replay_journal(std::string_view bytes);
-
-// --- blob level --------------------------------------------------------
-
-/// Snapshot `store` into the blob `ref` of `backend`.
-[[nodiscard]] fbf::util::Status write_snapshot(
-    storage::StorageBackend& backend, const storage::BlobRef& ref,
-    const EntityStore& store, std::uint64_t batches_ingested);
-
-/// Loads the snapshot blob `ref` into `store`; returns its position.
-[[nodiscard]] fbf::util::Result<std::uint64_t> read_snapshot(
-    storage::StorageBackend& backend, const storage::BlobRef& ref,
-    EntityStore& store);
 
 // --- policy ------------------------------------------------------------
 
@@ -184,18 +143,17 @@ struct DurabilityPolicy {
   GroupCommitPolicy group_commit;
 
   [[nodiscard]] storage::BlobRef manifest_ref() const {
-    return {prefix + "MANIFEST"};
+    return {prefix + std::string(storage::kManifestName)};
   }
   [[nodiscard]] storage::BlobRef journal_ref() const {
     return {prefix + "journal"};
   }
   [[nodiscard]] storage::BlobRef base_ref(std::uint64_t batches) const {
-    return {prefix + "base-" + std::to_string(batches) + ".snap"};
+    return {prefix + storage::base_blob_name(batches)};
   }
   [[nodiscard]] storage::BlobRef delta_ref(std::uint64_t from,
                                            std::uint64_t to) const {
-    return {prefix + "delta-" + std::to_string(from) + "-" +
-            std::to_string(to) + ".seg"};
+    return {prefix + storage::delta_blob_name(from, to)};
   }
 };
 
@@ -224,10 +182,7 @@ struct RecoveryReport {
 
 /// EntityStore wrapper that survives crashes: write-ahead journaling per
 /// batch (group-commit sync policy), incremental checkpoints, and
-/// prefix-consistent recovery — against any StorageBackend.  (The
-/// one-release `DurabilityConfig` path constructor has been removed on
-/// schedule: construct a storage::LocalDirBackend over the snapshot
-/// directory instead.)
+/// prefix-consistent recovery — against any StorageBackend.
 class DurableEntityStore {
  public:
   /// `options` configures the in-memory store (and the one recover()
@@ -251,22 +206,19 @@ class DurableEntityStore {
   [[nodiscard]] fbf::util::Result<IngestStats> ingest(
       std::span<const PersonRecord> batch);
 
-  /// Checkpoint now: a delta of the records added since the last
-  /// checkpoint (or a full base when none exists / compaction triggers),
-  /// then an atomic manifest swap, then a journal reset.  The journal is
-  /// only reset after the new blob AND manifest have been read back and
-  /// verified (checksum and structure; a base is walked record by record
-  /// through the decoder's and restore()'s checks, without building a
-  /// store), so an injected corruption loses a checkpoint, never data.
+  /// Checkpoint now: a chain commit of the records added since the last
+  /// checkpoint (a full base when none exists / compaction triggers),
+  /// then a journal reset.  The blob is read back through the decoder's
+  /// and restore()'s checks (a base is walked without building a store),
+  /// so an injected corruption loses a checkpoint, never data.
   [[nodiscard]] fbf::util::Status checkpoint();
 
   /// Rebuilds in-memory state from the backend: manifest -> base ->
-  /// deltas -> journal tail.  Succeeds with an empty store when the backend
-  /// holds nothing (cold start).  When the journal held anything beyond
-  /// the replayed frames (a crash-damaged tail, pre-checkpoint
-  /// leftovers), it is rewritten to exactly the replayed prefix so later
-  /// appends stay replayable — a second crash can never lose batches
-  /// acknowledged after a recovery.
+  /// deltas -> journal tail; an empty backend is a cold start.  kDataLoss,
+  /// journal untouched, when the journal resumes past the chain's end (a
+  /// lost MANIFEST is not a cold start).  A journal holding more than the
+  /// replayed frames (damaged tail, pre-checkpoint leftovers) is rewritten
+  /// to exactly them, so a second crash cannot lose later batches.
   [[nodiscard]] fbf::util::Result<RecoveryReport> recover();
 
   /// Test hook: abandon the journal handle WITHOUT syncing pending
@@ -298,12 +250,11 @@ class DurableEntityStore {
  private:
   [[nodiscard]] fbf::util::Status ensure_journal();
   [[nodiscard]] fbf::util::Status sync_journal();
-  /// Removes base-/delta- blobs the manifest no longer references.
-  void sweep_unreferenced_blobs();
 
   ComparatorConfig comparator_;
   std::shared_ptr<storage::StorageBackend> backend_;
   DurabilityPolicy policy_;
+  storage::CheckpointChain chain_;  ///< over *backend_, under policy_.prefix
   EntityStoreOptions options_;
   EntityStore store_;
   SnapshotManifest manifest_;

@@ -1,16 +1,12 @@
 // Pluggable blob storage for the durability layer.
 //
 // The paper's setting is *cloud* data (§1: the department's master list
-// lives in a hosted environment), but the original checkpoint path wrote
-// straight to local files via path strings — no way to point a store at
-// an object service, and no way to exercise durability faults without a
-// real disk.  StorageBackend is the seam: named immutable blobs with
-// whole-object atomic put/get/list/remove plus an append handle for
-// journals, so the snapshot/manifest/delta/journal machinery above it is
-// backend-agnostic.  Two implementations ship:
+// lives in a hosted environment).  StorageBackend is the seam: named
+// immutable blobs with whole-object atomic put/get/list/remove plus an
+// append handle for journals, so the checkpoint chain (storage/chain) and
+// the journal above it are backend-agnostic.  Two implementations ship:
 //
-//   LocalDirBackend  — blobs are files in one directory (today's layout;
-//                      path-compatible with pre-manifest snapshot files).
+//   LocalDirBackend  — blobs are files in one directory.
 //   MemObjectBackend — S3-style in-process object map, the reference
 //                      backend for crash/fault property tests.
 //

@@ -344,12 +344,6 @@ TEST(ClusterProtocol, PayloadsRoundTrip) {
   EXPECT_EQ(f2.value().pid, 7u);
   EXPECT_EQ(f2.value().what, cl::StateFetch::What::kDelta);
   EXPECT_EQ(f2.value().index, 2u);
-
-  cl::PartitionManifest m{9, 120, 2, 0xABCDull};
-  const auto m2 = cl::decode_manifest(cl::encode_manifest(m));
-  ASSERT_TRUE(m2.ok());
-  EXPECT_TRUE(m2.value() == m);
-  EXPECT_FALSE(cl::decode_manifest("junk").ok());
 }
 
 // --- the same cluster over real sockets ---------------------------------
@@ -441,6 +435,25 @@ TEST(ClusterService, StateMovesAndDropsThroughTheProtocol) {
   EXPECT_FALSE(call(1, net::FrameType::kReplicaWrite,
                     cl::encode_replica_write({pid, 1, delta}))
                    .ok());
+  // Nor skip one: delta 3 cannot follow a chain that holds delta 1.
+  const auto gap = call(0, net::FrameType::kReplicaWrite,
+                        cl::encode_replica_write({pid, 3, delta}));
+  ASSERT_FALSE(gap.ok());
+  EXPECT_EQ(gap.status().code(), u::StatusCode::kFailedPrecondition);
+  // A resend of writes that already landed (a retry after a lost reply)
+  // acks again and leaves the chain as it was.
+  EXPECT_TRUE(call(0, net::FrameType::kReplicaWrite,
+                   cl::encode_replica_write({pid, 1, delta}))
+                  .ok());
+  EXPECT_TRUE(call(0, net::FrameType::kReplicaWrite,
+                   cl::encode_replica_write({pid, 0, base}))
+                  .ok());
+  // A different delta 1 does not follow either: it is not a resend.
+  EXPECT_EQ(call(0, net::FrameType::kReplicaWrite,
+                 cl::encode_replica_write({pid, 1, base}))
+                .status()
+                .code(),
+            u::StatusCode::kFailedPrecondition);
 
   auto fetched_base = call(0, net::FrameType::kStateFetch,
                            cl::encode_state_fetch({pid, cl::StateFetch::What::kBase, 0}));

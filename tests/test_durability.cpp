@@ -302,6 +302,32 @@ TEST(KillAtEveryByte, OrphanBlobsFromACrashedCheckpointAreIgnored) {
   }
 }
 
+TEST(KillAtEveryByte, LostManifestIsDataLossAndKeepsTheJournal) {
+  // A MANIFEST lost after a checkpoint is not a cold start: the journal
+  // holds only the batches past that checkpoint.  Recovery must fail as
+  // data loss and leave those frames (and the base) where they are.
+  const auto batches = make_batches({10, 10, 10, 10, 10, 10}, 15);
+  lk::DurabilityPolicy policy;
+  policy.checkpoint_every = 4;
+  auto backend = std::make_shared<st::MemObjectBackend>();
+  {
+    lk::DurableEntityStore durable(fpdl_config(), backend, policy);
+    for (const auto& batch : batches) {
+      ASSERT_TRUE(durable.ingest(batch).ok());
+    }
+  }
+  ASSERT_TRUE(backend->remove(policy.manifest_ref()).ok());
+  const std::string journal = backend->get(policy.journal_ref()).value();
+  ASSERT_GT(journal.size(), 0u);
+
+  lk::DurableEntityStore recovered(fpdl_config(), backend, policy);
+  const auto report = recovered.recover();
+  ASSERT_FALSE(report.ok()) << "a store missing its MANIFEST recovered";
+  EXPECT_EQ(report.status().code(), u::StatusCode::kDataLoss);
+  EXPECT_EQ(backend->get(policy.journal_ref()).value(), journal);
+  EXPECT_TRUE(backend->exists(policy.base_ref(4)).value());
+}
+
 // --- group commit -------------------------------------------------------
 
 TEST(GroupCommit, EntityIdsAreIdenticalUnderAnySyncPolicy) {

@@ -9,7 +9,6 @@
 
 #include "linkage/person_gen.hpp"
 #include "storage/local_dir.hpp"
-#include "storage/mem_object.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 
@@ -162,23 +161,6 @@ TEST(Snapshot, TruncatedSnapshotIsDetected) {
     EXPECT_FALSE(lk::decode_snapshot(bytes.substr(0, keep), loaded).ok())
         << "kept " << keep;
   }
-}
-
-TEST(Snapshot, BlobRoundTripThroughBackend) {
-  auto backend = std::make_shared<st::MemObjectBackend>();
-  lk::EntityStore store(fpdl_config());
-  store.ingest(make_batches(1, 20, 14).front());
-  const st::BlobRef ref{"nightly.snap"};
-  ASSERT_TRUE(lk::write_snapshot(*backend, ref, store, 1).ok());
-  lk::EntityStore loaded(fpdl_config());
-  const auto seq = lk::read_snapshot(*backend, ref, loaded);
-  ASSERT_TRUE(seq.ok()) << seq.status().to_string();
-  EXPECT_EQ(seq.value(), 1u);
-  expect_stores_equal(store, loaded);
-  EXPECT_EQ(lk::read_snapshot(*backend, st::BlobRef{"absent"}, loaded)
-                .status()
-                .code(),
-            u::StatusCode::kNotFound);
 }
 
 TEST(Journal, TruncationAtEveryPointYieldsAnIntactPrefix) {
