@@ -173,8 +173,7 @@ PhaseResult run_open_loop(s::MatchService& service,
 }
 
 /// TCP phase: the same queries through real loopback sockets, one
-/// in-flight request per client (per-call connects, like production
-/// point lookups).
+/// in-flight request per client, each client on its own kept connection.
 PhaseResult run_tcp_loop(s::MatchService& service,
                          const std::vector<std::string>& queries,
                          std::size_t total, std::size_t clients,

@@ -7,6 +7,7 @@
 #include "metrics/length_filter.hpp"
 #include "metrics/pdl.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/bitops.hpp"
 #include "util/prefetch.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -105,6 +106,59 @@ void drain(const std::uint64_t* bitmap, std::size_t lanes,
     fn(lane);
   });
 }
+
+/// apply_pre_gates' word loop.  Baseline x86-64 has no POPCNT, so
+/// std::popcount lowers to a libgcc call there; the target("popcnt") twin
+/// below re-lowers this same body to the instruction, picked at run time
+/// as util::xor_diff_bits picks its own.
+[[gnu::always_inline]] inline void pre_gate_words(
+    std::uint32_t query_length, const std::uint32_t* lengths,
+    std::size_t width, const std::uint64_t* eligible, bool use_length, int k,
+    std::uint64_t* bitmap, PipelineCounters& counters) noexcept {
+  for (std::size_t w = 0; w < CandidatePipeline::bitmap_words(width); ++w) {
+    const std::size_t base = w * 64;
+    const std::size_t lanes = std::min<std::size_t>(64, width - base);
+    std::uint64_t pre = lanes == 64 ? ~std::uint64_t{0}
+                                    : (std::uint64_t{1} << lanes) - 1;
+    if (eligible != nullptr) {
+      pre &= eligible[w];
+    }
+    counters.candidates_generated +=
+        static_cast<std::uint64_t>(std::popcount(pre));
+    if (use_length) {
+      std::uint64_t len_bits = 0;
+      for (std::size_t b = 0; b < lanes; ++b) {
+        len_bits |= static_cast<std::uint64_t>(m::length_filter_pass(
+                        query_length, lengths[base + b], k))
+                    << b;
+      }
+      counters.length_pass +=
+          static_cast<std::uint64_t>(std::popcount(len_bits & pre));
+      pre &= len_bits;
+    }
+    counters.fbf_evaluated += static_cast<std::uint64_t>(std::popcount(pre));
+    bitmap[w] &= pre;
+  }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("popcnt"))) void pre_gate_words_popcnt(
+    std::uint32_t query_length, const std::uint32_t* lengths,
+    std::size_t width, const std::uint64_t* eligible, bool use_length, int k,
+    std::uint64_t* bitmap, PipelineCounters& counters) noexcept {
+  pre_gate_words(query_length, lengths, width, eligible, use_length, k,
+                 bitmap, counters);
+}
+
+/// Kept out of line so apply_pre_gates itself holds no libgcc call.
+[[gnu::noinline]] void pre_gate_words_generic(
+    std::uint32_t query_length, const std::uint32_t* lengths,
+    std::size_t width, const std::uint64_t* eligible, bool use_length, int k,
+    std::uint64_t* bitmap, PipelineCounters& counters) noexcept {
+  pre_gate_words(query_length, lengths, width, eligible, use_length, k,
+                 bitmap, counters);
+}
+#endif
 
 }  // namespace
 
@@ -361,30 +415,18 @@ void CandidatePipeline::apply_pre_gates(std::uint32_t query_length,
                                         const std::uint64_t* eligible,
                                         std::uint64_t* bitmap,
                                         PipelineCounters& counters) const {
-  for (std::size_t w = 0; w < bitmap_words(width); ++w) {
-    const std::size_t base = w * 64;
-    const std::size_t lanes = std::min<std::size_t>(64, width - base);
-    std::uint64_t pre = lanes == 64 ? ~std::uint64_t{0}
-                                    : (std::uint64_t{1} << lanes) - 1;
-    if (eligible != nullptr) {
-      pre &= eligible[w];
-    }
-    counters.candidates_generated +=
-        static_cast<std::uint64_t>(std::popcount(pre));
-    if (config_.use_length) {
-      std::uint64_t len_bits = 0;
-      for (std::size_t b = 0; b < lanes; ++b) {
-        len_bits |= static_cast<std::uint64_t>(m::length_filter_pass(
-                        query_length, lengths[base + b], config_.k))
-                    << b;
-      }
-      counters.length_pass +=
-          static_cast<std::uint64_t>(std::popcount(len_bits & pre));
-      pre &= len_bits;
-    }
-    counters.fbf_evaluated += static_cast<std::uint64_t>(std::popcount(pre));
-    bitmap[w] &= pre;
+#if defined(__x86_64__) || defined(__i386__)
+  if (fbf::util::cpu_has_popcnt()) {
+    pre_gate_words_popcnt(query_length, lengths, width, eligible,
+                          config_.use_length, config_.k, bitmap, counters);
+  } else {
+    pre_gate_words_generic(query_length, lengths, width, eligible,
+                           config_.use_length, config_.k, bitmap, counters);
   }
+#else
+  pre_gate_words(query_length, lengths, width, eligible, config_.use_length,
+                 config_.k, bitmap, counters);
+#endif
 }
 
 std::size_t CandidatePipeline::filter_per_pair(

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/bitops.hpp"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #define FBF_X86 1
@@ -155,11 +157,6 @@ __attribute__((target("popcnt"))) std::size_t block_scalar_popcnt(
     std::uint64_t* bitmaps, std::size_t stride) {
   return scalar_block_body<Q>(q0, q1, p0, p1, count, threshold, accept_thr,
                               bitmaps, stride);
-}
-
-bool cpu_has_popcnt() noexcept {
-  static const bool has = __builtin_cpu_supports("popcnt") != 0;
-  return has;
 }
 
 /// Per-64-bit-lane popcount of four candidates: VPSHUFB nibble lookup,
@@ -505,7 +502,7 @@ const BlockFn* pick_table(KernelKind kind) noexcept {
 #endif
   (void)kind;
 #ifdef FBF_X86
-  if (cpu_has_popcnt()) {
+  if (fbf::util::cpu_has_popcnt()) {
     return kScalarPopcntTable;
   }
 #endif

@@ -3,10 +3,15 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -74,6 +79,10 @@ u::Result<int> connect_loopback(std::uint16_t port, const Deadline& deadline) {
     ::close(fd);
     return u::Status::io_error("fcntl(O_NONBLOCK): " + errno_text(errno));
   }
+  // Requests and replies are single small writes on a kept connection:
+  // never hold one back waiting for an ACK.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   const sockaddr_in addr = loopback_addr(port);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) ==
       0) {
@@ -113,7 +122,9 @@ u::Result<int> connect_loopback(std::uint16_t port, const Deadline& deadline) {
 }
 
 /// Writes all of `bytes` (non-blocking fd), bounded by the deadline.
-u::Status send_all(int fd, std::string_view bytes, const Deadline& deadline) {
+/// `send_errno`, when given, receives the errno of a failed send().
+u::Status send_all(int fd, std::string_view bytes, const Deadline& deadline,
+                   int* send_errno = nullptr) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
@@ -123,7 +134,11 @@ u::Status send_all(int fd, std::string_view bytes, const Deadline& deadline) {
       continue;
     }
     if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-      return u::Status::unavailable("send(): " + errno_text(errno));
+      const int err = errno;
+      if (send_errno != nullptr) {
+        *send_errno = err;
+      }
+      return u::Status::unavailable("send(): " + errno_text(err));
     }
     if (deadline.expired()) {
       return u::Status::unavailable("send(): deadline expired");
@@ -155,6 +170,72 @@ u::Status decode_error_payload(std::string_view payload) {
   return {static_cast<u::StatusCode>(code), std::move(message)};
 }
 
+// --- ShardServer helpers ----------------------------------------------
+
+/// Bytes one recv() asks for, and the most one readiness event reads
+/// before the loop moves on (the rest re-fires the level-triggered fd).
+constexpr std::size_t kRecvChunkBytes = 64 * 1024;
+constexpr std::size_t kMaxReadPerEvent = 16 * kRecvChunkBytes;
+
+/// Registry handles for the server's resource bounds (DESIGN.md §16).
+struct ServerTelemetry {
+  fbf::telemetry::Counter& requests;
+  fbf::telemetry::Counter& evicted;
+  fbf::telemetry::Counter& slow_peers;
+  fbf::telemetry::Counter& over_budget;
+  fbf::telemetry::Gauge& connections;
+};
+
+ServerTelemetry& server_telemetry() {
+  auto& registry = fbf::telemetry::Registry::global();
+  static ServerTelemetry cached{registry.counter("net.server.requests"),
+                                registry.counter("net.server.evicted"),
+                                registry.counter("net.server.slow_peers"),
+                                registry.counter("net.server.over_budget"),
+                                registry.gauge("net.server.connections")};
+  return cached;
+}
+
+/// Open connections across every ShardServer in the process; the gauge is
+/// set from it, so a registry reset is corrected by the next change.
+std::atomic<std::int64_t> g_open_connections{0};
+
+void count_connection(ShardServerCounters& counters, bool opened) {
+  std::int64_t open = 0;
+  if (opened) {
+    counters.connections.fetch_add(1);
+    open = ++g_open_connections;
+  } else {
+    counters.connections.fetch_sub(1);
+    open = --g_open_connections;
+  }
+  if (fbf::telemetry::enabled()) {
+    server_telemetry().connections.set(open);
+  }
+}
+
+void bump(std::atomic<std::uint64_t>& local, fbf::telemetry::Counter& global) {
+  local.fetch_add(1);
+  if (fbf::telemetry::enabled()) {
+    global.increment();
+  }
+}
+
+bool arm(int epoll_fd, int op, int fd) {
+  epoll_event event = {};
+  event.events = EPOLLIN | EPOLLONESHOT;
+  event.data.fd = fd;
+  return ::epoll_ctl(epoll_fd, op, fd, &event) == 0;
+}
+
+/// Best effort: a kError or kOverloaded frame the peer may read before
+/// the server closes the socket.
+void send_status_frame(int fd, FrameType type, const u::Status& status) {
+  const std::string frame =
+      encode_frame({type, 0, 1}, encode_error_payload(status));
+  (void)send_all(fd, frame, Deadline(100.0));
+}
+
 }  // namespace
 
 // --- ShardServer -------------------------------------------------------
@@ -162,7 +243,7 @@ u::Status decode_error_payload(std::string_view payload) {
 ShardServer::ShardServer(ShardHandler handler, ShardServerOptions options)
     : handler_(std::move(handler)), options_(options) {
   injector_.emplace(options_.faults);
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     throw std::runtime_error("ShardServer: socket(): " + errno_text(errno));
   }
@@ -171,7 +252,7 @@ ShardServer::ShardServer(ShardHandler handler, ShardServerOptions options)
   sockaddr_in addr = loopback_addr(0);
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 64) != 0) {
+      ::listen(listen_fd_, SOMAXCONN) != 0) {
     const int err = errno;
     ::close(listen_fd_);
     throw std::runtime_error("ShardServer: bind/listen: " + errno_text(err));
@@ -179,12 +260,25 @@ ShardServer::ShardServer(ShardHandler handler, ShardServerOptions options)
   socklen_t len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
-  set_nonblocking(listen_fd_);
-  if (::pipe(wake_fds_) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("ShardServer: pipe(): " + errno_text(errno));
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  epoll_event event = {};
+  event.events = EPOLLIN;  // level-triggered: both stay loop-owned
+  event.data.fd = listen_fd_;
+  const bool listen_ok =
+      epoll_fd_ >= 0 &&
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &event) == 0;
+  event.data.fd = wake_fd_;
+  if (!listen_ok || wake_fd_ < 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &event) != 0) {
+    const int err = errno;
+    for (const int fd : {listen_fd_, epoll_fd_, wake_fd_}) {
+      if (fd >= 0) {
+        ::close(fd);
+      }
+    }
+    throw std::runtime_error("ShardServer: epoll: " + errno_text(err));
   }
-  set_nonblocking(wake_fds_[0]);
   running_.store(true);
   loop_thread_ = std::thread([this] { event_loop(); });
   const std::size_t workers = std::max<std::size_t>(1, options_.workers);
@@ -211,8 +305,9 @@ void ShardServer::stop() {
   if (!was_running) {
     return;
   }
-  // Interrupt poll(), then wake every worker so they observe shutdown.
-  (void)!::write(wake_fds_[1], "x", 1);
+  // Interrupt epoll_wait, then wake every worker so they observe shutdown.
+  const std::uint64_t one = 1;
+  (void)!::write(wake_fd_, &one, sizeof(one));
   queue_cv_.notify_all();
   if (loop_thread_.joinable()) {
     loop_thread_.join();
@@ -222,107 +317,225 @@ void ShardServer::stop() {
       worker.join();
     }
   }
-  ::close(listen_fd_);
-  ::close(wake_fds_[0]);
-  ::close(wake_fds_[1]);
-  // Unserved jobs own their sockets.
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  for (const Job& job : queue_) {
-    ::close(job.fd);
-  }
   queue_.clear();
+  for (const auto& [fd, conn] : conns_) {
+    ::close(fd);
+    count_connection(counters_, /*opened=*/false);
+  }
+  conns_.clear();
+  buffered_bytes_ = 0;
+  ::close(listen_fd_);
+  ::close(epoll_fd_);
+  ::close(wake_fd_);
 }
 
 void ShardServer::event_loop() {
-  std::vector<Connection> conns;
-  std::vector<pollfd> pfds;
-  const auto close_conn = [&conns](std::size_t i) {
-    ::close(conns[i].fd);
-    conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
-  };
+  std::array<epoll_event, 64> events{};
+  std::vector<char> chunk(kRecvChunkBytes);  // the loop's receive buffer
+  double last_sweep = now_ms();
   while (running_.load()) {
-    pfds.clear();
-    pfds.push_back({listen_fd_, POLLIN, 0});
-    pfds.push_back({wake_fds_[0], POLLIN, 0});
-    for (const Connection& conn : conns) {
-      pfds.push_back({conn.fd, POLLIN, 0});
-    }
-    const int ready = ::poll(pfds.data(), pfds.size(), 100);
+    const int ready = ::epoll_wait(epoll_fd_, events.data(),
+                                   static_cast<int>(events.size()),
+                                   kServerSliceMs);
     if (!running_.load()) {
       break;
     }
-    if (ready <= 0) {
-      continue;
-    }
-    if ((pfds[1].revents & POLLIN) != 0) {
-      char drain[16];
-      while (::read(wake_fds_[0], drain, sizeof(drain)) > 0) {
+    for (int i = 0; i < ready; ++i) {
+      const int fd = events[static_cast<std::size_t>(i)].data.fd;
+      if (fd == listen_fd_) {
+        accept_all();
+      } else if (fd != wake_fd_) {
+        read_connection(fd, chunk);
       }
     }
-    // Connections accepted below have no pollfd entry yet; only the
-    // first `polled` entries of conns are mirrored in pfds this round.
-    const std::size_t polled = conns.size();
-    if ((pfds[0].revents & POLLIN) != 0) {
-      while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-          break;
-        }
-        set_nonblocking(fd);
-        conns.push_back({fd, {}});
-      }
-    }
-    // Walk backwards (pfds[2+i] is conns[i]): dispatch or close removes
-    // the connection without disturbing lower indices, and the freshly
-    // accepted tail (>= polled) is left for the next poll round.
-    for (std::size_t i = polled; i-- > 0;) {
-      if ((pfds[2 + i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-        continue;
-      }
-      bool closed = false;
-      char chunk[4096];
-      while (true) {
-        const ssize_t n = ::recv(conns[i].fd, chunk, sizeof(chunk), 0);
-        if (n > 0) {
-          conns[i].buffer.append(chunk, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n == 0) {
-          closed = true;
-        }
-        break;  // EAGAIN or error or EOF
-      }
-      const DecodedFrame frame = try_decode_frame(conns[i].buffer);
-      if (frame.status == DecodeStatus::kCorrupt) {
-        counters_.corrupt_requests.fetch_add(1);
-        const std::string reply = encode_frame(
-            {FrameType::kError, 0, 1},
-            encode_error_payload(u::Status::data_loss(frame.error)));
-        const Deadline deadline(100.0);
-        (void)send_all(conns[i].fd, reply, deadline);
-        close_conn(i);
-        continue;
-      }
-      if (frame.status == DecodeStatus::kFrame) {
-        Job job;
-        job.fd = conns[i].fd;
-        job.ctx = frame.ctx;
-        job.payload.assign(frame.payload);
-        conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
-        {
-          std::lock_guard<std::mutex> lock(queue_mu_);
-          queue_.push_back(std::move(job));
-        }
-        queue_cv_.notify_one();
-        continue;
-      }
-      if (closed) {
-        close_conn(i);  // EOF before a complete frame
-      }
+    const double now = now_ms();
+    if (now - last_sweep >= kServerSliceMs) {
+      last_sweep = now;
+      close_slow_peers(now);
     }
   }
-  for (const Connection& conn : conns) {
-    ::close(conn.fd);
+}
+
+void ShardServer::accept_all() {
+  while (true) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return;  // EAGAIN, or out of descriptors until something closes
+    }
+    const std::lock_guard<std::mutex> lock(conns_mu_);
+    if (conns_.size() >= kMaxServerConnections && !evict_idle()) {
+      // Every open connection is busy: fail the newcomer fast.
+      bump(counters_.evicted, server_telemetry().evicted);
+      send_status_frame(fd, FrameType::kOverloaded,
+                        u::Status::resource_exhausted(
+                            "shard server connection cap reached"));
+      ::close(fd);
+      continue;
+    }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    // A fresh state per accept: a reused fd number never inherits the
+    // bytes of the connection that held it before.
+    auto conn = std::make_unique<Connection>();
+    conn->idle_since_ms = now_ms();
+    conns_[fd] = std::move(conn);
+    count_connection(counters_, /*opened=*/true);
+    if (!arm(epoll_fd_, EPOLL_CTL_ADD, fd)) {
+      close_connection(fd);
+    }
+  }
+}
+
+// Caller holds conns_mu_.  Closes the longest-idle connection: one no
+// worker owns, with no buffered bytes and nothing unread in the socket.
+bool ShardServer::evict_idle() {
+  int victim = -1;
+  double oldest = 0.0;
+  for (const auto& [fd, conn] : conns_) {
+    if (conn->dispatched || !conn->buffer.empty() ||
+        (victim >= 0 && conn->idle_since_ms >= oldest)) {
+      continue;
+    }
+    int unread = 0;
+    if (::ioctl(fd, FIONREAD, &unread) != 0 || unread != 0) {
+      continue;
+    }
+    victim = fd;
+    oldest = conn->idle_since_ms;
+  }
+  if (victim < 0) {
+    return false;
+  }
+  close_connection(victim);
+  bump(counters_.evicted, server_telemetry().evicted);
+  return true;
+}
+
+// Caller holds conns_mu_ (or the loop and workers have stopped).
+void ShardServer::close_connection(int fd) {
+  const auto it = conns_.find(fd);
+  if (it == conns_.end()) {
+    return;
+  }
+  buffered_bytes_ -= it->second->buffer.size();
+  conns_.erase(it);
+  ::close(fd);
+  count_connection(counters_, /*opened=*/false);
+}
+
+void ShardServer::read_connection(int fd, std::vector<char>& chunk) {
+  const std::lock_guard<std::mutex> lock(conns_mu_);
+  const auto it = conns_.find(fd);
+  if (it == conns_.end() || it->second->dispatched) {
+    return;  // a stale event for an fd closed earlier in this batch
+  }
+  Connection& conn = *it->second;
+  bool eof = false;
+  std::size_t read = 0;
+  while (read < kMaxReadPerEvent) {
+    const ssize_t n = ::recv(fd, chunk.data(), chunk.size(), 0);
+    if (n > 0) {
+      if (conn.buffer.empty()) {
+        conn.partial_since_ms = now_ms();
+      }
+      conn.buffer.append(chunk.data(), static_cast<std::size_t>(n));
+      buffered_bytes_ += static_cast<std::size_t>(n);
+      read += static_cast<std::size_t>(n);
+      if (static_cast<std::size_t>(n) < chunk.size()) {
+        break;  // drained for now; more re-fires the armed fd
+      }
+      continue;
+    }
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    }
+    eof = true;  // EOF, or a receive error: either way the peer is gone
+    break;
+  }
+  const DecodedFrame frame = try_decode_frame(conn.buffer);
+  if (frame.status == DecodeStatus::kCorrupt) {
+    counters_.corrupt_requests.fetch_add(1);
+    send_status_frame(fd, FrameType::kError,
+                      u::Status::data_loss(frame.error));
+    close_connection(fd);
+    return;
+  }
+  if (frame.status == DecodeStatus::kFrame) {
+    Job job;
+    job.fd = fd;
+    job.conn = &conn;
+    job.ctx = frame.ctx;
+    job.payload.assign(frame.payload);
+    // Bytes past the frame mean the peer pipelined, which the protocol
+    // does not do: answer the first request, then close.
+    job.close_after = frame.consumed < conn.buffer.size();
+    buffered_bytes_ -= conn.buffer.size();
+    conn.buffer.clear();
+    if (conn.buffer.capacity() > kRecvChunkBytes) {
+      std::string().swap(conn.buffer);  // a large frame's memory goes back
+    }
+    conn.dispatched = true;
+    {
+      std::lock_guard<std::mutex> queue_lock(queue_mu_);
+      queue_.push_back(std::move(job));
+    }
+    queue_cv_.notify_one();
+    return;
+  }
+  if (eof) {
+    close_connection(fd);  // gone before a complete frame
+    return;
+  }
+  if (buffered_bytes_ > kMaxServerBufferedBytes) {
+    enforce_budget();
+    if (conns_.find(fd) == conns_.end()) {
+      return;
+    }
+  }
+  if (!arm(epoll_fd_, EPOLL_CTL_MOD, fd)) {
+    close_connection(fd);
+  }
+}
+
+// Caller holds conns_mu_.  Closes the largest partial frames until the
+// buffered bytes fit the budget again.
+void ShardServer::enforce_budget() {
+  while (buffered_bytes_ > kMaxServerBufferedBytes) {
+    int largest = -1;
+    std::size_t size = 0;
+    for (const auto& [fd, conn] : conns_) {
+      if (!conn->dispatched && conn->buffer.size() > size) {
+        largest = fd;
+        size = conn->buffer.size();
+      }
+    }
+    if (largest < 0) {
+      return;
+    }
+    close_connection(largest);
+    bump(counters_.over_budget, server_telemetry().over_budget);
+  }
+}
+
+void ShardServer::close_slow_peers(double now) {
+  const std::lock_guard<std::mutex> lock(conns_mu_);
+  std::vector<int> slow;
+  for (const auto& [fd, conn] : conns_) {
+    if (!conn->dispatched && !conn->buffer.empty() &&
+        now - conn->partial_since_ms > kPartialFrameDeadlineMs) {
+      slow.push_back(fd);
+    }
+  }
+  for (const int fd : slow) {
+    close_connection(fd);
+    bump(counters_.slow_peers, server_telemetry().slow_peers);
   }
 }
 
@@ -343,17 +556,28 @@ void ShardServer::worker_loop() {
   }
 }
 
+void ShardServer::release(const Job& job, bool keep) {
+  if (!keep || job.close_after) {
+    ::shutdown(job.fd, SHUT_RDWR);  // the loop reads EOF and closes it
+  }
+  // Clearing `dispatched` and re-arming happen under one lock, so the
+  // loop never sees an idle connection whose re-arm is still to come.
+  const std::lock_guard<std::mutex> lock(conns_mu_);
+  job.conn->dispatched = false;
+  job.conn->idle_since_ms = now_ms();
+  (void)arm(epoll_fd_, EPOLL_CTL_MOD, job.fd);
+}
+
 void ShardServer::serve(const Job& job) {
   const Deadline write_deadline(2000.0);
-  const auto reply_and_close = [&](const std::string& frame) {
-    (void)send_all(job.fd, frame, write_deadline);
-    ::close(job.fd);
+  const auto reply = [&](const std::string& frame) {
+    release(job, send_all(job.fd, frame, write_deadline).ok());
   };
   if (job.ctx.type == FrameType::kPing) {
     FrameContext pong = job.ctx;
     pong.type = FrameType::kPong;
     pong.trace = 0;  // replies carry no extension
-    reply_and_close(encode_frame(pong, {}));
+    reply(encode_frame(pong, {}));
     return;
   }
   // Socket-layer fault injection: the *decision* is the shared keyed draw
@@ -372,7 +596,8 @@ void ShardServer::serve(const Job& job) {
   }
   if (fail && kind == u::NetFaultKind::kDeadlineExpiry) {
     // Stall past the client's deadline, then answer into the void.  The
-    // client has moved on; the late write fails or is discarded.
+    // client closed the connection when its deadline expired, so the
+    // late write fails or is discarded and never answers another call.
     counters_.injected_delays.fetch_add(1);
     sleep_ms(options_.injected_delay_ms);
   }
@@ -385,9 +610,7 @@ void ShardServer::serve(const Job& job) {
     frame = encode_frame(reply_ctx, result.value());
     counters_.requests_served.fetch_add(1);
     if (fbf::telemetry::enabled()) {
-      fbf::telemetry::Registry::global()
-          .counter("net.server.requests")
-          .increment();
+      server_telemetry().requests.increment();
     }
   } else {
     // Overload is a distinct frame type so clients can tell "retry later"
@@ -399,11 +622,11 @@ void ShardServer::serve(const Job& job) {
     frame = encode_frame(reply_ctx, encode_error_payload(result.status()));
   }
   if (fail && kind == u::NetFaultKind::kMidFrameDisconnect) {
-    // A real mid-frame cut: ship half the frame, then RST via close.
+    // A real mid-frame cut: ship half the frame, then shut the socket.
     counters_.injected_disconnects.fetch_add(1);
     const std::string_view half(frame.data(), frame.size() / 2);
     (void)send_all(job.fd, half, write_deadline);
-    ::close(job.fd);
+    release(job, /*keep=*/false);
     return;
   }
   if (fail && kind == u::NetFaultKind::kGarbledFrame) {
@@ -421,7 +644,7 @@ void ShardServer::serve(const Job& job) {
           static_cast<unsigned char>(frame[offset]) ^ 0x40u);
     }
   }
-  reply_and_close(frame);
+  reply(frame);
 }
 
 // --- TcpTransport ------------------------------------------------------
@@ -444,65 +667,81 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
 }
 
 TcpTransport::~TcpTransport() {
+  drop_connection();
   if (dead_fd_ >= 0) {
     ::close(dead_fd_);
   }
 }
 
-u::Result<std::string> TcpTransport::call_once(const FrameContext& ctx,
-                                               std::string_view request,
-                                               std::uint16_t port,
-                                               double deadline_ms) {
-  const Deadline deadline(deadline_ms);
-  // Connect, retrying only genuine transient failures (backlog overflow)
-  // under the shared RetryPolicy.  Injected refusals target a dead port,
-  // so they burn these attempts instantly and still fail — the driver's
-  // per-attempt accounting stays transport-independent.
-  int fd = -1;
+void TcpTransport::drop_connection() {
+  if (conn_fd_ >= 0) {
+    ::close(conn_fd_);
+    conn_fd_ = -1;
+  }
+}
+
+namespace {
+
+/// Connects, retrying only genuine transient failures (backlog overflow)
+/// under the shared RetryPolicy.  Injected refusals target a dead port,
+/// so they burn these attempts instantly and still fail — the driver's
+/// per-attempt accounting stays transport-independent.
+u::Result<int> connect_with_retry(std::uint16_t port,
+                                  const u::RetryPolicy& retry,
+                                  const Deadline& deadline) {
   u::Status last = u::Status::unavailable("connect(): no attempt made");
-  for (int attempt = 1; attempt <= options_.connect_retry.bounded_attempts();
-       ++attempt) {
+  for (int attempt = 1; attempt <= retry.bounded_attempts(); ++attempt) {
     u::Result<int> conn = connect_loopback(port, deadline);
     if (conn.ok()) {
-      fd = conn.value();
-      break;
+      return conn;
     }
     last = conn.status();
-    if (deadline.expired() ||
-        attempt == options_.connect_retry.bounded_attempts()) {
-      return last;
+    if (deadline.expired() || attempt == retry.bounded_attempts()) {
+      break;
     }
-    sleep_ms(options_.connect_retry.next_delay_ms(attempt));
+    sleep_ms(retry.next_delay_ms(attempt));
   }
-  if (fd < 0) {
-    return last;
-  }
-  const std::string frame = encode_frame(ctx, request);
-  if (u::Status sent = send_all(fd, frame, deadline); !sent.ok()) {
-    ::close(fd);
-    return sent;
+  return last;
+}
+
+/// How one request/reply exchange on a connection ended.
+struct Exchange {
+  u::Result<std::string> reply = u::Status::unavailable("no exchange");
+  bool reusable = false;    ///< one whole reply frame and nothing after it
+  bool unanswered = false;  ///< the peer closed before any reply byte
+};
+
+Exchange exchange(int fd, std::string_view frame, const Deadline& deadline) {
+  Exchange out;
+  int send_errno = 0;
+  if (u::Status sent = send_all(fd, frame, deadline, &send_errno);
+      !sent.ok()) {
+    out.reply = sent;
+    out.unanswered = send_errno == EPIPE || send_errno == ECONNRESET;
+    return out;
   }
   std::string buffer;
   char chunk[4096];
   while (true) {
     const DecodedFrame reply = try_decode_frame(buffer);
     if (reply.status == DecodeStatus::kCorrupt) {
-      ::close(fd);
-      return u::Status::data_loss(std::string("garbled frame: ") +
-                                  reply.error);
+      out.reply = u::Status::data_loss(std::string("garbled frame: ") +
+                                       reply.error);
+      return out;
     }
     if (reply.status == DecodeStatus::kFrame) {
-      std::string payload(reply.payload);
-      ::close(fd);
+      out.reusable = reply.consumed == buffer.size();
       if (reply.ctx.type == FrameType::kError ||
           reply.ctx.type == FrameType::kOverloaded) {
-        return decode_error_payload(payload);
+        out.reply = decode_error_payload(reply.payload);
+      } else {
+        out.reply = std::string(reply.payload);
       }
-      return payload;
+      return out;
     }
     if (deadline.expired()) {
-      ::close(fd);
-      return u::Status::unavailable("deadline expired awaiting reply");
+      out.reply = u::Status::unavailable("deadline expired awaiting reply");
+      return out;
     }
     pollfd pfd = {fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, deadline.slice());
@@ -515,17 +754,65 @@ u::Result<std::string> TcpTransport::call_once(const FrameContext& ctx,
       continue;
     }
     if (n == 0) {
-      ::close(fd);
-      return u::Status::unavailable(
+      out.unanswered = buffer.empty();
+      out.reply = u::Status::unavailable(
           buffer.empty() ? "connection closed before reply"
                          : "connection closed mid-frame");
+      return out;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
       continue;
     }
     const int err = errno;
-    ::close(fd);
-    return u::Status::io_error("recv(): " + errno_text(err));
+    out.unanswered = buffer.empty() && err == ECONNRESET;
+    out.reply = u::Status::io_error("recv(): " + errno_text(err));
+    return out;
+  }
+}
+
+}  // namespace
+
+u::Result<std::string> TcpTransport::call_once(const FrameContext& ctx,
+                                               std::string_view request,
+                                               bool refused_draw) {
+  const Deadline deadline(options_.deadline_ms);
+  const std::string frame = encode_frame(ctx, request);
+  if (refused_draw) {
+    // A fresh connect to the dead port is a real ECONNREFUSED; the kept
+    // connection stays as it is.
+    u::Result<int> fd =
+        connect_with_retry(dead_port_, options_.connect_retry, deadline);
+    if (!fd.ok()) {
+      return fd.status();
+    }
+    Exchange done = exchange(fd.value(), frame, deadline);
+    ::close(fd.value());
+    return std::move(done.reply);
+  }
+  // A kept connection the server closed while it sat idle fails before
+  // any reply byte.  The server never ran that request, so it is resent
+  // once on a fresh connection.
+  for (int round = 1;; ++round) {
+    const bool reused = conn_fd_ >= 0;
+    if (!reused) {
+      u::Result<int> fd =
+          connect_with_retry(options_.port, options_.connect_retry, deadline);
+      if (!fd.ok()) {
+        return fd.status();
+      }
+      conn_fd_ = fd.value();
+      if (fbf::telemetry::enabled()) {
+        detail::net_telemetry().connects.increment();
+      }
+    }
+    Exchange done = exchange(conn_fd_, frame, deadline);
+    if (!done.reusable) {
+      drop_connection();  // a late or partial reply must never be read
+    }
+    if (reused && done.unanswered && round == 1) {
+      continue;
+    }
+    return std::move(done.reply);
   }
 }
 
@@ -547,16 +834,13 @@ u::Result<std::string> TcpTransport::call(std::size_t shard, int attempt,
     ctx.trace = fbf::telemetry::derive_trace_id(
         static_cast<std::uint16_t>(type), request);
   }
-  std::uint16_t port = options_.port;
   const int attempt_key = static_cast<int>(ctx.attempt);
-  if (injector_->shard_attempt_fails(shard, attempt_key) &&
+  // Nobody listens on the dead port: a refused draw is a real ECONNREFUSED.
+  const bool refused_draw =
+      dead_port_ != 0 && injector_->shard_attempt_fails(shard, attempt_key) &&
       injector_->net_fault_kind(shard, attempt_key) ==
-          u::NetFaultKind::kConnectRefused &&
-      dead_port_ != 0) {
-    port = dead_port_;  // nobody listens here: a real ECONNREFUSED
-  }
-  u::Result<std::string> result =
-      call_once(ctx, request, port, options_.deadline_ms);
+          u::NetFaultKind::kConnectRefused;
+  u::Result<std::string> result = call_once(ctx, request, refused_draw);
   if (result.ok()) {
     ++stats_.ok;
     if (fbf::telemetry::enabled()) {

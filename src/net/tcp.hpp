@@ -2,12 +2,27 @@
 // logical shard workers behind one event loop, and a TcpTransport client
 // that speaks the frame protocol with per-request deadlines.
 //
-// The server accepts on 127.0.0.1:<ephemeral>, reads request frames with
-// non-blocking I/O in a poll() event loop, and hands complete requests to
-// a small worker pool (the "logical shard workers") that runs the handler
-// and writes the reply.  One request per connection: the client connects,
-// sends, awaits the reply, closes — connection setup is where injected
-// refusals live, so per-call connects keep every failure mode reachable.
+// The server accepts on 127.0.0.1:<ephemeral> and keeps each connection
+// open across requests.  An epoll loop reads non-blocking sockets; every
+// connection is registered EPOLLONESHOT, so one event hands the fd to
+// exactly one owner.  The loop reads until a request frame is whole, then
+// hands it to a small worker pool (the "logical shard workers"), which
+// runs the handler, writes the reply and re-arms the fd with
+// epoll_ctl(MOD) — the loop is not woken for that.  One request is in
+// flight per connection; there is no pipelining.
+//
+// The client keeps one connection per TcpTransport and reuses it for
+// every call.  Any failed call closes it (deadline, garbled or cut frame,
+// send error), so a stalled reply can never answer a later call.  When a
+// reused connection closes before any reply byte arrives, the call is
+// resent once on a fresh connection: the server only closes a connection
+// without replying when it never ran the request (an idle eviction, a
+// partial frame closed at a limit, or a job left unserved at stop()).
+//
+// The server's resources are bounded by named constants: at most
+// kMaxServerConnections open connections (an accept past the cap closes
+// the longest-idle one), a partial-frame deadline against slow peers, and
+// a budget on bytes buffered across partial frames.
 //
 // Fault injection (util::FaultInjector) plugs in at the socket layer:
 // when the shared failure decision says (shard, attempt) fails, the kind
@@ -22,10 +37,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "net/transport.hpp"
@@ -34,6 +51,24 @@
 #include "util/status.hpp"
 
 namespace fbf::net {
+
+/// Open connections one ShardServer keeps.  An accept past the cap closes
+/// the longest-idle connection; when none is idle, the newcomer gets a
+/// kOverloaded frame and is closed.
+inline constexpr std::size_t kMaxServerConnections = 256;
+/// A request frame must arrive whole within this long of its first byte;
+/// a slower peer is closed.  Loopback delivers a maximum frame in far
+/// less.
+inline constexpr double kPartialFrameDeadlineMs = 1000.0;
+/// The event loop's epoll_wait timeout.  Partial-frame deadlines are
+/// checked once per slice.
+inline constexpr int kServerSliceMs = 100;
+/// Bytes one server buffers across all partial frames.  Two maximum
+/// frames fit, so one legitimate frame always does; past the budget the
+/// connection holding the largest partial frame is closed.
+inline constexpr std::size_t kMaxServerBufferedBytes =
+    2 * (std::size_t{kMaxFramePayloadBytes} + kFrameHeaderBytes +
+         kMaxFrameExtensionBytes);
 
 struct ShardServerOptions {
   /// Socket-layer fault injection; default-off config injects nothing.
@@ -52,6 +87,10 @@ struct ShardServerCounters {
   std::atomic<std::uint64_t> injected_disconnects{0};
   std::atomic<std::uint64_t> injected_delays{0};
   std::atomic<std::uint64_t> injected_garbles{0};
+  std::atomic<std::uint64_t> connections{0};  ///< open right now
+  std::atomic<std::uint64_t> evicted{0};      ///< closed by the connection cap
+  std::atomic<std::uint64_t> slow_peers{0};   ///< past kPartialFrameDeadlineMs
+  std::atomic<std::uint64_t> over_budget{0};  ///< past kMaxServerBufferedBytes
 };
 
 class ShardServer {
@@ -74,19 +113,36 @@ class ShardServer {
   void stop();
 
  private:
+  /// One open connection.  `buffer` and `partial_since_ms` belong to the
+  /// event loop; `dispatched` and `idle_since_ms` change under conns_mu_.
+  /// While `dispatched` is set, a worker owns the fd and the loop neither
+  /// reads nor closes it.
   struct Connection {
-    int fd = -1;
     std::string buffer;
+    double partial_since_ms = 0.0;  ///< first byte of the pending frame
+    double idle_since_ms = 0.0;     ///< accept, or the last re-arm
+    bool dispatched = false;
   };
   struct Job {
     int fd = -1;
+    Connection* conn = nullptr;
     FrameContext ctx;
     std::string payload;
+    bool close_after = false;  ///< the peer pipelined: close after replying
   };
 
   void event_loop();
+  void accept_all();
+  void read_connection(int fd, std::vector<char>& chunk);
+  void close_connection(int fd);
+  [[nodiscard]] bool evict_idle();
+  void close_slow_peers(double now);
+  void enforce_budget();
   void worker_loop();
   void serve(const Job& job);
+  /// Worker side: hand the fd back to the loop (re-arm), or shut it down
+  /// first so the loop reads EOF and closes it.
+  void release(const Job& job, bool keep);
 
   ShardHandler handler_;
   ShardServerOptions options_;
@@ -94,15 +150,19 @@ class ShardServer {
   std::mutex injector_mu_;
 
   int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  ///< self-pipe to interrupt poll()
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd that interrupts epoll_wait at stop()
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
+  std::mutex conns_mu_;
+  std::unordered_map<int, std::unique_ptr<Connection>> conns_;
+  std::size_t buffered_bytes_ = 0;  ///< loop-owned sum of partial buffers
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<Job> queue_;
   ShardServerCounters counters_;
+  std::thread loop_thread_;
+  std::vector<std::thread> workers_;
 };
 
 struct TcpTransportOptions {
@@ -123,6 +183,9 @@ struct TcpTransportOptions {
 /// breakdown; see net::TransportStats).
 using TcpTransportStats = TransportStats;
 
+/// Keeps one connection to options.port and reuses it for every call.
+/// One calling thread per transport: calls are never concurrent, so a
+/// connection never carries two outstanding requests.
 class TcpTransport final : public ShardTransport {
  public:
   explicit TcpTransport(TcpTransportOptions options);
@@ -147,11 +210,12 @@ class TcpTransport final : public ShardTransport {
 
  private:
   [[nodiscard]] fbf::util::Result<std::string> call_once(
-      const FrameContext& ctx, std::string_view request,
-      std::uint16_t port, double deadline_ms);
+      const FrameContext& ctx, std::string_view request, bool refused_draw);
+  void drop_connection();
 
   TcpTransportOptions options_;
   std::optional<fbf::util::FaultInjector> injector_;
+  int conn_fd_ = -1;  ///< the kept connection to options_.port, or -1
   int dead_fd_ = -1;  ///< bound, never listened: connecting here is refused
   std::uint16_t dead_port_ = 0;
   TransportStats stats_;

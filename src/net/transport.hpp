@@ -9,9 +9,13 @@
 //    reference: injected faults come straight from the FaultInjector
 //    decision, no sockets involved.
 //  * TcpTransport (net/tcp.hpp) — real loopback sockets against a
-//    ShardServer.  The same fault decisions manifest as real connection
-//    failures (refused connect, mid-frame disconnect, deadline expiry,
-//    garbled frame).
+//    ShardServer, over one connection the transport keeps and reuses.
+//    The same fault decisions manifest as real connection failures
+//    (refused connect, mid-frame disconnect, deadline expiry, garbled
+//    frame); each failed call closes the kept connection.
+//
+// A transport carries one call at a time: callers that run concurrently
+// keep one transport per thread.
 //
 // Both route the same encoded payloads through the same handler, so a
 // run's counters (matches, retries, dropped partitions) are transport-
@@ -85,6 +89,7 @@ namespace detail {
 /// one relaxed add per event after that.
 struct NetTelemetry {
   telemetry::Counter& calls;
+  telemetry::Counter& connects;  ///< connections a TcpTransport opened
   telemetry::Counter& ok;
   telemetry::Counter& connect_refused;
   telemetry::Counter& disconnects;
@@ -107,6 +112,7 @@ struct NetTelemetry {
 [[nodiscard]] inline NetTelemetry& net_telemetry() {
   auto& registry = telemetry::Registry::global();
   static NetTelemetry cached{registry.counter("net.calls"),
+                             registry.counter("net.connects"),
                              registry.counter("net.ok"),
                              registry.counter("net.fault.connect_refused"),
                              registry.counter("net.fault.disconnect"),

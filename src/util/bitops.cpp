@@ -32,14 +32,18 @@ __attribute__((target("popcnt"))) int hw_diff_bits_popcnt(
     std::span<const std::uint32_t> n) noexcept {
   return hw_diff_bits(m, n);
 }
-
-bool cpu_has_popcnt() noexcept {
-  static const bool has = __builtin_cpu_supports("popcnt") != 0;
-  return has;
-}
 #endif
 
 }  // namespace
+
+bool cpu_has_popcnt() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool has = __builtin_cpu_supports("popcnt") != 0;
+  return has;
+#else
+  return false;
+#endif
+}
 
 int xor_diff_bits(std::span<const std::uint32_t> m,
                   std::span<const std::uint32_t> n,

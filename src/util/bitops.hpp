@@ -76,6 +76,12 @@ inline constexpr std::array<std::uint8_t, 256> kPopcountTable = make_popcount_ta
   return total;
 }
 
+/// True when the CPU has the POPCNT instruction (always false off x86).
+/// The library is built for baseline x86-64, where std::popcount lowers
+/// to a libgcc call; hot loops keep a target("popcnt") twin and pick it
+/// at run time with this.
+[[nodiscard]] bool cpu_has_popcnt() noexcept;
+
 /// Strategy selector for the population count used inside FindDiffBits.
 enum class PopcountKind {
   kWegner,    ///< Alg. 6 as published (clear-lowest-bit loop)

@@ -1,14 +1,22 @@
 // Transport-layer tests: the shard reply codec, the in-process
 // reference transport, the real TCP path (server event loop + frame
 // protocol + deadlines), each injected fault kind manifesting as a real
-// socket failure, and the headline property — the shard driver
+// socket failure, the kept client connection and the server's resource
+// bounds, and the headline property — the shard driver
 // (cluster::link_elastic, here as a static R=1 cluster) produces identical
 // counters over InProcessTransport and TcpTransport for the same fault
 // seed.
 #include "net/transport.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,8 +26,10 @@
 #include "linkage/person_gen.hpp"
 #include "linkage/shard_service.hpp"
 #include "net/tcp.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace {
 
@@ -214,6 +224,289 @@ TEST(TcpTransport, EachServerFaultKindManifests) {
   EXPECT_EQ(transport.stats().deadline_expired, 1u)
       << late.status().to_string();
   EXPECT_GE(server.counters().injected_delays.load(), 1u);
+}
+
+// --- kept connections and server bounds -------------------------------
+
+double elapsed_ms(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - since)
+      .count();
+}
+
+/// Blocking loopback connect that sends nothing: a raw, idle peer.
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads until EOF (or a 5 s receive timeout); `eof` says which ended it.
+std::string read_to_eof(int fd, bool& eof) {
+  timeval timeout = {5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  std::string bytes;
+  char chunk[4096];
+  while (true) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) {
+      eof = n == 0;
+      return bytes;
+    }
+    bytes.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+/// Polls `done` every millisecond for up to five seconds.
+template <typename Pred>
+bool wait_for(Pred done) {
+  const auto start = std::chrono::steady_clock::now();
+  while (!done()) {
+    if (elapsed_ms(start) > 5000.0) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+std::uint64_t connects() {
+  return fbf::telemetry::Registry::global().counter("net.connects").value();
+}
+
+/// The first attempt on shard 0 whose kind draw is `kind`.
+int attempt_of_kind(const u::FaultConfig& faults, u::NetFaultKind kind) {
+  const u::FaultInjector probe(faults);
+  for (int a = 1; a <= 128; ++a) {
+    if (probe.net_fault_kind(0, a) == kind) {
+      return a;
+    }
+  }
+  return -1;
+}
+
+TEST(TcpConnection, ReusesOneConnection) {
+  if (!fbf::telemetry::enabled()) {
+    GTEST_SKIP() << "net.connects needs telemetry compiled in";
+  }
+  net::ShardServer server(echo_handler());
+  net::TcpTransportOptions opts;
+  opts.port = server.port();
+  net::TcpTransport transport(opts);
+  const std::uint64_t before = connects();
+  for (int i = 0; i < 200; ++i) {
+    const std::string payload = "call " + std::to_string(i);
+    const auto reply = transport.call(static_cast<std::size_t>(i % 4), 1,
+                                      net::FrameType::kLinkRequest, payload);
+    ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+    ASSERT_EQ(reply.value(), payload);
+  }
+  EXPECT_EQ(connects() - before, 1u);
+  EXPECT_EQ(server.counters().connections.load(), 1u);
+  EXPECT_EQ(transport.stats().ok, 200u);
+}
+
+TEST(TcpConnection, LateReplyNeverAnswersTheNextCall) {
+  // The stalled reply to the first call lands while the second call is
+  // still waiting.  Were the connection kept after the deadline, the
+  // second call would read "first"; the echo proves each reply is its own.
+  u::FaultConfig faults;
+  faults.fail_shard = 0;
+  faults.seed = 31;
+  const int delay_attempt =
+      attempt_of_kind(faults, u::NetFaultKind::kDeadlineExpiry);
+  ASSERT_GT(delay_attempt, 0);
+  net::ShardServerOptions server_opts;
+  server_opts.faults = faults;
+  server_opts.injected_delay_ms = 300.0;
+  net::ShardServer server(echo_handler(), server_opts);
+  net::TcpTransportOptions opts;
+  opts.port = server.port();
+  opts.faults = faults;
+  opts.deadline_ms = 200.0;
+  net::TcpTransport transport(opts);
+
+  const auto late = transport.call(0, delay_attempt,
+                                   net::FrameType::kLinkRequest, "first");
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(transport.stats().deadline_expired, 1u)
+      << late.status().to_string();
+  const auto second =
+      transport.call(1, 1, net::FrameType::kLinkRequest, "second");
+  ASSERT_TRUE(second.ok()) << second.status().to_string();
+  EXPECT_EQ(second.value(), "second");
+  const auto third = transport.call(1, 1, net::FrameType::kLinkRequest, "third");
+  ASSERT_TRUE(third.ok()) << third.status().to_string();
+  EXPECT_EQ(third.value(), "third");
+  EXPECT_EQ(transport.stats().total_failures(), 1u);
+}
+
+TEST(TcpConnection, EvictedIdleConnectionIsResentTransparently) {
+  net::ShardServer server(echo_handler());
+  net::TcpTransportOptions opts;
+  opts.port = server.port();
+  net::TcpTransport transport(opts);
+  ASSERT_TRUE(transport.call(0, 1, net::FrameType::kLinkRequest, "before").ok());
+
+  // Fill the server to its cap.  The transport's connection is the
+  // longest idle, so the accept past the cap evicts it.
+  std::vector<int> peers;
+  for (std::size_t i = 0; i < net::kMaxServerConnections; ++i) {
+    peers.push_back(raw_connect(server.port()));
+    ASSERT_GE(peers.back(), 0);
+  }
+  ASSERT_TRUE(wait_for([&] { return server.counters().evicted.load() >= 1; }));
+
+  const std::uint64_t before = connects();
+  const auto reply = transport.call(0, 1, net::FrameType::kLinkRequest, "after");
+  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+  EXPECT_EQ(reply.value(), "after");
+  EXPECT_EQ(transport.stats().ok, 2u);
+  EXPECT_EQ(transport.stats().total_failures(), 0u);
+  if (fbf::telemetry::enabled()) {
+    EXPECT_EQ(connects() - before, 1u);  // the one fresh connection
+  }
+  EXPECT_LE(server.counters().connections.load(), net::kMaxServerConnections);
+  for (const int fd : peers) {
+    ::close(fd);
+  }
+}
+
+TEST(TcpConnection, RefusedDrawKeepsTheCachedConnection) {
+  if (!fbf::telemetry::enabled()) {
+    GTEST_SKIP() << "net.connects needs telemetry compiled in";
+  }
+  u::FaultConfig faults;
+  faults.fail_shard = 0;
+  faults.seed = 902;
+  const int refused_attempt =
+      attempt_of_kind(faults, u::NetFaultKind::kConnectRefused);
+  ASSERT_GT(refused_attempt, 0);
+  net::ShardServerOptions server_opts;
+  server_opts.faults = faults;
+  net::ShardServer server(echo_handler(), server_opts);
+  net::TcpTransportOptions opts;
+  opts.port = server.port();
+  opts.faults = faults;
+  net::TcpTransport transport(opts);
+
+  const std::uint64_t before = connects();
+  ASSERT_TRUE(transport.call(1, 1, net::FrameType::kLinkRequest, "a").ok());
+  EXPECT_FALSE(transport
+                   .call(0, refused_attempt, net::FrameType::kLinkRequest, "b")
+                   .ok());
+  EXPECT_EQ(transport.stats().connect_refused, 1u);
+  const auto reply = transport.call(1, 1, net::FrameType::kLinkRequest, "c");
+  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+  EXPECT_EQ(reply.value(), "c");
+  EXPECT_EQ(connects() - before, 1u);
+  EXPECT_EQ(server.counters().connections.load(), 1u);
+}
+
+TEST(TcpConnection, FloodBeyondTheCapStaysBounded) {
+  net::ShardServer server(echo_handler());
+  constexpr std::size_t kExtra = 16;
+  std::vector<int> peers;
+  std::atomic<bool> flooding{true};
+  std::thread flood([&] {
+    for (std::size_t i = 0; i < net::kMaxServerConnections + kExtra; ++i) {
+      peers.push_back(raw_connect(server.port()));
+    }
+    flooding.store(false);
+  });
+  std::uint64_t most_open = 0;
+  while (flooding.load()) {
+    most_open = std::max(most_open, server.counters().connections.load());
+    std::this_thread::yield();
+  }
+  flood.join();
+  for (const int fd : peers) {
+    ASSERT_GE(fd, 0);
+  }
+  ASSERT_TRUE(
+      wait_for([&] { return server.counters().evicted.load() >= kExtra; }));
+  EXPECT_EQ(server.counters().evicted.load(), kExtra);
+  EXPECT_LE(most_open, net::kMaxServerConnections);
+  EXPECT_EQ(server.counters().connections.load(), net::kMaxServerConnections);
+
+  net::TcpTransportOptions opts;
+  opts.port = server.port();
+  net::TcpTransport transport(opts);
+  const auto reply = transport.call(2, 1, net::FrameType::kLinkRequest, "still here");
+  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+  EXPECT_EQ(reply.value(), "still here");
+  EXPECT_EQ(transport.stats().total_failures(), 0u);
+  EXPECT_LE(server.counters().connections.load(), net::kMaxServerConnections);
+  for (const int fd : peers) {
+    ::close(fd);
+  }
+}
+
+TEST(TcpConnection, SlowLorisIsClosed) {
+  net::ShardServer server(echo_handler());
+  const int fd = raw_connect(server.port());
+  ASSERT_GE(fd, 0);
+  const std::string frame = net::encode_frame({net::FrameType::kPing, 0, 1}, {});
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_EQ(::send(fd, frame.data(), net::kFrameHeaderBytes / 2, 0),
+            static_cast<ssize_t>(net::kFrameHeaderBytes / 2));
+  bool eof = false;
+  const std::string reply = read_to_eof(fd, eof);
+  const double waited = elapsed_ms(start);
+  ::close(fd);
+  EXPECT_TRUE(eof);
+  EXPECT_TRUE(reply.empty());
+  EXPECT_GE(waited, net::kPartialFrameDeadlineMs);
+  // Deadlines are checked once per slice; one more slice absorbs the
+  // scheduling of a loaded host.
+  EXPECT_LT(waited, net::kPartialFrameDeadlineMs + 2 * net::kServerSliceMs);
+  EXPECT_TRUE(
+      wait_for([&] { return server.counters().slow_peers.load() == 1; }));
+  EXPECT_EQ(server.counters().connections.load(), 0u);
+}
+
+TEST(TcpConnection, OversizeLengthIsRejected) {
+  namespace w = fbf::util::wire;
+  net::ShardServer server(echo_handler());
+  const int fd = raw_connect(server.port());
+  ASSERT_GE(fd, 0);
+  // A well-formed header whose length claims one byte past the cap, and
+  // no payload.  The reply arrives although the server has received only
+  // the header: the length is rejected before any buffer is sized by it.
+  std::string header;
+  w::put<std::uint32_t>(header, net::kFrameMagic);
+  w::put<std::uint16_t>(header,
+                        static_cast<std::uint16_t>(net::FrameType::kLinkRequest));
+  w::put<std::uint16_t>(header, 0);
+  w::put<std::uint32_t>(header, 0);
+  w::put<std::uint32_t>(header, 1);
+  w::put<std::uint32_t>(header, net::kMaxFramePayloadBytes + 1);
+  w::put<std::uint64_t>(header, 0);
+  ASSERT_EQ(header.size(), net::kFrameHeaderBytes);
+  ASSERT_EQ(::send(fd, header.data(), header.size(), 0),
+            static_cast<ssize_t>(header.size()));
+  bool eof = false;
+  const std::string bytes = read_to_eof(fd, eof);
+  ::close(fd);
+  EXPECT_TRUE(eof);
+  const net::DecodedFrame reply = net::try_decode_frame(bytes);
+  ASSERT_EQ(reply.status, net::DecodeStatus::kFrame);
+  EXPECT_EQ(reply.ctx.type, net::FrameType::kError);
+  EXPECT_EQ(reply.consumed, bytes.size());
+  EXPECT_EQ(server.counters().corrupt_requests.load(), 1u);
+  EXPECT_TRUE(
+      wait_for([&] { return server.counters().connections.load() == 0; }));
 }
 
 // --- per-kind delivery stats --------------------------------------------
