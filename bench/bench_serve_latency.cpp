@@ -305,7 +305,6 @@ int main(int argc, char** argv) {
     s::ServiceOptions options;
     options.query.exec.threads = batch_threads;
     options.coalescer.max_batch = max_batch;
-    options.coalescer.max_inflight = 4096;
     options.max_inflight = 4096;
     auto service = std::make_unique<s::MatchService>(
         options, std::make_shared<fbf::storage::MemObjectBackend>());

@@ -150,7 +150,7 @@ class ClusterService {
   [[nodiscard]] fbf::util::Result<std::string> handle_drop(
       NodeId node, std::string_view payload);
 
-  /// The broadcast right's LinkageContext (signatures + filter bank),
+  /// The broadcast right's LinkageContext (its filter bank),
   /// built by the first replica query and shared by every later one.
   const linkage::LinkageContext& right_context();
 

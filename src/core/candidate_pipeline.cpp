@@ -160,6 +160,39 @@ __attribute__((target("popcnt"))) void pre_gate_words_popcnt(
 }
 #endif
 
+/// filter_block's survivor count, twinned like pre_gate_words.
+[[gnu::always_inline]] inline std::size_t count_bits_words(
+    const std::uint64_t* words, std::size_t n) noexcept {
+  std::size_t total = 0;
+  for (std::size_t w = 0; w < n; ++w) {
+    total += static_cast<std::size_t>(std::popcount(words[w]));
+  }
+  return total;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("popcnt"))) std::size_t count_bits_popcnt(
+    const std::uint64_t* words, std::size_t n) noexcept {
+  return count_bits_words(words, n);
+}
+
+/// Kept out of line so filter_block itself holds no libgcc call.
+[[gnu::noinline]] std::size_t count_bits_generic(const std::uint64_t* words,
+                                                 std::size_t n) noexcept {
+  return count_bits_words(words, n);
+}
+#endif
+
+/// Set bits in words [0, n).
+std::size_t count_bits(const std::uint64_t* words, std::size_t n) noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  return fbf::util::cpu_has_popcnt() ? count_bits_popcnt(words, n)
+                                     : count_bits_generic(words, n);
+#else
+  return count_bits_words(words, n);
+#endif
+}
+
 }  // namespace
 
 CandidatePipeline::CandidatePipeline(const PipelineConfig& config)
@@ -295,11 +328,8 @@ std::size_t CandidatePipeline::filter_block(
   const std::size_t words = bitmap_words(end > begin ? end - begin : 0);
   std::size_t total = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    std::size_t survivors = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      survivors += static_cast<std::size_t>(
-          std::popcount(bitmaps[i * bitmap_stride + w]));
-    }
+    const std::size_t survivors =
+        count_bits(bitmaps + i * bitmap_stride, words);
     counters[i].fbf_pass += survivors;
     total += survivors;
   }

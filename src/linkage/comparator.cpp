@@ -4,6 +4,7 @@
 #include "metrics/damerau.hpp"
 #include "metrics/pdl.hpp"
 #include "metrics/soundex.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fbf::linkage {
 
@@ -77,6 +78,24 @@ RecordSignatures build_record_signatures(const PersonRecord& r,
     out.sigs[static_cast<std::size_t>(field)] = c::make_signature(
         r.field(field), record_field_class(field), alpha_words);
   }
+  return out;
+}
+
+std::vector<RecordSignatures> build_all_signatures(
+    std::span<const PersonRecord> records, const ComparatorConfig& config,
+    std::size_t threads) {
+  std::vector<RecordSignatures> out;
+  if (!config_uses_fbf(config)) {
+    return out;
+  }
+  out.resize(records.size());
+  fbf::util::parallel_chunks(
+      records.size(), threads,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          out[i] = build_record_signatures(records[i], config.alpha_words);
+        }
+      });
   return out;
 }
 

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/signature.hpp"
@@ -97,5 +99,13 @@ struct CompareCounters {
 [[nodiscard]] RecordSignatures build_record_signatures(
     const PersonRecord& r,
     int alpha_words = fbf::core::kDefaultAlphaWords);
+
+/// build_record_signatures over a record list under `config`'s
+/// alpha_words, fanned across `threads` pool workers; empty when `config`
+/// never consults FBF.  Signatures are derived state: callers pack them
+/// into a RecordFilterBank (or score with them) and drop them.
+[[nodiscard]] std::vector<RecordSignatures> build_all_signatures(
+    std::span<const PersonRecord> records, const ComparatorConfig& config,
+    std::size_t threads = 1);
 
 }  // namespace fbf::linkage

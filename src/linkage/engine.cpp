@@ -25,23 +25,8 @@ Precomputed precompute_signatures(std::span<const PersonRecord> left,
   // The Gen phase is timed separately from the pair loop (the paper's Gen
   // row), so it gets its own fan-out across the pool.
   const fbf::util::Stopwatch timer;
-  pre.left.resize(left.size());
-  fbf::util::parallel_chunks(
-      left.size(), threads,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          pre.left[i] = build_record_signatures(left[i], config.alpha_words);
-        }
-      });
-  pre.right.resize(right.size());
-  fbf::util::parallel_chunks(
-      right.size(), threads,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          pre.right[i] =
-              build_record_signatures(right[i], config.alpha_words);
-        }
-      });
+  pre.left = build_all_signatures(left, config, threads);
+  pre.right = build_all_signatures(right, config, threads);
   pre.gen_ms = timer.elapsed_ms();
   pre.built = true;
   return pre;
@@ -100,30 +85,14 @@ LinkStats finish(std::vector<ChunkResult>& chunks, std::uint64_t pairs,
 
 LinkageContext::LinkageContext(std::span<const PersonRecord> right,
                                const ComparatorConfig& comparator,
-                               std::size_t threads)
-    : LinkageContext(right, comparator,
-                     core::ExecPolicy{.threads = threads}) {}
-
-LinkageContext::LinkageContext(std::span<const PersonRecord> right,
-                               const ComparatorConfig& comparator,
                                const core::ExecPolicy& exec)
     : right_(right),
       bank_(comparator, RecordFilterOptions{.generator = exec.generator}) {
-  const std::size_t threads = exec.threads;
+  // The signatures live only inside the bank's packed planes: built,
+  // appended, freed.
   const fbf::util::Stopwatch timer;
-  const bool uses_fbf = config_uses_fbf(comparator);
-  if (uses_fbf) {
-    signatures_.resize(right.size());
-    fbf::util::parallel_chunks(
-        right.size(), threads,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            signatures_[i] =
-                build_record_signatures(right[i], comparator.alpha_words);
-          }
-        });
-  }
-  bank_.append(right, signatures_, threads);
+  bank_.append(right, build_all_signatures(right, comparator, exec.threads),
+               exec.threads);
   gen_ms_ = timer.elapsed_ms();
 }
 
@@ -167,18 +136,8 @@ LinkStats link_exhaustive(std::span<const PersonRecord> left,
   // Left-side generation is per call; the right side was paid once by the
   // context's builder.
   const fbf::util::Stopwatch gen_timer;
-  std::vector<RecordSignatures> left_sigs;
-  if (uses_fbf) {
-    left_sigs.resize(left.size());
-    fbf::util::parallel_chunks(
-        left.size(), config.exec.threads,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            left_sigs[i] = build_record_signatures(
-                left[i], config.comparator.alpha_words);
-          }
-        });
-  }
+  const std::vector<RecordSignatures> left_sigs =
+      build_all_signatures(left, config.comparator, config.exec.threads);
   const double gen_ms = gen_timer.elapsed_ms();
   const fbf::util::Stopwatch timer;
   const std::size_t n_chunks =

@@ -30,23 +30,17 @@ struct LinkConfig {
   bool collect_matches = false;
 };
 
-/// Precomputed right-hand-side linkage state: field signatures plus the
-/// per-rule filter bank.  Build once, link many — the cluster's shard
-/// link service builds one context over the broadcast right list and
-/// links every partition against it instead of re-deriving filter state
-/// per partition.  `right` must outlive the context (records are
-/// referenced, not copied).
+/// Precomputed right-hand-side linkage state: the per-rule filter bank
+/// (the right side's field signatures live only in its packed planes).
+/// Build once, link many — the cluster's shard link service builds one
+/// context over the broadcast right list and links every partition
+/// against it instead of re-deriving filter state per partition.  The
+/// bank inherits `exec.generator`, so kBlockIndex contexts index the
+/// comparator's weight cover at build time (RecordFilterBank; probed per
+/// incoming record at link time).  `right` must outlive the context
+/// (records are referenced, not copied).
 class LinkageContext {
  public:
-  LinkageContext(std::span<const PersonRecord> right,
-                 const ComparatorConfig& comparator,
-                 std::size_t threads = 1);
-
-  /// Builds with the full execution policy: the bank inherits
-  /// `exec.generator`, so kBlockIndex contexts index the comparator's
-  /// weight cover at build time (RecordFilterBank; probed per incoming
-  /// record at link time).  The two-argument-plus-threads constructor
-  /// above keeps the dense default.
   LinkageContext(std::span<const PersonRecord> right,
                  const ComparatorConfig& comparator,
                  const core::ExecPolicy& exec);
@@ -57,17 +51,12 @@ class LinkageContext {
   [[nodiscard]] const RecordFilterBank& bank() const noexcept {
     return bank_;
   }
-  [[nodiscard]] std::span<const RecordSignatures> signatures()
-      const noexcept {
-    return signatures_;
-  }
   /// Signature + bank build time (charged to the Gen row once, not per
   /// linkage call).
   [[nodiscard]] double gen_ms() const noexcept { return gen_ms_; }
 
  private:
   std::span<const PersonRecord> right_;
-  std::vector<RecordSignatures> signatures_;
   RecordFilterBank bank_;
   double gen_ms_ = 0.0;
 };

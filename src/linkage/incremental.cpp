@@ -16,26 +16,15 @@ EntityStore::EntityStore(ComparatorConfig comparator,
       bank_(comparator_,
             RecordFilterOptions{.generator = options_.exec.generator}) {}
 
-void EntityStore::rebuild_bank() {
-  bank_ = RecordFilterBank(
-      comparator_, RecordFilterOptions{.generator = options_.exec.generator});
-  bank_.append(records_, signatures_, options_.exec.threads);
-}
-
 IngestStats EntityStore::ingest(std::span<const PersonRecord> batch) {
   IngestStats stats;
   stats.batch_size = batch.size();
-  // Signatures for the incoming batch (store signatures already exist).
-  std::vector<RecordSignatures> batch_sigs;
-  if (uses_fbf_) {
-    const fbf::util::Stopwatch sig_timer;
-    batch_sigs.reserve(batch.size());
-    for (const PersonRecord& r : batch) {
-      batch_sigs.push_back(
-          build_record_signatures(r, comparator_.alpha_words));
-    }
-    stats.signature_ms = sig_timer.elapsed_ms();
-  }
+  // Signatures for the incoming batch: scored against the store, then
+  // packed into the bank's planes.
+  const fbf::util::Stopwatch sig_timer;
+  const std::vector<RecordSignatures> batch_sigs =
+      build_all_signatures(batch, comparator_);
+  stats.signature_ms = sig_timer.elapsed_ms();
   const fbf::util::Stopwatch match_timer;
   const std::size_t store_size_at_start = records_.size();
   std::vector<Decision> decisions(batch.size());
@@ -88,16 +77,10 @@ IngestStats EntityStore::ingest(std::span<const PersonRecord> batch) {
     }
     records_.push_back(batch[b]);
     entity_ids_.push_back(entity);
-    if (uses_fbf_) {
-      signatures_.push_back(batch_sigs[b]);
-    }
   }
   // One bank append per batch: a cover rule's index takes the whole
   // batch into its overflow tier (or one compaction) at once.
-  const std::span<const RecordSignatures> new_sigs =
-      uses_fbf_ ? std::span(signatures_).subspan(store_size_at_start)
-                : std::span<const RecordSignatures>{};
-  bank_.append(std::span(records_).subspan(store_size_at_start), new_sigs,
+  bank_.append(std::span(records_).subspan(store_size_at_start), batch_sigs,
                options_.exec.threads);
   stats.match_ms = match_timer.elapsed_ms();
   return stats;
@@ -136,16 +119,11 @@ EntityStore::ProbeResult EntityStore::probe(const PersonRecord& query,
 
 fbf::util::Status EntityStore::restore(
     std::vector<PersonRecord> records, std::vector<std::uint32_t> entity_ids,
-    std::uint32_t entity_total, std::vector<RecordSignatures> signatures) {
+    std::uint32_t entity_total) {
   namespace u = fbf::util;
   if (entity_ids.size() != records.size()) {
     return u::Status::invalid_argument(
         "entity_ids size " + std::to_string(entity_ids.size()) +
-        " != record count " + std::to_string(records.size()));
-  }
-  if (!signatures.empty() && signatures.size() != records.size()) {
-    return u::Status::invalid_argument(
-        "signatures size " + std::to_string(signatures.size()) +
         " != record count " + std::to_string(records.size()));
   }
   for (const std::uint32_t id : entity_ids) {
@@ -155,19 +133,17 @@ fbf::util::Status EntityStore::restore(
           std::to_string(entity_total));
     }
   }
-  if (uses_fbf_ && signatures.empty()) {
-    signatures.reserve(records.size());
-    for (const PersonRecord& r : records) {
-      signatures.push_back(
-          build_record_signatures(r, comparator_.alpha_words));
-    }
-  }
   records_ = std::move(records);
   entity_ids_ = std::move(entity_ids);
   entity_total_ = entity_total;
-  signatures_ = uses_fbf_ ? std::move(signatures)
-                          : std::vector<RecordSignatures>{};
-  rebuild_bank();
+  // One append over the whole column: each cover index is built once,
+  // not through overflow compactions.  The derived signatures are freed
+  // once packed.
+  const std::size_t threads = options_.exec.threads;
+  bank_ = RecordFilterBank(
+      comparator_, RecordFilterOptions{.generator = options_.exec.generator});
+  bank_.append(records_, build_all_signatures(records_, comparator_, threads),
+               threads);
   return {};
 }
 

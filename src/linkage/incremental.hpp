@@ -4,10 +4,14 @@
 // be updated daily, which currently requires approximately 8 hours per
 // night... It would take approximately 40 hours to run the algorithm with
 // DL" (paper §1).  This module models that pipeline: an entity store
-// holds previously resolved records with their precomputed FBF
-// signatures; each incoming record is compared against the store (filter
-// then verify), joins the best-scoring entity above the threshold or
-// founds a new one.  The nightly-update bench measures exactly the
+// holds previously resolved records and a filter bank over them; each
+// incoming record is compared against the store (filter then verify),
+// joins the best-scoring entity above the threshold or founds a new one.
+// A record's FBF signatures are derived state (build_record_signatures
+// under the comparator's layout): they are built per ingested batch,
+// packed into the bank's planes and dropped, and restore() derives them
+// again, so the no-false-negative guarantee never rests on a signature
+// built under another layout.  The nightly-update bench measures exactly the
 // paper's claim — the 40-hour DL update becoming "an hour or two" with
 // FBF (scaled down).
 #pragma once
@@ -121,17 +125,9 @@ class EntityStore {
     return entity_ids_;
   }
 
-  /// Precomputed per-record signatures — empty when the comparator never
-  /// consults FBF.
-  [[nodiscard]] std::span<const RecordSignatures> signatures() const noexcept {
-    return signatures_;
-  }
-
   [[nodiscard]] const ComparatorConfig& comparator() const noexcept {
     return comparator_;
   }
-
-  [[nodiscard]] bool uses_fbf() const noexcept { return uses_fbf_; }
 
   /// The candidate generator ingest() and probe() run: kBlockIndex when
   /// the filter bank serves the weight cover, kDense otherwise.
@@ -139,15 +135,14 @@ class EntityStore {
     return bank_.generator();
   }
 
-  /// Replaces the store contents wholesale (snapshot recovery).
-  /// `signatures` may be empty, in which case they are recomputed when the
-  /// comparator needs them; when provided they must be record-parallel.
-  /// Validates shape (parallel arrays, entity ids < entity_total) and
-  /// leaves the store unchanged on error.
+  /// Replaces the store contents wholesale (snapshot recovery) and
+  /// rebuilds the filter bank in one append, deriving every record's
+  /// signatures under this store's comparator (fanned across
+  /// exec.threads, freed once packed).  Validates shape (parallel arrays,
+  /// entity ids < entity_total) and leaves the store unchanged on error.
   [[nodiscard]] fbf::util::Status restore(
       std::vector<PersonRecord> records,
-      std::vector<std::uint32_t> entity_ids, std::uint32_t entity_total,
-      std::vector<RecordSignatures> signatures = {});
+      std::vector<std::uint32_t> entity_ids, std::uint32_t entity_total);
 
  private:
   /// One batch record's match decision against the pre-batch store
@@ -157,13 +152,10 @@ class EntityStore {
     std::size_t index = 0;  ///< best store index, or sentinel = none
   };
 
-  void rebuild_bank();
-
   ComparatorConfig comparator_;
   EntityStoreOptions options_;
   bool uses_fbf_ = false;
   std::vector<PersonRecord> records_;
-  std::vector<RecordSignatures> signatures_;
   std::vector<std::uint32_t> entity_ids_;
   std::uint32_t entity_total_ = 0;
   /// Per-rule filter state over records_.

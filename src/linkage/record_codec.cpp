@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/signature.hpp"
-
 namespace fbf::linkage::wire {
 
 namespace w = fbf::util::wire;
@@ -51,33 +49,6 @@ bool get_record_list(std::string_view payload, std::vector<PersonRecord>& out) {
     out.push_back(std::move(r));
   }
   return in.done();
-}
-
-void put_signatures(std::string& out, const RecordSignatures& sigs) {
-  for (const fbf::core::Signature& sig : sigs.sigs) {
-    w::put<std::uint8_t>(out, static_cast<std::uint8_t>(sig.size()));
-    for (const std::uint32_t word : sig.words()) {
-      w::put<std::uint32_t>(out, word);
-    }
-  }
-}
-
-bool get_signatures(w::Reader& in, RecordSignatures& sigs) {
-  for (fbf::core::Signature& sig : sigs.sigs) {
-    std::uint8_t n = 0;
-    if (!in.get(n) || n > fbf::core::Signature::kMaxWords) {
-      return false;
-    }
-    sig = {};
-    for (std::uint8_t word_index = 0; word_index < n; ++word_index) {
-      std::uint32_t word = 0;
-      if (!in.get(word)) {
-        return false;
-      }
-      sig.push(word);
-    }
-  }
-  return true;
 }
 
 }  // namespace fbf::linkage::wire

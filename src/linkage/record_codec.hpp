@@ -1,6 +1,7 @@
-// PersonRecord / RecordSignatures byte codec, shared by the snapshot +
-// journal files (durability), cluster partition blobs and the serve
-// protocol (networking).
+// PersonRecord byte codec, shared by the snapshot + journal files
+// (durability), cluster partition blobs and the serve protocol
+// (networking).  Signatures have no codec: they are derived from a record
+// under the reader's layout, never serialized.
 // One definition of the record layout means the recovery path and the
 // wire path can never disagree about what a serialized record looks like.
 #pragma once
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "linkage/record.hpp"
-#include "linkage/record_filter.hpp"
 #include "util/wire.hpp"
 
 namespace fbf::linkage::wire {
@@ -26,9 +26,5 @@ void put_record_list(std::string& out, std::span<const PersonRecord> records);
 /// cut short or has trailing bytes.
 [[nodiscard]] bool get_record_list(std::string_view payload,
                                    std::vector<PersonRecord>& out);
-
-void put_signatures(std::string& out, const RecordSignatures& sigs);
-[[nodiscard]] bool get_signatures(fbf::util::wire::Reader& in,
-                                  RecordSignatures& sigs);
 
 }  // namespace fbf::linkage::wire

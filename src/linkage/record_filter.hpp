@@ -75,9 +75,9 @@ class RecordFilterBank {
                             RecordFilterOptions options = {});
 
   /// Appends stored records in order.  `sigs` is record-parallel and must
-  /// be non-empty when the config has FBF rules (the caller already built
-  /// them for its own bookkeeping; the bank packs per-rule field rows from
-  /// them, no re-derivation).  Each cover rule's block index is built
+  /// be non-empty when the config has FBF rules (build_all_signatures);
+  /// the bank packs per-rule field rows from them, and its planes are the
+  /// only copy the caller keeps.  Each cover rule's block index is built
   /// once from its whole column when it is empty, and extended through
   /// its overflow tier otherwise; `threads` fans the index builds.
   void append(std::span<const PersonRecord> records,

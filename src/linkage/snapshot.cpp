@@ -15,14 +15,12 @@ namespace u = fbf::util;
 
 namespace {
 
-// Byte-level encoding comes from util::wire, the record/signature layout
-// from linkage/record_codec.
+// Byte-level encoding comes from util::wire, the record layout from
+// linkage/record_codec.
 using fbf::util::wire::put;
 using fbf::util::wire::Reader;
 using wire::get_record;
-using wire::get_signatures;
 using wire::put_record;
-using wire::put_signatures;
 
 constexpr std::uint64_t kSnapshotMagic = 0x31504E5346424600ull;  // "\0FBFSNP1"
 constexpr std::uint64_t kDeltaMagic = 0x31544C4446424600ull;     // "\0FBFDLT1"
@@ -35,20 +33,15 @@ double steady_ms() {
 }
 
 /// The record section shared by snapshots and deltas (what walk_records
-/// reads): a signatures flag, the count, then each record of `store` from
-/// `from` on with its entity id and, when kept, its signatures.
+/// reads): the count, then each record of `store` from `from` on with its
+/// entity id.  No signatures: they are derived state, rebuilt on load
+/// under the reader's comparator.
 void put_records(std::string& payload, const EntityStore& store,
                  std::size_t from) {
-  const bool has_sigs =
-      store.uses_fbf() && store.signatures().size() == store.records().size();
-  put<std::uint8_t>(payload, has_sigs ? 1 : 0);
   put<std::uint64_t>(payload, store.size() - from);
   for (std::size_t i = from; i < store.size(); ++i) {
     put_record(payload, store.records()[i]);
     put<std::uint32_t>(payload, store.entity_ids()[i]);
-    if (has_sigs) {
-      put_signatures(payload, store.signatures()[i]);
-    }
   }
 }
 
@@ -56,41 +49,29 @@ void put_records(std::string& payload, const EntityStore& store,
 struct ColumnSink {
   std::vector<PersonRecord>& records;
   std::vector<std::uint32_t>& entity_ids;
-  std::vector<RecordSignatures>& signatures;
 
-  void operator()(PersonRecord& rec, std::uint32_t entity,
-                  const RecordSignatures* sigs) const {
+  void operator()(PersonRecord& rec, std::uint32_t entity) const {
     records.push_back(std::move(rec));
     entity_ids.push_back(entity);
-    if (sigs != nullptr) {
-      signatures.push_back(*sigs);
-    }
   }
 };
 
-/// Walks a record section: on_record(record, entity, sigs) gets each
-/// record, in order, decoded into one reused PersonRecord (sigs is nullptr
-/// when none are kept).  Checks every record and signature, entity id <
-/// entity_total and no trailing bytes, so a blob that passes restores
-/// cleanly; kDataLoss on the first failure.
+/// Walks a record section: on_record(record, entity) gets each record, in
+/// order, decoded into one reused PersonRecord.  Checks every record,
+/// entity id < entity_total and no trailing bytes, so a blob that passes
+/// restores cleanly; kDataLoss on the first failure.
 template <typename OnRecord>
 u::Status walk_records(Reader& r, std::uint32_t entity_total,
                        const std::string& kind, OnRecord&& on_record) {
-  std::uint8_t has_sigs = 0;
   std::uint64_t n_records = 0;
-  if (!r.get(has_sigs) || !r.get(n_records)) {
+  if (!r.get(n_records)) {
     return u::Status::data_loss(kind + " payload header malformed");
   }
   PersonRecord rec;
-  RecordSignatures sigs;
   for (std::uint64_t i = 0; i < n_records; ++i) {
     std::uint32_t entity = 0;
     if (!get_record(r, rec) || !r.get(entity)) {
       return u::Status::data_loss(kind + " record " + std::to_string(i) +
-                                  " malformed");
-    }
-    if (has_sigs != 0 && !get_signatures(r, sigs)) {
-      return u::Status::data_loss(kind + " signatures " + std::to_string(i) +
                                   " malformed");
     }
     if (entity >= entity_total) {
@@ -98,7 +79,7 @@ u::Status walk_records(Reader& r, std::uint32_t entity_total,
           kind + " inconsistent: entity id " + std::to_string(entity) +
           " >= entity total " + std::to_string(entity_total));
     }
-    on_record(rec, entity, has_sigs != 0 ? &sigs : nullptr);
+    on_record(rec, entity);
   }
   if (!r.done()) {
     return u::Status::data_loss(kind + " payload has trailing bytes");
@@ -153,8 +134,7 @@ u::Status walk_delta(std::string_view bytes, DeltaSegment& seg,
 
 /// A record sink that keeps nothing: the checkpoint's read-back check
 /// runs a walk's whole validation without a second copy of the store.
-constexpr auto kDiscard = [](const PersonRecord&, std::uint32_t,
-                             const RecordSignatures*) {};
+constexpr auto kDiscard = [](const PersonRecord&, std::uint32_t) {};
 
 }  // namespace
 
@@ -173,15 +153,13 @@ u::Result<std::uint64_t> decode_snapshot(std::string_view bytes,
                                          EntityStore& store) {
   std::vector<PersonRecord> records;
   std::vector<std::uint32_t> entity_ids;
-  std::vector<RecordSignatures> signatures;
-  auto header =
-      walk_snapshot(bytes, ColumnSink{records, entity_ids, signatures});
+  auto header = walk_snapshot(bytes, ColumnSink{records, entity_ids});
   if (!header.ok()) {
     return header.status();
   }
-  u::Status restored =
-      store.restore(std::move(records), std::move(entity_ids),
-                    header->entity_total, std::move(signatures));
+  u::Status restored = store.restore(std::move(records),
+                                     std::move(entity_ids),
+                                     header->entity_total);
   if (!restored.ok()) {
     return u::Status::data_loss("snapshot inconsistent: " +
                                 restored.message());
@@ -205,8 +183,8 @@ std::string encode_delta(const EntityStore& store, std::size_t from_record,
 
 u::Result<DeltaSegment> decode_delta(std::string_view bytes) {
   DeltaSegment seg;
-  u::Status walked = walk_delta(
-      bytes, seg, ColumnSink{seg.records, seg.entity_ids, seg.signatures});
+  u::Status walked =
+      walk_delta(bytes, seg, ColumnSink{seg.records, seg.entity_ids});
   if (!walked.ok()) {
     return walked;
   }
@@ -483,8 +461,7 @@ u::Result<RecoveryReport> DurableEntityStore::recover() {
     // base -> deltas, walked straight into one restore.
     std::vector<PersonRecord> records;
     std::vector<std::uint32_t> entity_ids;
-    std::vector<RecordSignatures> signatures;
-    const ColumnSink sink{records, entity_ids, signatures};
+    const ColumnSink sink{records, entity_ids};
     std::uint32_t entity_total = 0;
     u::Status walked = chain_.walk(
         manifest,
@@ -522,14 +499,8 @@ u::Result<RecoveryReport> DurableEntityStore::recover() {
     if (!walked.ok()) {
       return walked;
     }
-    if (!signatures.empty() && signatures.size() != records.size()) {
-      // Mixed sig coverage across segments cannot be restored verbatim;
-      // drop and let the store recompute what the comparator needs.
-      signatures.clear();
-    }
     u::Status restored = fresh.restore(std::move(records),
-                                       std::move(entity_ids), entity_total,
-                                       std::move(signatures));
+                                       std::move(entity_ids), entity_total);
     if (!restored.ok()) {
       return u::Status::data_loss("checkpoint chain inconsistent: " +
                                   restored.message());

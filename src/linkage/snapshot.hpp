@@ -14,7 +14,12 @@
 // This file owns the payloads (snapshot, delta, journal frame) and the
 // policy.  Checkpoints are *incremental*: after the first full base each
 // writes only the records added since the last one, and a count/size
-// trigger folds the deltas back into a fresh base.
+// trigger folds the deltas back into a fresh base.  A base or delta
+// payload (v2) is a header, then a record section: u64 count and, per
+// record, the record and its u32 entity id.  Blobs hold no signatures:
+// recover() derives them under the reader's comparator
+// (EntityStore::restore), so a store written under one layout and read
+// under another still keeps the no-false-negative guarantee.
 //
 //   ingest(batch)  -> append journal frame (group-commit sync policy)
 //                  -> apply to the in-memory store
@@ -44,19 +49,22 @@
 namespace fbf::linkage {
 
 /// Bumped on any layout change; readers reject other versions.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
-inline constexpr std::uint32_t kDeltaVersion = 1;
+/// Version 2 dropped the per-record signatures; a version-1 blob fails
+/// recovery with kDataLoss.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kDeltaVersion = 2;
 
 // --- codec: structures <-> checksummed bytes ---------------------------
 
-/// Full-store snapshot (records, entity ids, precomputed signatures) with
-/// a versioned, checksummed header.  `batches_ingested` records the
+/// Full-store snapshot (records and entity ids) with a versioned,
+/// checksummed header.  `batches_ingested` records the
 /// logical journal position the snapshot covers.
 [[nodiscard]] std::string encode_snapshot(const EntityStore& store,
                                           std::uint64_t batches_ingested);
 
-/// Decodes into `store` (constructed with the intended comparator) and
-/// returns the snapshot's batches_ingested position.  kDataLoss on any
+/// Decodes into `store` (constructed with the intended comparator, under
+/// which restore() derives the signatures) and returns the snapshot's
+/// batches_ingested position.  kDataLoss on any
 /// checksum, version or structure mismatch — a corrupt snapshot is
 /// detected, never loaded.
 [[nodiscard]] fbf::util::Result<std::uint64_t> decode_snapshot(
@@ -73,7 +81,6 @@ struct DeltaSegment {
   std::uint32_t entity_total = 0;  ///< store-wide total AFTER this segment
   std::vector<PersonRecord> records;
   std::vector<std::uint32_t> entity_ids;
-  std::vector<RecordSignatures> signatures;  ///< empty when none are kept
 };
 
 /// Encodes the suffix of `store` starting at record `from_record` as a

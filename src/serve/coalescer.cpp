@@ -41,12 +41,6 @@ u::Result<core::CorpusResult> BatchCoalescer::submit(std::string query) {
   if (stopping_) {
     return u::Status::unavailable("coalescer stopped");
   }
-  if (pending_.size() >= options_.max_inflight) {
-    ++stats_.rejected;
-    return u::Status::resource_exhausted(
-        "match queue full (" + std::to_string(pending_.size()) +
-        " pending)");
-  }
   ++stats_.queries;
   pending_.push_back(&self);
   // Lead whenever no batch is running, until this query is answered: by

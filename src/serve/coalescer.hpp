@@ -21,10 +21,10 @@
 //    result and ladder counters a solo query would have produced.  Batching is a
 //    throughput optimization, never an observable behavior change
 //    (property-tested under fuzzed arrival orders in test_serve.cpp).
-//  * Admission control — the pending queue is bounded (`max_inflight`);
-//    beyond it submit() fails fast with kResourceExhausted rather than
-//    queueing unboundedly.  The service maps that to a kOverloaded frame
-//    so remote clients distinguish "retry later" from "request broken".
+//  * One admission budget — the coalescer admits every submit().  Each
+//    pending query is a request inside MatchService::handle(), so the
+//    service-wide in-flight budget (ServiceOptions::max_inflight) bounds
+//    the queue; a second cap here could never fire behind it.
 //
 // At saturation coalescing is self-reinforcing: while one batch runs,
 // arrivals accumulate, so the next batch is fuller — Q rises with load
@@ -49,16 +49,12 @@ namespace fbf::serve {
 struct CoalescerOptions {
   /// Queries per batch; the default is one full kernel register block.
   std::size_t max_batch = core::kMaxBlockQueries;
-  /// Pending-queue admission bound; beyond it submit() fails fast with
-  /// kResourceExhausted.
-  std::size_t max_inflight = 64;
 };
 
 struct CoalescerStats {
   std::uint64_t batches = 0;   ///< BatchFn calls
   std::uint64_t queries = 0;   ///< queries admitted
   std::uint64_t coalesced = 0; ///< queries that shared a batch with others
-  std::uint64_t rejected = 0;  ///< admission-control rejections
   std::uint64_t max_batch = 0; ///< largest batch run
 };
 
@@ -78,8 +74,7 @@ class BatchCoalescer {
   BatchCoalescer& operator=(const BatchCoalescer&) = delete;
 
   /// Submits one query and returns once its batch has run — possibly on
-  /// this thread.  Fails fast with kResourceExhausted when the pending
-  /// queue is full, and with kUnavailable after stop().
+  /// this thread.  Fails with kUnavailable after stop().
   [[nodiscard]] fbf::util::Result<core::CorpusResult> submit(
       std::string query);
 

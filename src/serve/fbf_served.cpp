@@ -180,7 +180,6 @@ int main(int argc, char** argv) {
   // results are exec-policy invariant, only saturation throughput moves.
   options.query.exec.threads = batch_threads;
   options.coalescer.max_batch = max_batch;
-  options.coalescer.max_inflight = inflight;
   options.max_inflight = inflight;
 
   std::shared_ptr<fbf::storage::StorageBackend> backend;

@@ -144,10 +144,7 @@ u::Result<std::string> MatchService::handle_match(std::string_view payload) {
   if (req->kind == MatchRequest::Kind::kString) {
     u::Result<core::CorpusResult> result = coalescer_->submit(req->text);
     if (!result.ok()) {
-      if (result.status().code() == u::StatusCode::kResourceExhausted) {
-        metrics_.overloaded.increment();
-      }
-      return result.status();
+      return result.status();  // the coalescer stopped
     }
     resp = match_string(*req, std::move(result.value()));
   } else {
@@ -329,8 +326,6 @@ telemetry::MetricsSnapshot MatchService::metrics_snapshot() const {
         .set(static_cast<std::int64_t>(cs.queries));
     registry_.gauge("serve.batch.coalesced")
         .set(static_cast<std::int64_t>(cs.coalesced));
-    registry_.gauge("serve.batch.rejected")
-        .set(static_cast<std::int64_t>(cs.rejected));
     registry_.gauge("serve.batch.max")
         .set(static_cast<std::int64_t>(cs.max_batch));
   }

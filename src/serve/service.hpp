@@ -42,9 +42,9 @@
 // handler() exposes the service as a net::ShardHandler, so the same
 // instance backs an InProcessTransport (deterministic reference) and a
 // ShardServer over real loopback sockets — the transport-equivalence
-// property the client tests assert.  Overload (coalescer admission or
-// the service-wide in-flight budget) surfaces as kResourceExhausted,
-// which the TCP server maps to a kOverloaded frame.
+// property the client tests assert.  Overload (the service-wide in-flight
+// budget, the one admission check) surfaces as kResourceExhausted, which
+// the TCP server maps to a kOverloaded frame.
 #pragma once
 
 #include <atomic>

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "linkage/person_gen.hpp"
 #include "storage/local_dir.hpp"
+#include "storage/mem_object.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 
@@ -22,6 +25,12 @@ using fbf::util::Rng;
 
 lk::ComparatorConfig fpdl_config() {
   return lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
+}
+
+lk::DurabilityPolicy policy(std::size_t checkpoint_every = 4) {
+  lk::DurabilityPolicy p;
+  p.checkpoint_every = checkpoint_every;
+  return p;
 }
 
 std::vector<std::vector<lk::PersonRecord>> make_batches(std::size_t n_batches,
@@ -41,22 +50,44 @@ std::vector<std::vector<lk::PersonRecord>> make_batches(std::size_t n_batches,
   return batches;
 }
 
+void expect_probe_equal(const lk::EntityStore::ProbeResult& got,
+                        const lk::EntityStore::ProbeResult& want,
+                        std::size_t query) {
+  ASSERT_EQ(got.matches.size(), want.matches.size()) << "query " << query;
+  for (std::size_t m = 0; m < got.matches.size(); ++m) {
+    EXPECT_EQ(got.matches[m].record_index, want.matches[m].record_index)
+        << "query " << query << " #" << m;
+    EXPECT_EQ(got.matches[m].entity_id, want.matches[m].entity_id)
+        << "query " << query << " #" << m;
+    EXPECT_EQ(got.matches[m].score, want.matches[m].score)
+        << "query " << query << " #" << m;
+  }
+  EXPECT_EQ(got.counters.fbf_evaluations, want.counters.fbf_evaluations)
+      << "query " << query;
+  EXPECT_EQ(got.counters.verify_calls, want.counters.verify_calls)
+      << "query " << query;
+}
+
+/// Same records and entity ids, and — since signatures are derived on
+/// load, not stored — the same answers to probes of every stored record
+/// and of an error copy of each.
 void expect_stores_equal(const lk::EntityStore& a, const lk::EntityStore& b) {
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.entity_count(), b.entity_count());
-  ASSERT_EQ(a.signatures().size(), b.signatures().size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.entity_ids()[i], b.entity_ids()[i]) << "record " << i;
     EXPECT_EQ(a.records()[i].id, b.records()[i].id) << "record " << i;
     for (const auto field : lk::all_record_fields()) {
       EXPECT_EQ(a.records()[i].field(field), b.records()[i].field(field));
     }
-    if (!a.signatures().empty()) {
-      for (std::size_t f = 0; f < lk::kRecordFieldCount; ++f) {
-        EXPECT_TRUE(a.signatures()[i].sigs[f] == b.signatures()[i].sigs[f])
-            << "record " << i << " field " << f;
-      }
-    }
+  }
+  Rng rng(a.size());
+  std::vector<lk::PersonRecord> queries(a.records().begin(),
+                                        a.records().end());
+  const auto errors = lk::make_error_records(queries, {}, rng);
+  queries.insert(queries.end(), errors.begin(), errors.end());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    expect_probe_equal(b.probe(queries[q], 0), a.probe(queries[q], 0), q);
   }
 }
 
@@ -79,13 +110,6 @@ class SnapshotFiles : public ::testing::Test {
   [[nodiscard]] std::shared_ptr<st::LocalDirBackend> backend(
       u::FaultInjector* faults = nullptr) const {
     return std::make_shared<st::LocalDirBackend>(base_.string(), faults);
-  }
-
-  [[nodiscard]] static lk::DurabilityPolicy policy(
-      std::size_t checkpoint_every = 4) {
-    lk::DurabilityPolicy p;
-    p.checkpoint_every = checkpoint_every;
-    return p;
   }
 
   /// True when a checkpoint chain (manifest) exists in the directory.
@@ -123,8 +147,39 @@ TEST(Snapshot, RoundTripWithoutFbfComparator) {
   const std::string bytes = lk::encode_snapshot(store, 1);
   lk::EntityStore loaded(config);
   ASSERT_TRUE(lk::decode_snapshot(bytes, loaded).ok());
-  EXPECT_TRUE(loaded.signatures().empty());
   expect_stores_equal(store, loaded);
+}
+
+TEST(Snapshot, VersionOneBlobsFailRecoveryWithDataLoss) {
+  // Version 1 carried signatures next to each record; no v1 reader is
+  // kept.  An otherwise intact v1 base or delta is refused as data loss.
+  auto backend = std::make_shared<st::MemObjectBackend>();
+  const auto batches = make_batches(2, 10, 14);
+  std::string base_blob;
+  {
+    lk::DurableEntityStore durable(fpdl_config(), backend, policy(1));
+    for (const auto& batch : batches) {
+      ASSERT_TRUE(durable.ingest(batch).ok());
+    }
+    base_blob = durable.manifest().base_blob;
+    const std::string delta = lk::encode_delta(durable.store(), 10, 1, 2);
+    ASSERT_TRUE(lk::decode_delta(delta).ok());
+    std::string old_delta = delta;
+    old_delta[8] = 1;  // the envelope's u32 version, little-endian
+    const auto decoded = lk::decode_delta(old_delta);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), u::StatusCode::kDataLoss);
+  }
+  auto bytes = backend->get({base_blob});
+  ASSERT_TRUE(bytes.ok());
+  std::string old_base = bytes.value();
+  ASSERT_EQ(old_base[8], static_cast<char>(lk::kSnapshotVersion));
+  old_base[8] = 1;
+  ASSERT_TRUE(backend->put({base_blob}, old_base).ok());
+  lk::DurableEntityStore reader(fpdl_config(), backend, policy(1));
+  const auto recovered = reader.recover();
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), u::StatusCode::kDataLoss);
 }
 
 TEST(Snapshot, EverySingleByteCorruptionIsDetected) {
@@ -408,14 +463,84 @@ TEST_F(SnapshotFiles, RecoveryCleansTheJournalSoASecondCrashLosesNothing) {
 
 TEST(EntityStoreRestore, RejectsInconsistentShapes) {
   lk::EntityStore store(fpdl_config());
-  std::vector<lk::PersonRecord> two(2);
+  Rng rng(13);
+  const std::vector<lk::PersonRecord> two = lk::generate_people(2, rng);
   EXPECT_FALSE(store.restore(two, {0u}, 1).ok());  // ids not parallel
   EXPECT_FALSE(store.restore(two, {0u, 5u}, 2).ok());  // id >= total
   EXPECT_TRUE(store.restore(two, {0u, 1u}, 2).ok());
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.entity_count(), 2u);
-  // FPDL comparator: signatures were recomputed during restore.
-  EXPECT_EQ(store.signatures().size(), 2u);
+  // FPDL comparator: restore derived the signatures the filter bank
+  // needs, so a probe of a stored record finds it.
+  const auto probe = store.probe(two[1]);
+  ASSERT_FALSE(probe.matches.empty());
+  EXPECT_EQ(probe.matches.front().record_index, 1u);
+  EXPECT_EQ(probe.matches.front().entity_id, 1u);
+}
+
+TEST(EntityStoreRestore, RecoveryDerivesSignaturesUnderTheReadersConfig) {
+  // A checkpoint written under alpha_words = 1 and recovered under
+  // alpha_words = 2 must answer exactly like score_pair with signatures
+  // built fresh under the reader's layout: DL <= k => |m xor n| <= 2k
+  // only holds for signatures of that string under that layout.
+  lk::ComparatorConfig writer_config = fpdl_config();
+  writer_config.alpha_words = 1;
+  lk::ComparatorConfig reader_config = fpdl_config();
+  reader_config.alpha_words = 2;
+  Rng rng(7);
+  const auto people = lk::generate_people(2000, rng);
+  auto backend = std::make_shared<st::MemObjectBackend>();
+  {
+    lk::DurableEntityStore writer(writer_config, backend, policy(1));
+    for (std::size_t off = 0; off < people.size(); off += 100) {
+      const std::span<const lk::PersonRecord> batch(people.data() + off, 100);
+      ASSERT_TRUE(writer.ingest(batch).ok());
+    }
+  }
+  lk::DurableEntityStore reader(reader_config, backend, policy(1));
+  const auto report = reader.recover();
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  ASSERT_TRUE(report->snapshot_loaded);
+  const lk::EntityStore& store = reader.store();
+  ASSERT_EQ(store.size(), people.size());
+
+  std::vector<lk::PersonRecord> sample(people.begin(), people.begin() + 500);
+  const auto probes = lk::make_error_records(sample, {}, rng);
+  std::vector<lk::RecordSignatures> stored_sigs;
+  for (const lk::PersonRecord& r : store.records()) {
+    stored_sigs.push_back(
+        lk::build_record_signatures(r, reader_config.alpha_words));
+  }
+  std::size_t reference_matches = 0;
+  for (std::size_t q = 0; q < probes.size(); ++q) {
+    const lk::RecordSignatures query_sigs = lk::build_record_signatures(
+        probes[q], reader_config.alpha_words);
+    std::vector<lk::EntityStore::ProbeMatch> want;
+    lk::CompareCounters counters;
+    for (std::size_t i = 0; i < store.size(); ++i) {
+      const double score =
+          lk::score_pair(probes[q], store.records()[i], &query_sigs,
+                         &stored_sigs[i], reader_config, counters);
+      if (score >= reader_config.match_threshold) {
+        want.push_back({static_cast<std::uint32_t>(i), store.entity_of(i),
+                        score});
+      }
+    }
+    std::stable_sort(want.begin(), want.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.score > b.score;
+                     });
+    reference_matches += want.size();
+    const auto got = store.probe(probes[q], 0);
+    ASSERT_EQ(got.matches.size(), want.size()) << "probe " << q;
+    for (std::size_t m = 0; m < want.size(); ++m) {
+      EXPECT_EQ(got.matches[m].record_index, want[m].record_index)
+          << "probe " << q << " #" << m;
+      EXPECT_EQ(got.matches[m].score, want[m].score)
+          << "probe " << q << " #" << m;
+    }
+  }
+  EXPECT_GT(reference_matches, 0u);
 }
 
 }  // namespace
